@@ -15,7 +15,8 @@ Everything inside the solver runs in nondimensional units: times divided
 by the horizon, coordinates by the scenario's length scale, and each
 constraint by a characteristic magnitude. Reported duals and the KKT
 residual refer to that scaled canonical form, which `check_solution`
-rebuilds independently.
+rebuilds independently from the scenario, differentiating its own
+constraint formulas analytically rather than reusing the solver's matrices.
 """
 
 from __future__ import annotations
@@ -780,6 +781,8 @@ def solve_min_speed(
     )
 
 
+
+
 # ---------------------------------------------------------------------------
 # Independent solution checker
 # ---------------------------------------------------------------------------
@@ -793,6 +796,7 @@ class CheckReport:
     feasibility: float
     stationarity: float
     complementarity: float
+    dual_feasibility: float
     objective_gap: float
     energy_rel_violation: float
     speed_abs_violation: float
@@ -804,6 +808,7 @@ class CheckReport:
             "feasibility": float(self.feasibility),
             "stationarity": float(self.stationarity),
             "complementarity": float(self.complementarity),
+            "dual_feasibility": float(self.dual_feasibility),
             "objective_gap": float(self.objective_gap),
             "energy_rel_violation": float(self.energy_rel_violation),
             "speed_abs_violation": float(self.speed_abs_violation),
@@ -811,13 +816,21 @@ class CheckReport:
         }
 
 
-def _check_constraint_values(
-    scenario: Scenario, order: tuple[int, ...], z: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Fresh evaluation of the scaled constraint vector and objective.
+def _check_lagrangian(
+    scenario: Scenario,
+    order: tuple[int, ...],
+    z: np.ndarray,
+    lam: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Fresh evaluation of the scaled constraint vector, the objective and,
+    when duals are given, the gradient of objective + lam'(constraints).
 
     Deliberately rebuilt from the scenario here rather than reusing the
-    solver's matrices, so checker and solver can disagree.
+    solver's matrices, so checker and solver can disagree. Rows follow the
+    solver's label order: one energy ball per scheduled node (ascending),
+    speed legs 0..n for x then y with the positive sign before the
+    negative, ordering, time_lo, time_hi. The gradient is the exact
+    derivative of these formulas.
     """
     n = len(order)
     horizon = scenario.uav.horizon_s
@@ -825,49 +838,87 @@ def _check_constraint_values(
     t = z[:n]
     x = z[n : 2 * n]
     y = z[2 * n : 3 * n]
+    xy = scenario.node_xy() / r_scale
+    vmax = np.array([scenario.uav.vmax_x, scenario.uav.vmax_y])[:, None] * horizon / r_scale
+    node = np.asarray(order, dtype=int) - 1
+
+    counts = np.bincount(node, minlength=scenario.num_nodes)
+    scheduled = np.flatnonzero(counts)
+    slot = (np.cumsum(counts > 0) - 1)[node]
+    c = np.array(
+        [energy_budget_constant(scenario, int(m), int(counts[m])) for m in scheduled]
+    ) / (r_scale * r_scale)
+    ball_scale = np.maximum(c, 1e-12)
+    dx = x - xy[node, 0]
+    dy = y - xy[node, 1]
+    lhs = np.bincount(slot, weights=dx * dx + dy * dy, minlength=scheduled.size)
+
     start = np.asarray(scenario.uav.initial) / r_scale
     end = np.asarray(scenario.uav.final) / r_scale
-    xy = scenario.node_xy() / r_scale
-    vx = scenario.uav.vmax_x * horizon / r_scale
-    vy = scenario.uav.vmax_y * horizon / r_scale
+    fence_w = np.vstack([np.concatenate(([start[k]], w, [end[k]])) for k, w in enumerate((x, y))])
+    dw = np.diff(fence_w, axis=1)
+    dt = np.diff(np.concatenate(([0.0], t, [1.0])))
+    speed_scale = np.maximum(vmax, 1.0)
+    speed = np.stack([dw - vmax * dt, -dw - vmax * dt], axis=1) / speed_scale[:, None]
+    values = np.concatenate(
+        [(lhs - c) / ball_scale, speed.ravel(), t[:-1] - t[1:], -t, t - 1.0]
+    )
 
-    values: list[float] = []
-    order_arr = np.asarray(order, dtype=int)
-    scheduled = sorted(set(order_arr.tolist()))
-    for node_id in scheduled:
-        m = node_id - 1
-        count = int(np.sum(order_arr == node_id))
-        c = energy_budget_constant(scenario, m, count) / (r_scale * r_scale)
-        pos = np.flatnonzero(order_arr == node_id)
-        lhs = float(np.sum((x[pos] - xy[m, 0]) ** 2 + (y[pos] - xy[m, 1]) ** 2))
-        scale = max(c, 1e-12)
-        values.append((lhs - c) / scale)
-
-    t_fence = np.concatenate(([0.0], t, [1.0]))
-    for coords, w0, w1, vmax in ((x, start[0], end[0], vx), (y, start[1], end[1], vy)):
-        fence = np.concatenate(([w0], coords, [w1]))
-        scale = max(vmax, 1.0)
-        for sign in (1.0, -1.0):
-            for leg in range(n + 1):
-                dw = fence[leg + 1] - fence[leg]
-                dt = t_fence[leg + 1] - t_fence[leg]
-                values.append((sign * dw - vmax * dt) / scale)
-    for i in range(n - 1):
-        values.append(t[i] - t[i + 1])
-    for i in range(n):
-        values.append(-t[i])
-    for i in range(n):
-        values.append(t[i] - 1.0)
-
+    # Each node's gaps between consecutive instants, fenced by 0 and 1; a
+    # node that never updates keeps the single gap 1.
+    by_node = np.argsort(node, kind="stable")
+    node_s = node[by_node]
+    t_s = t[by_node]
+    first = np.concatenate(([True], node_s[1:] != node_s[:-1]))
+    last = np.concatenate((first[1:], [True]))
+    gap_in = t_s - np.where(first, 0.0, np.roll(t_s, 1))
+    gap_out = np.where(last, 1.0, np.roll(t_s, -1)) - t_s
     weights = scenario.weights()
-    obj = 0.0
-    for m in range(scenario.num_nodes):
-        pos = np.flatnonzero(order_arr == m + 1)
-        fenced = np.concatenate(([0.0], t[pos], [1.0]))
-        gaps = np.diff(fenced)
-        obj += weights[m] * float(np.sum(gaps * gaps))
+    per_node = np.ones(scenario.num_nodes)
+    per_node[scheduled] = (
+        np.bincount(node_s, weights=gap_in * gap_in, minlength=scenario.num_nodes)[scheduled]
+        + gap_out[last] ** 2
+    )
+    obj = float(weights @ per_node)
+    if lam is None:
+        return values, obj, None
 
-    return np.array(values), obj
+    k = scheduled.size
+    lam_ball = lam[:k]
+    lam_speed = lam[k : k + 4 * (n + 1)].reshape(2, 2, n + 1)
+    lam_order, lam_lo, lam_hi = np.split(lam[k + 4 * (n + 1) :], [n - 1, 2 * n - 1])
+
+    grad_t = np.empty(n)
+    grad_t[by_node] = 2.0 * weights[node_s] * (gap_in - gap_out)
+    ball = 2.0 * lam_ball[slot] / ball_scale[slot]
+    # Leg l moves with fence points l and l + 1, so each waypoint and instant
+    # collects the difference of its two neighbouring legs' multipliers.
+    along = (lam_speed[:, 0] - lam_speed[:, 1]) / speed_scale
+    against = vmax * (lam_speed[:, 0] + lam_speed[:, 1]) / speed_scale
+    grad_t += np.diff(against.sum(axis=0)) + lam_hi - lam_lo
+    grad_t[:-1] += lam_order
+    grad_t[1:] -= lam_order
+    grad_x = ball * dx - np.diff(along[0])
+    grad_y = ball * dy - np.diff(along[1])
+    return values, obj, np.concatenate([grad_t, grad_x, grad_y])
+
+
+def _check_row_label(row: int, order: tuple[int, ...]) -> str:
+    """Name of a checker constraint row, as the solver labels it."""
+    scheduled = sorted(set(order))
+    n = len(order)
+    if row < len(scheduled):
+        return f"energy_node_{scheduled[row]}"
+    row -= len(scheduled)
+    if row < 4 * (n + 1):
+        block, leg = divmod(row, n + 1)
+        return f"speed_{'xy'[block // 2]}_{('pos', 'neg')[block % 2]}_leg_{leg}"
+    row -= 4 * (n + 1)
+    for name, size in (("order", n - 1), ("time_lo", n), ("time_hi", n)):
+        if row < size:
+            return f"{name}_{row + 1}"
+        row -= size
+    raise IndexError("constraint row out of range")
 
 
 def check_solution(
@@ -875,12 +926,14 @@ def check_solution(
     solution: TrajectorySolution,
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
-    """Re-verify feasibility, stationarity, and complementarity of a returned
-    trajectory without trusting the solver's internal state.
+    """Re-verify feasibility, stationarity, complementarity and dual
+    feasibility of a returned trajectory without trusting the solver's
+    internal state.
 
-    Constraint values come from formulas rewritten here; gradients come from
-    central differences of those values (exact for quadratics up to
-    roundoff). Raw-unit energy and speed margins are reported as well.
+    Constraint values come from formulas rewritten here; the Lagrangian
+    gradient is the analytic derivative of those same formulas. Raw-unit
+    energy and speed margins are reported as well, and `ok` requires every
+    check, including agreement with both reported objectives.
     """
     msgs: list[str] = []
     order = solution.order
@@ -894,6 +947,7 @@ def check_solution(
             feasibility=math.inf,
             stationarity=math.inf,
             complementarity=math.inf,
+            dual_feasibility=math.inf,
             objective_gap=math.inf,
             energy_rel_violation=math.inf,
             speed_abs_violation=math.inf,
@@ -906,6 +960,7 @@ def check_solution(
             feasibility=0.0,
             stationarity=0.0,
             complementarity=0.0,
+            dual_feasibility=0.0,
             objective_gap=gap,
             energy_rel_violation=0.0,
             speed_abs_violation=0.0,
@@ -918,10 +973,12 @@ def check_solution(
             solution.waypoints_xy[:, 1] / r_scale,
         ]
     )
-    values, obj_scaled = _check_constraint_values(scenario, order, z)
+    values, _, _ = _check_lagrangian(scenario, order, z)
     feasibility = float(np.max(values))
     if feasibility > tol:
-        msgs.append(f"scaled constraint violation {feasibility:.3g}")
+        worst = np.argsort(-values, kind="stable")[: min(3, int(np.sum(values > tol)))]
+        names = ", ".join(_check_row_label(int(row), order) for row in worst)
+        msgs.append(f"scaled constraint violation {feasibility:.3g} (worst rows: {names})")
 
     lam = solution.duals
     if lam.size != values.size:
@@ -930,23 +987,14 @@ def check_solution(
             feasibility=feasibility,
             stationarity=math.inf,
             complementarity=math.inf,
+            dual_feasibility=math.inf,
             objective_gap=math.inf,
             energy_rel_violation=math.inf,
             speed_abs_violation=math.inf,
             messages=["dual vector length mismatch"],
         )
 
-    # Central-difference gradient of the Lagrangian; exact for quadratics.
-    step = 1e-5
-    lagr_grad = np.zeros(z.size)
-    for j in range(z.size):
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += step
-        zm[j] -= step
-        vp, op = _check_constraint_values(scenario, order, zp)
-        vm, om = _check_constraint_values(scenario, order, zm)
-        lagr_grad[j] = (op - om) / (2 * step) + float(lam @ (vp - vm)) / (2 * step)
+    _, obj_scaled, lagr_grad = _check_lagrangian(scenario, order, z, lam)
     stationarity = float(np.max(np.abs(lagr_grad)))
     if stationarity > tol:
         msgs.append(f"stationarity residual {stationarity:.3g}")
@@ -955,52 +1003,48 @@ def check_solution(
     if complementarity > tol:
         msgs.append(f"complementarity residual {complementarity:.3g}")
 
+    dual_feasibility = max(0.0, -float(np.min(lam)))
+    if dual_feasibility > tol:
+        worst = _check_row_label(int(np.argmin(lam)), order)
+        msgs.append(f"dual feasibility violation {dual_feasibility:.3g} at {worst}")
+
     recomputed = nwaoi(scenario, solution.update_times(scenario.num_nodes))
-    objective_gap = abs(obj_scaled + 0.0 - recomputed)
     # obj_scaled already includes the never-updating contribution of each
     # node because the fence spans the whole scaled horizon.
+    objective_gap = abs(obj_scaled - recomputed)
+    objective_tol = 1e-9 * max(1.0, abs(recomputed))
     gap_vs_reported = abs(recomputed - solution.objective)
-    if gap_vs_reported > 1e-9 * max(1.0, abs(recomputed)):
+    if gap_vs_reported > objective_tol:
         msgs.append(f"objective mismatch {gap_vs_reported:.3g}")
     solver_gap = abs(solution.solver_objective - recomputed)
-    if solver_gap > 1e-9 * max(1.0, abs(recomputed)):
+    if solver_gap > objective_tol:
         msgs.append(f"solver objective mismatch {solver_gap:.3g}")
 
     # Raw-unit margins.
-    energy_rel = 0.0
-    order_arr = np.asarray(order, dtype=int)
+    node = np.asarray(order, dtype=int) - 1
+    scheduled = np.flatnonzero(np.bincount(node, minlength=scenario.num_nodes))
     ch = scenario.channel
     snr_gap = 2.0 ** (ch.packet_bits / ch.bandwidth_hz) - 1.0
-    for node_id in sorted(set(order_arr.tolist())):
-        m = node_id - 1
-        pos = np.flatnonzero(order_arr == node_id)
-        spent = 0.0
-        for i in pos:
-            dx = solution.waypoints_xy[i, 0] - scenario.nodes[m].x
-            dy = solution.waypoints_xy[i, 1] - scenario.nodes[m].y
-            d2 = scenario.uav.altitude_m**2 + dx * dx + dy * dy
-            spent += ch.noise_power_w * snr_gap * d2 / ch.beta0
-        energy_rel = max(
-            energy_rel, (spent - scenario.nodes[m].battery_j) / scenario.nodes[m].battery_j
-        )
+    node_xy = scenario.node_xy()
+    dx = solution.waypoints_xy[:, 0] - node_xy[node, 0]
+    dy = solution.waypoints_xy[:, 1] - node_xy[node, 1]
+    d2 = scenario.uav.altitude_m**2 + dx * dx + dy * dy
+    spent = np.bincount(
+        node, weights=ch.noise_power_w * snr_gap * d2 / ch.beta0, minlength=scenario.num_nodes
+    )
+    battery = scenario.batteries()
+    energy_rel = max(
+        0.0, float(np.max((spent[scheduled] - battery[scheduled]) / battery[scheduled]))
+    )
     if energy_rel > 1e-9:
         msgs.append(f"energy overdraw {energy_rel:.3g} relative")
 
-    speed_abs = 0.0
     fence_t = np.concatenate(([0.0], solution.times_s, [horizon]))
-    fence_x = np.concatenate(
-        ([scenario.uav.initial[0]], solution.waypoints_xy[:, 0], [scenario.uav.final[0]])
+    fence_xy = np.vstack([scenario.uav.initial, solution.waypoints_xy, scenario.uav.final])
+    excess = np.abs(np.diff(fence_xy, axis=0)) - np.outer(
+        np.diff(fence_t), [scenario.uav.vmax_x, scenario.uav.vmax_y]
     )
-    fence_y = np.concatenate(
-        ([scenario.uav.initial[1]], solution.waypoints_xy[:, 1], [scenario.uav.final[1]])
-    )
-    for leg in range(n + 1):
-        dt = fence_t[leg + 1] - fence_t[leg]
-        speed_abs = max(
-            speed_abs,
-            abs(fence_x[leg + 1] - fence_x[leg]) - scenario.uav.vmax_x * dt,
-            abs(fence_y[leg + 1] - fence_y[leg]) - scenario.uav.vmax_y * dt,
-        )
+    speed_abs = max(0.0, float(np.max(excess)))
     if speed_abs > 1e-6:
         msgs.append(f"speed excess {speed_abs:.3g} m")
 
@@ -1008,7 +1052,9 @@ def check_solution(
         feasibility <= tol
         and stationarity <= tol
         and complementarity <= tol
-        and gap_vs_reported <= 1e-9 * max(1.0, abs(recomputed))
+        and dual_feasibility <= tol
+        and gap_vs_reported <= objective_tol
+        and solver_gap <= objective_tol
         and energy_rel <= 1e-9
         and speed_abs <= 1e-6
     )
@@ -1017,6 +1063,7 @@ def check_solution(
         feasibility=feasibility,
         stationarity=stationarity,
         complementarity=complementarity,
+        dual_feasibility=dual_feasibility,
         objective_gap=objective_gap,
         energy_rel_violation=energy_rel,
         speed_abs_violation=speed_abs,

@@ -22,7 +22,7 @@ from .scenario import Scenario
 from .solver import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
     TrajectorySolution,
     solve_schedule,
 )
@@ -152,8 +152,9 @@ def enumerate_optimal(
 ) -> EnumerationResult:
     """Score every admissible visit order and return the best trajectory.
 
-    Ties on the objective break toward the lexicographically smallest
-    order. Raises BudgetExceededError up front when the candidate count
+    Only solves with status ``optimal`` can win, overall or per count; the
+    rows keep every candidate's real status. Ties on the objective break
+    toward the lexicographically smallest order. Raises BudgetExceededError up front when the candidate count
     exceeds ``budget``; nothing is solved in that case.
     """
     scenario.validate()
@@ -171,7 +172,6 @@ def enumerate_optimal(
 
     for combo in count_grid(max_counts, include_zero, max_total):
         count_best: tuple[float, tuple[int, ...]] | None = None
-        count_best_status = STATUS_INFEASIBLE
         for order in multiset_permutations(combo):
             num_candidates += 1
             solution = solve_schedule(scenario, order, tol=tol, max_iters=max_iters)
@@ -187,18 +187,17 @@ def enumerate_optimal(
                     )
                 )
             key = (solution.objective, order)
-            if solution.status != STATUS_INFEASIBLE:
+            if solution.status == STATUS_OPTIMAL:
                 if best_key is None or key < best_key:
                     best_key = key
                     best_solution = solution
                 if count_best is None or key < count_best:
                     count_best = key
-                    count_best_status = solution.status
         if count_best is not None:
-            per_count[combo] = (count_best[1], count_best[0], count_best_status)
+            per_count[combo] = (count_best[1], count_best[0], STATUS_OPTIMAL)
 
     if best_solution is None or best_key is None:
-        raise RuntimeError("no feasible candidate; even the empty order failed")
+        raise RuntimeError("no optimal candidate; even the empty order failed")
     return EnumerationResult(
         best_order=best_key[1],
         best_solution=best_solution,

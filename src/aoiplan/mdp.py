@@ -24,7 +24,7 @@ from .scenario import Scenario
 from .solver import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
     TrajectorySolution,
     solve_schedule,
 )
@@ -111,8 +111,9 @@ class ScheduleEnv:
     """Builds a visit order step by step, re-solving the trajectory each time.
 
     Action 0 terminates the episode with zero reward; action m appends an
-    update for node m. Appending an update the energy budget or geometry
-    cannot support ends the episode, keeps the previous order, and pays
+    update for node m. Appending an update whose solve is not optimal
+    (the energy budget or geometry cannot support it, or the solver did not
+    converge) ends the episode, keeps the previous order, and pays
     ``infeasible_penalty`` (zero by default, so such an attempt simply
     wastes the step).
     """
@@ -193,7 +194,7 @@ class ScheduleEnv:
 
         candidate = self._order + (action,)
         solution = self.solve_order(candidate)
-        if solution.status == STATUS_INFEASIBLE:
+        if solution.status != STATUS_OPTIMAL:
             self._done = True
             return Transition(
                 state=state,
@@ -205,7 +206,7 @@ class ScheduleEnv:
                     "metric": self._metric,
                     "order": self._order,
                     "rejected": candidate,
-                    "reason": solution.message,
+                    "reason": f"{solution.status}: {solution.message}",
                 },
             )
         next_state = build_state_matrix(self.scenario, solution)

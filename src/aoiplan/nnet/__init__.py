@@ -1,56 +1,8 @@
-"""Minimal neural building blocks with a compiled fast path.
-
-The kernel backend is picked once at import. The compiled extension only
-takes over the recurrent sequence kernels: those are sequential loops over
-tiny matrices where interpreter overhead dominates, and compiling them is
-worth 5-20x. The batched dense kernels stay on the numpy implementation
-even in ext mode because BLAS-backed matmul beats scalar loops there (see
-benchmarks/bench_backends.py for the numbers on this machine).
-
-Set AOIPLAN_BACKEND=py or =ext to force a backend (ext raises if the
-extension is missing); the default auto uses ext when it built.
-"""
+"""Minimal neural building blocks on numpy kernels."""
 
 from __future__ import annotations
 
-import os
-from types import SimpleNamespace
-
-from . import _kern_py
-
-_requested = os.environ.get("AOIPLAN_BACKEND", "auto").strip().lower()
-if _requested not in {"auto", "py", "ext"}:
-    raise ImportError(
-        f"AOIPLAN_BACKEND must be one of auto, py, ext (got {_requested!r})"
-    )
-
-if _requested in {"auto", "ext"}:
-    try:
-        from . import _kern_cy  # type: ignore[attr-defined]
-    except ImportError:
-        if _requested == "ext":
-            raise
-        _kern_cy = None  # type: ignore[assignment]
-else:
-    _kern_cy = None  # type: ignore[assignment]
-
-if _kern_cy is not None:
-    BACKEND = "ext"
-    kernels = SimpleNamespace(
-        dense_forward=_kern_py.dense_forward,
-        dense_backward=_kern_py.dense_backward,
-        lstm_seq_forward=_kern_cy.lstm_seq_forward,
-        lstm_seq_backward=_kern_cy.lstm_seq_backward,
-    )
-else:
-    BACKEND = "py"
-    kernels = SimpleNamespace(
-        dense_forward=_kern_py.dense_forward,
-        dense_backward=_kern_py.dense_backward,
-        lstm_seq_forward=_kern_py.lstm_seq_forward,
-        lstm_seq_backward=_kern_py.lstm_seq_backward,
-    )
-
+from . import kernels
 from .layers import (
     ACTIVATIONS,
     AdamOptimizer,
@@ -63,6 +15,9 @@ from .layers import (
     make_optimizer,
     save_checkpoint,
 )
+
+# Recorded by the benchmark harness in every run record.
+BACKEND = "py"
 
 __all__ = [
     "ACTIVATIONS",

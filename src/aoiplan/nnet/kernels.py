@@ -1,7 +1,7 @@
-"""Pure numpy kernels for the small dense and recurrent nets.
+"""Numpy kernels for the small dense and recurrent nets.
 
-This is the fallback backend; the compiled module in _kern_cy.pyx exposes
-the same functions with the same semantics. Keep the two in sync.
+layers.py looks each kernel up on this module at call time, so a profiler
+can wrap them with setattr for the length of a run.
 """
 
 from __future__ import annotations
@@ -15,12 +15,8 @@ ACT_TANH = 3
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-log(1 + e^-x)): no overflow, full relative precision for x << 0.
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def act_forward(kind: int, z: np.ndarray) -> np.ndarray:

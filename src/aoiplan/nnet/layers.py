@@ -1,4 +1,4 @@
-"""Dense and recurrent layers over the kernel backend, plus checkpoints.
+"""Dense and recurrent layers over the numpy kernels, plus checkpoints.
 
 Models hold their parameters as plain float64 arrays and know how to
 flatten them, so optimizers and checkpoints work on a single vector.
@@ -7,6 +7,7 @@ flatten them, so optimizers and checkpoints work on a single vector.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -16,14 +17,9 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import CheckpointError, NonFiniteGradientError
+from . import kernels
 
 ACTIVATIONS = {"identity": 0, "relu": 1, "sigmoid": 2, "tanh": 3}
-
-
-def _kernels():
-    from . import kernels
-
-    return kernels
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -70,16 +66,16 @@ class DenseNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         single = x.ndim == 1
         batch = x[None, :] if single else x
-        y, _ = _kernels().dense_forward(batch, self.ws, self.bs, self.kinds)
+        y, _ = kernels.dense_forward(batch, self.ws, self.bs, self.kinds)
         return y[0] if single else y
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        return _kernels().dense_forward(x, self.ws, self.bs, self.kinds)
+        return kernels.dense_forward(x, self.ws, self.bs, self.kinds)
 
     def backward(
         self, acts: list[np.ndarray], dy: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        return _kernels().dense_backward(self.ws, self.kinds, acts, dy)
+        return kernels.dense_backward(self.ws, self.kinds, acts, dy)
 
     def params_flat(self) -> np.ndarray:
         parts = []
@@ -152,7 +148,7 @@ class LstmCell:
             h0 = np.zeros(self.hidden_size)
         if c0 is None:
             c0 = np.zeros(self.hidden_size)
-        return _kernels().lstm_seq_forward(self.wg, self.bg, xs, h0, c0)
+        return kernels.lstm_seq_forward(self.wg, self.bg, xs, h0, c0)
 
     def seq_backward(
         self,
@@ -164,14 +160,14 @@ class LstmCell:
         dh_last: np.ndarray,
         dc_last: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return _kernels().lstm_seq_backward(
+        return kernels.lstm_seq_backward(
             self.wg, xs, hs, cs, gates, dhs, dh_last, dc_last
         )
 
     def step(
         self, x: np.ndarray, h: np.ndarray, c: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        hs, cs, _ = _kernels().lstm_seq_forward(
+        hs, cs, _ = kernels.lstm_seq_forward(
             self.wg, self.bg, x[None, :], h, c
         )
         return hs[1], cs[1]
@@ -330,18 +326,42 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict[
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     offset += header_len
-    if header.get("version") != _CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+    _check_header(header)
     arrays: dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
-        shape = tuple(int(v) for v in spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        shape = tuple(spec["shape"])
+        nbytes = math.prod(shape) * 8
         chunk = body[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError("checkpoint payload is truncated")
-        arrays[spec["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        try:
+            arrays[spec["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        except (ValueError, OverflowError) as exc:
+            raise CheckpointError(f"checkpoint array shape {list(shape)}: {exc}") from exc
         offset += nbytes
     if offset != len(body):
         raise CheckpointError("checkpoint payload has trailing bytes")
     return header["kind"], arrays, header.get("meta", {})
+
+
+def _check_header(header: Any) -> None:
+    """Raise CheckpointError unless the header has the layout save_checkpoint writes."""
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    if header.get("version") != _CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+    if not isinstance(header.get("kind"), str):
+        raise CheckpointError("checkpoint kind is not a string")
+    if not isinstance(header.get("meta", {}), dict):
+        raise CheckpointError("checkpoint meta is not a JSON object")
+    specs = header.get("arrays")
+    if not isinstance(specs, list):
+        raise CheckpointError("checkpoint array index is not a list")
+    for spec in specs:
+        if not (
+            isinstance(spec, dict)
+            and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(type(v) is int and v >= 0 for v in spec["shape"])
+        ):
+            raise CheckpointError(f"malformed checkpoint array entry {spec!r}")

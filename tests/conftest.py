@@ -1,6 +1,9 @@
 """Shared builders for desk-scale planning instances."""
 
-from aoiplan import ChannelParams, Node, Scenario, UavParams
+import dataclasses
+
+from aoiplan import ChannelParams, Node, Scenario, UavParams, solve_schedule
+from aoiplan.solver import STATUS_MAX_ITERATIONS
 
 # Energy one update draws while hovering straight above a node at the
 # default channel settings and 80 m altitude.
@@ -56,3 +59,17 @@ def build_scenario(
             horizon_s=float(horizon),
         ),
     )
+
+
+def nonconverged_at(bad_order):
+    """A solve_schedule stand-in that reports ``max_iterations`` with the
+    lowest possible objective for ``bad_order`` and solves the rest."""
+    bad_order = tuple(bad_order)
+
+    def solve(scenario, order, **kwargs):
+        solution = solve_schedule(scenario, order, **kwargs)
+        if tuple(order) != bad_order:
+            return solution
+        return dataclasses.replace(solution, status=STATUS_MAX_ITERATIONS, objective=0.0)
+
+    return solve

@@ -15,7 +15,7 @@ from aoiplan import (
     total_candidates,
 )
 from aoiplan.exhaustive import count_grid, multiset_permutations
-from conftest import build_scenario
+from conftest import build_scenario, nonconverged_at
 
 
 def test_schedule_count_multinomial():
@@ -113,3 +113,16 @@ def test_max_total_prunes_candidates():
     pruned = enumerate_optimal(scenario, max_total=2)
     assert pruned.num_candidates < full.num_candidates
     assert pruned.objective >= full.objective - 1e-12
+
+
+def test_nonconverged_solve_never_wins(monkeypatch):
+    scenario = build_scenario([1, 1])
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
+    result = enumerate_optimal(scenario)
+    assert result.best_order != (2, 1)
+    assert result.objective > 0.0
+    assert result.best_solution.status == "optimal"
+    assert result.per_count[(1, 1)][0] == (1, 2)
+    assert result.per_count[(1, 1)][2] == "optimal"
+    statuses = {order: status for order, _, status, _ in result.rows}
+    assert statuses["2-1"] == "max_iterations"

@@ -13,7 +13,7 @@ from aoiplan import (
     solve_schedule,
 )
 from aoiplan.mdp import TERMINATE, initial_state
-from conftest import UNIT, build_scenario
+from conftest import UNIT, build_scenario, nonconverged_at
 
 
 def test_initial_state_column():
@@ -130,6 +130,20 @@ def test_infeasible_penalty_knob():
     env.step(1)
     transition = env.step(1)
     assert transition.reward == -0.25
+
+
+def test_nonconverged_append_pays_nothing(monkeypatch):
+    monkeypatch.setattr("aoiplan.mdp.solve_schedule", nonconverged_at((1, 2)))
+    env = ScheduleEnv(build_scenario([1, 1]))
+    env.step(1)
+    metric = env.metric
+    transition = env.step(2)
+    assert transition.terminal
+    assert transition.reward == 0.0
+    assert transition.info["rejected"] == (1, 2)
+    assert transition.info["reason"].startswith("max_iterations")
+    assert env.order == (1,)
+    assert env.metric == metric
 
 
 def test_return_bounded_by_floor():

@@ -1,7 +1,13 @@
 """Dense and LSTM kernels, optimizers, and the checkpoint container."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aoiplan import CheckpointError, NonFiniteGradientError
 from aoiplan.nnet import (
@@ -15,12 +21,7 @@ from aoiplan.nnet import (
     make_optimizer,
     save_checkpoint,
 )
-from aoiplan.nnet import _kern_py
-
-try:
-    from aoiplan.nnet import _kern_cy
-except ImportError:
-    _kern_cy = None
+from aoiplan.nnet import kernels
 
 
 def test_glorot_bounds():
@@ -187,31 +188,9 @@ def test_lstm_input_gradient_finite_difference():
             assert numeric == pytest.approx(dxs[t, j], abs=1e-6)
 
 
-@pytest.mark.skipif(_kern_cy is None, reason="compiled kernels unavailable")
-def test_lstm_backends_agree():
-    rng = np.random.default_rng(10)
-    k, d, t = 6, 4, 9
-    wg = rng.normal(size=(4 * k, k + d)) * 0.4
-    bg = rng.normal(size=4 * k) * 0.1
-    xs = rng.normal(size=(t, d))
-    h0 = rng.normal(size=k)
-    c0 = rng.normal(size=k)
-    hs_p, cs_p, gates_p = _kern_py.lstm_seq_forward(wg, bg, xs, h0, c0)
-    hs_c, cs_c, gates_c = _kern_cy.lstm_seq_forward(wg, bg, xs, h0, c0)
-    assert np.max(np.abs(hs_p - hs_c)) <= 1e-12
-    assert np.max(np.abs(cs_p - cs_c)) <= 1e-12
-    dhs = rng.normal(size=(t, k))
-    dh_last = rng.normal(size=k)
-    dc_last = rng.normal(size=k)
-    out_p = _kern_py.lstm_seq_backward(wg, xs, hs_p, cs_p, gates_p, dhs, dh_last, dc_last)
-    out_c = _kern_cy.lstm_seq_backward(wg, xs, hs_c, cs_c, gates_c, dhs, dh_last, dc_last)
-    for a, b in zip(out_p, out_c):
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-
 def test_sigmoid_stable_at_extremes():
     with np.errstate(over="raise", invalid="raise"):
-        values = _kern_py.act_forward(2, np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))
+        values = kernels.act_forward(2, np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))
     assert np.all(np.isfinite(values))
     assert values[0] == 0.0
     assert values[-1] == 1.0
@@ -221,7 +200,7 @@ def test_sigmoid_stable_at_extremes():
 def test_activations_monotone():
     grid = np.linspace(-30.0, 30.0, 601)
     for kind in (2, 3):
-        out = _kern_py.act_forward(kind, grid)
+        out = kernels.act_forward(kind, grid)
         assert np.all(np.diff(out) >= 0.0)
 
 
@@ -343,3 +322,88 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(b"")
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+def _with_header(blob: bytes, header) -> bytes:
+    """The checkpoint blob with its JSON header replaced and the CRC redone."""
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header_bytes = json.dumps(header).encode("utf-8")
+    body = blob[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
+    body += blob[12 + header_len : -4]
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _saved_checkpoint(tmp_path) -> tuple[bytes, dict]:
+    net = DenseNet.init([3, 4], ["identity"], np.random.default_rng(15))
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, "qnet", net.to_arrays(), {"n": 2})
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return blob, json.loads(blob[12 : 12 + header_len])
+
+
+def _set_shape(shape):
+    def edit(header):
+        header["arrays"][0]["shape"] = shape
+        return header
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_shape([2, "x"]),
+        _set_shape(None),
+        lambda header: {k: v for k, v in header.items() if k != "arrays"},
+        lambda header: [header],
+        _set_shape([-1, -8]),
+    ],
+    ids=["shape-str", "shape-null", "no-arrays", "header-list", "shape-negative"],
+)
+def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, edit):
+    blob, header = _saved_checkpoint(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(blob, edit(header)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_near_header = st.fixed_dictionaries(
+    {
+        "version": st.just(1) | _json,
+        "kind": st.just("qnet") | _json,
+        "arrays": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "name": st.sampled_from(["w0", "b0"]) | _json,
+                    "shape": st.lists(st.integers(-2, 2**40) | _json, max_size=3) | _json,
+                }
+            ),
+            max_size=3,
+        )
+        | _json,
+        "meta": st.just({}) | _json,
+    }
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=_near_header | _json)
+def test_checkpoint_fuzzed_header_raises_only_checkpoint_error(tmp_path, header):
+    blob, _ = _saved_checkpoint(tmp_path)
+    bad = tmp_path / "fuzz.ckpt"
+    bad.write_bytes(_with_header(blob, header))
+    try:
+        load_checkpoint(bad)
+    except CheckpointError:
+        pass

@@ -20,7 +20,14 @@ import numpy as np
 
 from .errors import CheckpointError, DivergenceError
 from .mdp import ScheduleEnv, StateMatrix
-from .nnet import DenseNet, LstmCell, load_checkpoint, make_optimizer, save_checkpoint
+from .nnet import (
+    ACTIVATIONS,
+    DenseNet,
+    LstmCell,
+    load_checkpoint,
+    make_optimizer,
+    save_checkpoint,
+)
 from .scenario import Scenario
 from .solver import TrajectorySolution
 
@@ -650,31 +657,91 @@ def save_agent(path: str | Path, agent: QAgent) -> None:
     save_checkpoint(path, "qnet", arrays, meta)
 
 
+def _meta_size(meta: dict[str, Any], key: str) -> int:
+    value = meta.get(key)
+    if type(value) is not int or value < 1:
+        raise CheckpointError(f"checkpoint meta {key!r} is not a positive integer: {value!r}")
+    return value
+
+
+def _meta_list(meta: dict[str, Any], key: str, item: type) -> list[Any]:
+    value = meta.get(key)
+    if not isinstance(value, list) or not all(type(v) is item for v in value):
+        raise CheckpointError(f"checkpoint meta {key!r} is not a list of {item.__name__}: {value!r}")
+    return value
+
+
+def _array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    if name not in arrays:
+        raise CheckpointError(f"checkpoint has no array {name!r}")
+    if arrays[name].shape != shape:
+        raise CheckpointError(
+            f"checkpoint array {name!r} has shape {list(arrays[name].shape)}, expected {list(shape)}"
+        )
+    return arrays[name]
+
+
+def _lstm(arrays: dict[str, np.ndarray], prefix: str, input_size: int, hidden_size: int) -> LstmCell:
+    return LstmCell(
+        input_size=input_size,
+        hidden_size=hidden_size,
+        wg=_array(arrays, f"{prefix}_wg", (4 * hidden_size, hidden_size + input_size)),
+        bg=_array(arrays, f"{prefix}_bg", (4 * hidden_size,)),
+    )
+
+
 def load_agent(path: str | Path, scenario: Scenario) -> QAgent:
     """Rebuild a planner from a checkpoint against a compatible scenario."""
     kind, arrays, meta = load_checkpoint(path)
     if kind != "qnet":
         raise CheckpointError(f"expected a qnet checkpoint, found {kind!r}")
-    if meta["num_nodes"] != scenario.num_nodes:
+    num_nodes = _meta_size(meta, "num_nodes")
+    if num_nodes != scenario.num_nodes:
         raise CheckpointError(
-            f"checkpoint was trained for {meta['num_nodes']} nodes, "
+            f"checkpoint was trained for {num_nodes} nodes, "
             f"scenario has {scenario.num_nodes}"
         )
-    net = DenseNet.init(meta["net_sizes"], meta["net_activations"], np.random.default_rng(0))
-    for i in range(len(net.ws)):
-        net.ws[i] = arrays[f"net_w{i}"]
-        net.bs[i] = arrays[f"net_b{i}"]
+    sizes = _meta_list(meta, "net_sizes", int)
+    activations = _meta_list(meta, "net_activations", str)
+    if (
+        len(sizes) < 2
+        or min(sizes) < 1
+        or len(activations) != len(sizes) - 1
+        or not set(activations) <= ACTIVATIONS.keys()
+    ):
+        raise CheckpointError(f"checkpoint network layout {sizes} {activations} is not valid")
+    layers = range(len(activations))
+    net = DenseNet(
+        sizes=tuple(sizes),
+        activations=tuple(activations),
+        ws=[_array(arrays, f"net_w{i}", (sizes[i + 1], sizes[i])) for i in layers],
+        bs=[_array(arrays, f"net_b{i}", (sizes[i + 1],)) for i in layers],
+    )
     encoder = None
-    mode = meta["state_mode"]
+    mode = meta.get("state_mode")
     if mode == "autoencoder":
-        encoder = LstmCell(
-            input_size=int(meta["encoder_input_size"]),
-            hidden_size=int(meta["encoder_hidden_size"]),
-            wg=arrays["enc_wg"],
-            bg=arrays["enc_bg"],
+        encoder = _lstm(
+            arrays,
+            "enc",
+            _meta_size(meta, "encoder_input_size"),
+            _meta_size(meta, "encoder_hidden_size"),
         )
+        if encoder.input_size != num_nodes + 1:
+            raise CheckpointError(
+                f"checkpoint encoder reads {encoder.input_size} entries per column, "
+                f"{num_nodes} nodes give {num_nodes + 1}"
+            )
+    elif mode != "last_column":
+        raise CheckpointError(f"checkpoint state mode {mode!r} is unknown")
     repr_ = StateRepr(scenario=scenario, mode=mode, encoder=encoder)
-    return QAgent(net=net, repr=repr_, num_actions=int(meta["num_actions"]))
+    num_actions = _meta_size(meta, "num_actions")
+    if (net.sizes[0], net.sizes[-1], num_actions) != (repr_.size, num_nodes + 1, num_nodes + 1):
+        raise CheckpointError(
+            f"checkpoint network maps {net.sizes[0]} inputs to {net.sizes[-1]} of "
+            f"{num_actions} actions; its {mode} state has {repr_.size} entries and "
+            f"{num_nodes} nodes need {num_nodes + 1} actions"
+        )
+    return QAgent(net=net, repr=repr_, num_actions=num_actions)
 
 
 def save_autoencoder(path: str | Path, model: Seq2SeqAutoencoder, meta: dict[str, Any] | None = None) -> None:
@@ -688,16 +755,16 @@ def load_autoencoder(path: str | Path) -> tuple[Seq2SeqAutoencoder, dict[str, An
     kind, arrays, meta = load_checkpoint(path)
     if kind != "autoencoder":
         raise CheckpointError(f"expected an autoencoder checkpoint, found {kind!r}")
-    d_in = int(meta["input_size"])
-    k = int(meta["state_size"])
+    d_in = _meta_size(meta, "input_size")
+    k = _meta_size(meta, "state_size")
     model = Seq2SeqAutoencoder(
-        encoder=LstmCell(input_size=d_in, hidden_size=k, wg=arrays["enc_wg"], bg=arrays["enc_bg"]),
-        decoder=LstmCell(input_size=d_in, hidden_size=k, wg=arrays["dec_wg"], bg=arrays["dec_bg"]),
+        encoder=_lstm(arrays, "enc", d_in, k),
+        decoder=_lstm(arrays, "dec", d_in, k),
         head=DenseNet(
             sizes=(k, d_in),
             activations=("identity",),
-            ws=[arrays["head_w0"]],
-            bs=[arrays["head_b0"]],
+            ws=[_array(arrays, "head_w0", (d_in, k))],
+            bs=[_array(arrays, "head_b0", (d_in,))],
         ),
     )
     return model, meta

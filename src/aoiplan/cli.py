@@ -57,6 +57,7 @@ from .scenario import (
 from .solver import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     check_solution,
     solve_schedule,
@@ -212,6 +213,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         f"best order {'-'.join(map(str, result.best_order)) or '(none)'} "
         f"objective={result.objective:.10g} solves={result.num_solves}"
     )
+    unsettled = sum(
+        1 for _, _, status, _ in result.rows if status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE)
+    )
+    if unsettled:
+        print(f"{unsettled} candidate solves ended neither optimal nor infeasible", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -239,6 +246,11 @@ def cmd_train_dqn(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"encoder checkpoint not found: {args.encoder}")
         model, _ = load_autoencoder(args.encoder)
         encoder = model.encoder
+        if encoder.input_size != scenario.num_nodes + 1:
+            raise CheckpointError(
+                f"encoder reads {encoder.input_size} entries per column, "
+                f"a {scenario.num_nodes}-node scenario gives {scenario.num_nodes + 1}"
+            )
     config = _dqn_config(args)
     agent, curve = dqn_train(scenario, config, episodes=args.episodes, seed=args.seed, encoder=encoder)
     order, metric = greedy_evaluate(agent, scenario)

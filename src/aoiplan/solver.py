@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -95,15 +95,53 @@ def build_time_quadratic(
 
 @dataclass
 class _Program:
-    """minimize 0.5 z'Pz + q'z + r0  s.t.  a_k sum((z_Jk - c_k)^2) + Gz + g <= 0."""
+    """minimize 0.5 z'Pz + q'z + r0  s.t.  Gz + g + balls(z) <= 0.
+
+    Energy-ball entry e adds ball_coef[e] * (z[ball_var[e]] - ball_center[e])**2
+    to constraint row ball_row[e]. The index arrays that assemble the Newton
+    matrix from the nonzeros of G are built once, when the program is made.
+    """
 
     P: np.ndarray
     q: np.ndarray
     r0: float
     G: np.ndarray
     g: np.ndarray
-    balls: list[tuple[int, np.ndarray, np.ndarray, float]]
+    ball_row: np.ndarray
+    ball_var: np.ndarray
+    ball_center: np.ndarray
+    ball_coef: np.ndarray
     labels: list[str]
+    ball_rows: np.ndarray = field(init=False, repr=False)
+    _two_coef: np.ndarray = field(init=False, repr=False)
+    _pair_row: np.ndarray = field(init=False, repr=False)
+    _pair_val: np.ndarray = field(init=False, repr=False)
+    _newton_flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        nv = self.num_vars
+        is_ball = np.zeros(self.num_cons, dtype=bool)
+        is_ball[self.ball_row] = True
+        self.ball_rows = np.flatnonzero(is_ball)
+        self._two_coef = 2.0 * self.ball_coef
+        # Every ordered pair (a, b) of nonzeros that share a linear row r
+        # adds w_r * G[r, a] * G[r, b] to entry (a, b) of G'WG. Ball rows stay
+        # out: their full Jacobian row enters as a rank-1 term. The pairs are
+        # followed by the diagonal entries that carry the ball curvature.
+        rows, cols = np.nonzero(self.G)
+        keep = ~is_ball[rows]
+        rows = rows[keep]
+        cols = cols[keep]
+        vals = self.G[rows, cols]
+        per_row = np.bincount(rows, minlength=self.num_cons)
+        reps = per_row[rows]
+        a = np.repeat(np.arange(rows.size), reps)
+        # Partner b runs over the nonzeros of a's row, which are contiguous.
+        first = np.cumsum(per_row) - per_row
+        b = first[rows[a]] + np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        self._pair_row = rows[a]
+        self._pair_val = vals[a] * vals[b]
+        self._newton_flat = np.concatenate([cols[a] * nv + cols[b], self.ball_var * (nv + 1)])
 
     @property
     def num_vars(self) -> int:
@@ -114,16 +152,14 @@ class _Program:
         return self.g.size
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
+        d = z[self.ball_var] - self.ball_center
         f = self.G @ z + self.g
-        for row, idx, center, coef in self.balls:
-            d = z[idx] - center
-            f[row] += coef * float(d @ d)
+        f += np.bincount(self.ball_row, weights=self.ball_coef * d * d, minlength=f.size)
         return f
 
     def constraint_jacobian(self, z: np.ndarray) -> np.ndarray:
         jac = self.G.copy()
-        for row, idx, center, coef in self.balls:
-            jac[row, idx] += 2.0 * coef * (z[idx] - center)
+        jac[self.ball_row, self.ball_var] += self._two_coef * (z[self.ball_var] - self.ball_center)
         return jac
 
     def objective(self, z: np.ndarray) -> float:
@@ -132,11 +168,18 @@ class _Program:
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         return self.P @ z + self.q
 
-    def hessian_weighted(self, lam: np.ndarray) -> np.ndarray:
-        h = self.P.copy()
-        for row, idx, center, coef in self.balls:
-            h[idx, idx] += 2.0 * coef * lam[row]
-        return h
+    def newton_matrix(self, jac: np.ndarray, lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """P + sum_r lam_r * Hess(f_r) + jac' diag(weights) jac, where jac is
+        the constraint Jacobian at the point that lam and weights belong to."""
+        nv = self.num_vars
+        scaled = np.concatenate(
+            [self._pair_val * weights[self._pair_row], self._two_coef * lam[self.ball_row]]
+        )
+        mat = np.bincount(self._newton_flat, weights=scaled, minlength=nv * nv).reshape(nv, nv)
+        mat += self.P
+        ball_jac = jac[self.ball_rows]
+        mat += (ball_jac.T * weights[self.ball_rows]) @ ball_jac
+        return mat
 
 
 @dataclass
@@ -146,11 +189,7 @@ class _IpmResult:
     status: str
     iterations: int
     kkt_residual: float
-
-
-def _initial_duals(program: _Program, z: np.ndarray) -> np.ndarray:
-    f = program.constraint_values(z)
-    return 1.0 / np.maximum(-f, 1e-8)
+    message: str = ""
 
 
 def _solve_ipm(
@@ -163,33 +202,34 @@ def _solve_ipm(
     """Primal-dual interior-point iteration from a strictly feasible start.
 
     ``stop_below`` allows phase-I callers to bail out as soon as the
-    objective sinks under a threshold.
+    objective sinks under a threshold. A result that is not optimal says in
+    ``message`` why the iteration stopped.
     """
     z = z0.copy()
     f = program.constraint_values(z)
     if np.any(f >= 0.0):
         raise ValueError("interior-point start must be strictly feasible")
-    lam = _initial_duals(program, z)
+    lam = 1.0 / np.maximum(-f, 1e-8)
     m = program.num_cons
+    # The constraint values, Jacobian and dual residual at the current point;
+    # after the first iteration they come from the accepted line-search trial.
+    jac = program.constraint_jacobian(z)
+    r_dual = program.objective_grad(z) + jac.T @ lam
 
     status = STATUS_MAX_ITERATIONS
+    message = ""
     iterations = 0
     kkt = math.inf
     for it in range(max_iters):
         iterations = it + 1
-        jac = program.constraint_jacobian(z)
-        grad0 = program.objective_grad(z)
-        r_dual = grad0 + jac.T @ lam
         eta = -float(f @ lam)
         t_bar = _MU * m / max(eta, 1e-300)
         r_cent = -lam * f - 1.0 / t_bar
         res_norm = math.sqrt(float(r_dual @ r_dual) + float(r_cent @ r_cent))
 
-        kkt = max(
-            float(np.max(np.abs(r_dual))),
-            float(np.max(np.abs(lam * f))),
-        )
-        if float(np.max(np.abs(r_dual))) <= tol and eta <= tol:
+        dual_inf = float(np.abs(r_dual).max())
+        kkt = max(dual_inf, float(np.abs(lam * f).max()))
+        if dual_inf <= tol and eta <= tol:
             status = STATUS_OPTIMAL
             break
         if stop_below is not None and program.objective(z) < stop_below:
@@ -197,42 +237,48 @@ def _solve_ipm(
             break
 
         weights = lam / (-f)
-        h = program.hessian_weighted(lam)
-        m_red = h + (jac.T * weights) @ jac
+        m_red = program.newton_matrix(jac, lam, weights)
         rhs = -(r_dual + jac.T @ (r_cent / f))
         dz = None
         ridge = 0.0
         for _ in range(6):
             try:
-                dz = np.linalg.solve(m_red + ridge * np.eye(program.num_vars), rhs)
+                dz = np.linalg.solve(
+                    m_red if ridge == 0.0 else m_red + ridge * np.eye(program.num_vars), rhs
+                )
             except np.linalg.LinAlgError:
                 dz = None
-            if dz is not None and np.all(np.isfinite(dz)):
+            if dz is not None and np.isfinite(dz).all():
                 break
             ridge = max(ridge * 100.0, 1e-10 * max(1.0, float(np.max(np.abs(m_red)))))
-        if dz is None or not np.all(np.isfinite(dz)):
+        if dz is None or not np.isfinite(dz).all():
+            message = f"Newton step not finite after ridge retries at iteration {iterations}"
             break
         dlam = (r_cent - lam * (jac @ dz)) / f
 
         step = 1.0
         neg = dlam < 0.0
-        if np.any(neg):
-            step = min(1.0, 0.99 * float(np.min(-lam[neg] / dlam[neg])))
+        if neg.any():
+            step = min(1.0, 0.99 * float((-lam[neg] / dlam[neg]).min()))
         # Stay strictly inside the constraint set.
         for _ in range(80):
-            f_new = program.constraint_values(z + step * dz)
-            if np.all(f_new < 0.0):
+            z_new = z + step * dz
+            f_new = program.constraint_values(z_new)
+            if (f_new < 0.0).all():
                 break
             step *= _LS_BETA
         else:
+            message = f"line search found no strictly feasible step at iteration {iterations}"
             break
-        # Backtrack on the combined residual.
+        # Backtrack on the combined residual; the first trial is the point
+        # the feasibility search just evaluated.
         accepted = False
-        for _ in range(80):
-            z_new = z + step * dz
+        for trial in range(80):
+            if trial:
+                z_new = z + step * dz
+                f_new = program.constraint_values(z_new)
             lam_new = lam + step * dlam
-            f_new = program.constraint_values(z_new)
-            if np.all(f_new < 0.0) and np.all(lam_new > 0.0):
+            if (f_new < 0.0).all() and (lam_new > 0.0).all():
                 jac_new = program.constraint_jacobian(z_new)
                 rd_new = program.objective_grad(z_new) + jac_new.T @ lam_new
                 rc_new = -lam_new * f_new - 1.0 / t_bar
@@ -242,12 +288,15 @@ def _solve_ipm(
                     break
             step *= _LS_BETA
         if not accepted:
+            message = f"line search found no residual decrease at iteration {iterations}"
             break
-        z = z + step * dz
-        lam = lam + step * dlam
-        f = program.constraint_values(z)
+        z, lam, f, jac, r_dual = z_new, lam_new, f_new, jac_new, rd_new
+    else:
+        message = f"no convergence within {max_iters} iterations"
 
-    return _IpmResult(z=z, lam=lam, status=status, iterations=iterations, kkt_residual=kkt)
+    return _IpmResult(
+        z=z, lam=lam, status=status, iterations=iterations, kkt_residual=kkt, message=message
+    )
 
 
 def _phase1(
@@ -259,15 +308,12 @@ def _phase1(
     (interior point or None, final s, iterations used).
     """
     n = program.num_vars
-    g_aug = np.hstack([program.G, -np.ones((program.num_cons, 1))])
-    prog1 = _Program(
+    prog1 = replace(
+        program,
         P=np.zeros((n + 1, n + 1)),
         q=np.concatenate([np.zeros(n), [1.0]]),
         r0=0.0,
-        G=g_aug,
-        g=program.g.copy(),
-        balls=program.balls,
-        labels=program.labels,
+        G=np.hstack([program.G, -np.ones((program.num_cons, 1))]),
     )
     f0 = program.constraint_values(z0)
     # Keep the worst-violated row's slack comparable to the others; starting
@@ -415,73 +461,73 @@ def _schedule_program(
         q_vec[t_idx[pos[-1]]] += -2.0 * weights[m]
     r0 = 1.0
 
-    rows_g: list[np.ndarray] = []
-    offs: list[float] = []
-    balls: list[tuple[int, np.ndarray, np.ndarray, float]] = []
-    labels: list[str] = []
+    # Rows: one energy ball per scheduled node (ascending), speed legs 0..n
+    # for x then y with the positive sign before the negative, ordering,
+    # time_lo, time_hi.
+    nodes = sorted(budgets)
+    k = len(nodes)
+    legs = n + 1
+    g_mat = np.zeros((k + 4 * legs + 3 * n - 1, nv))
+    g_vec = np.zeros(g_mat.shape[0])
 
-    def add_row(label: str) -> int:
-        rows_g.append(np.zeros(nv))
-        offs.append(0.0)
-        labels.append(label)
-        return len(rows_g) - 1
+    c_scaled = np.array([budgets[m] for m in nodes])
+    ball_scale = np.maximum(c_scaled, 1e-12)
+    g_vec[:k] = -c_scaled / ball_scale
+    # Node m's ball holds the x and then the y coordinates of its updates.
+    node = np.asarray(order, dtype=int) - 1
+    slot = np.zeros(m_nodes, dtype=int)
+    slot[nodes] = np.arange(k)
+    ball_row = np.tile(slot[node], 2)
+    ball_var = np.concatenate([x_idx, y_idx])
+    ball_center = np.concatenate([xy[node, 0], xy[node, 1]])
+    ball_coef = (1.0 / ball_scale)[ball_row]
 
-    order_arr = np.asarray(order, dtype=int)
-    for m in sorted(budgets):
-        c_scaled = budgets[m]
-        pos = np.flatnonzero(order_arr == m + 1)
-        idx = np.concatenate([x_idx[pos], y_idx[pos]])
-        center = np.concatenate([np.full(pos.size, xy[m, 0]), np.full(pos.size, xy[m, 1])])
-        row = add_row(f"energy_node_{m + 1}")
-        scale = max(c_scaled, 1e-12)
-        offs[row] = -c_scaled / scale
-        balls.append((row, idx, center, 1.0 / scale))
-
-    def speed_rows(axis: str, w_idx: np.ndarray, w0: float, w1: float, vmax: float) -> None:
+    row = k
+    for w_idx, w0, w1, vmax in ((x_idx, start[0], end[0], vx), (y_idx, start[1], end[1], vy)):
         scale = max(vmax, 1.0)
-        for sign, tag in ((1.0, "pos"), (-1.0, "neg")):
-            for leg in range(n + 1):
-                row = add_row(f"speed_{axis}_{tag}_leg_{leg}")
-                vec = rows_g[row]
-                off = 0.0
-                if leg == 0:
-                    vec[w_idx[0]] = sign / scale
-                    off += -sign * w0 / scale
-                    vec[t_idx[0]] += -vmax / scale
-                elif leg == n:
-                    vec[w_idx[n - 1]] = -sign / scale
-                    off += sign * w1 / scale
-                    vec[t_idx[n - 1]] += vmax / scale
-                    off += -vmax / scale
-                else:
-                    vec[w_idx[leg]] = sign / scale
-                    vec[w_idx[leg - 1]] = -sign / scale
-                    vec[t_idx[leg]] += -vmax / scale
-                    vec[t_idx[leg - 1]] += vmax / scale
-                offs[row] = off
+        for sign in (1.0, -1.0):
+            # Leg l flies from waypoint l - 1 (the start for l = 0) to
+            # waypoint l (the end for l = n): legs 0..n-1 hold their far
+            # waypoint, legs 1..n their near one.
+            into = row + np.arange(n)
+            g_mat[into, w_idx] = sign / scale
+            g_mat[into + 1, w_idx] = -sign / scale
+            g_mat[into, t_idx] = -vmax / scale
+            g_mat[into + 1, t_idx] = vmax / scale
+            g_vec[row] = -sign * w0 / scale
+            g_vec[row + n] = sign * w1 / scale - vmax / scale
+            row += legs
 
-    speed_rows("x", x_idx, start[0], end[0], vx)
-    speed_rows("y", y_idx, start[1], end[1], vy)
+    ordering = row + np.arange(n - 1)
+    g_mat[ordering, t_idx[:-1]] = 1.0
+    g_mat[ordering, t_idx[1:]] = -1.0
+    row += n - 1
+    g_mat[row + t_idx, t_idx] = -1.0
+    row += n
+    g_mat[row + t_idx, t_idx] = 1.0
+    g_vec[row:] = -1.0
 
-    for i in range(n - 1):
-        row = add_row(f"order_{i + 1}")
-        rows_g[row][t_idx[i]] = 1.0
-        rows_g[row][t_idx[i + 1]] = -1.0
-    for i in range(n):
-        row = add_row(f"time_lo_{i + 1}")
-        rows_g[row][t_idx[i]] = -1.0
-    for i in range(n):
-        row = add_row(f"time_hi_{i + 1}")
-        rows_g[row][t_idx[i]] = 1.0
-        offs[row] = -1.0
+    labels = [f"energy_node_{m + 1}" for m in nodes]
+    labels += [
+        f"speed_{axis}_{tag}_leg_{leg}"
+        for axis in "xy"
+        for tag in ("pos", "neg")
+        for leg in range(legs)
+    ]
+    labels += [f"order_{i}" for i in range(1, n)]
+    labels += [f"time_lo_{i}" for i in range(1, n + 1)]
+    labels += [f"time_hi_{i}" for i in range(1, n + 1)]
 
     program = _Program(
         P=p_mat,
         q=q_vec,
         r0=r0,
-        G=np.vstack(rows_g),
-        g=np.array(offs),
-        balls=balls,
+        G=g_mat,
+        g=g_vec,
+        ball_row=ball_row,
+        ball_var=ball_var,
+        ball_center=ball_center,
+        ball_coef=ball_coef,
         labels=labels,
     )
     meta = {
@@ -520,7 +566,8 @@ def solve_schedule(
     KKT residual. An empty order is the do-nothing mission with metric
     exactly 1. Orders whose per-node counts exceed the energy budget, or
     whose constraint set has no interior, come back with status
-    'infeasible'.
+    'infeasible'. A solve that stops short of convergence comes back as
+    'max_iterations' and says why in ``message``.
     """
     order_t = validate_order(order, scenario.num_nodes)
     scenario.validate()
@@ -590,6 +637,7 @@ def solve_schedule(
         constraint_labels=list(program.labels),
         coincident_pairs=coincident,
         used_phase1=used_phase1,
+        message=result.message,
     )
 
 
@@ -691,7 +739,10 @@ def solve_min_speed(
 
     rows_g: list[np.ndarray] = []
     offs: list[float] = []
-    balls: list[tuple[int, np.ndarray, np.ndarray, float]] = []
+    ball_row: list[int] = []
+    ball_var: list[int] = []
+    ball_center: list[float] = []
+    ball_coef: list[float] = []
     labels: list[str] = []
 
     def add_row(label: str) -> int:
@@ -703,13 +754,12 @@ def solve_min_speed(
     for m in sorted(budgets):
         c_scaled = budgets[m]
         pos = [i for i in range(n) if order[i] == m + 1]
-        idx = np.array([x_of(i) for i in pos] + [y_of(i) for i in pos], dtype=int)
-        center = np.concatenate(
-            [np.full(len(pos), xy[m, 0]), np.full(len(pos), xy[m, 1])]
-        )
         row = add_row(f"energy_node_{m + 1}")
         offs[row] = -1.0
-        balls.append((row, idx, center, 1.0 / c_scaled))
+        ball_row += [row] * (2 * len(pos))
+        ball_var += [x_of(i) for i in pos] + [y_of(i) for i in pos]
+        ball_center += [xy[m, 0]] * len(pos) + [xy[m, 1]] * len(pos)
+        ball_coef += [1.0 / c_scaled] * (2 * len(pos))
 
     leg_t = np.concatenate(([0.0], t_scaled, [1.0]))
     for axis, col in (("x", 0), ("y", 1)):
@@ -746,7 +796,10 @@ def solve_min_speed(
         r0=0.0,
         G=np.vstack(rows_g),
         g=np.array(offs),
-        balls=balls,
+        ball_row=np.array(ball_row, dtype=int),
+        ball_var=np.array(ball_var, dtype=int),
+        ball_center=np.array(ball_center, dtype=float),
+        ball_coef=np.array(ball_coef, dtype=float),
         labels=labels,
     )
 

@@ -35,7 +35,7 @@ from aoiplan.agents import (
     normalize_state_columns,
     write_learning_curve_csv,
 )
-from aoiplan.nnet import DenseNet, LstmCell, gradient_check
+from aoiplan.nnet import DenseNet, LstmCell, gradient_check, load_checkpoint, save_checkpoint
 from conftest import build_scenario
 
 
@@ -499,3 +499,91 @@ def test_checkpoint_kind_mismatch(tmp_path):
     save_agent(agent_path, agent)
     with pytest.raises(CheckpointError, match="autoencoder"):
         load_autoencoder(agent_path)
+
+
+def _agent(scenario, mode):
+    rng = np.random.default_rng(0)
+    m = scenario.num_nodes
+    encoder = LstmCell.init(m + 1, 3, rng) if mode == "autoencoder" else None
+    repr_ = StateRepr(scenario=scenario, mode=mode, encoder=encoder)
+    net = DenseNet.init((repr_.size, 4, m + 1), ("relu", "identity"), rng)
+    return QAgent(net=net, repr=repr_, num_actions=m + 1)
+
+
+def _rewrite(path, edit_meta=None, edit_arrays=None):
+    """Load a checkpoint, edit its meta or arrays, and save it well-formed."""
+    kind, arrays, meta = load_checkpoint(path)
+    if edit_meta:
+        edit_meta(meta)
+    if edit_arrays:
+        edit_arrays(arrays)
+    save_checkpoint(path, kind, list(arrays.items()), meta)
+
+
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+@pytest.mark.parametrize(
+    "mode, edit_meta, edit_arrays, match",
+    [
+        ("last_column", dict.clear, None, "num_nodes"),
+        ("last_column", _set("num_nodes", "2"), None, "num_nodes"),
+        ("last_column", _drop("net_sizes"), None, "net_sizes"),
+        ("last_column", _set("net_sizes", [3, "4", 3]), None, "net_sizes"),
+        ("last_column", _set("net_activations", ["relu", "bogus"]), None, "layout"),
+        ("last_column", _set("state_mode", "pixels"), None, "state mode"),
+        ("last_column", _set("num_actions", 5), None, "actions"),
+        ("last_column", None, _drop("net_w0"), "net_w0"),
+        ("last_column", None, _set("net_b1", np.zeros(4)), "net_b1"),
+        ("autoencoder", _drop("encoder_hidden_size"), None, "encoder_hidden_size"),
+        ("autoencoder", _set("encoder_hidden_size", 2), None, "enc_wg"),
+        ("autoencoder", None, _drop("enc_bg"), "enc_bg"),
+    ],
+    ids=[
+        "empty_meta", "string_node_count", "no_sizes", "string_size", "bad_activation",
+        "bad_mode", "action_count", "no_weight", "bias_shape", "no_hidden_size",
+        "hidden_size_mismatch", "no_encoder_bias",
+    ],
+)
+def test_agent_checkpoint_contents_checked(tmp_path, mode, edit_meta, edit_arrays, match):
+    scenario = build_scenario([1, 1])
+    path = tmp_path / "agent.ckpt"
+    save_agent(path, _agent(scenario, mode))
+    load_agent(path, scenario)
+    _rewrite(path, edit_meta, edit_arrays)
+    with pytest.raises(CheckpointError, match=match):
+        load_agent(path, scenario)
+
+
+def test_agent_checkpoint_encoder_width_checked(tmp_path):
+    path = tmp_path / "agent.ckpt"
+    save_agent(path, _agent(build_scenario([1, 1, 1]), "autoencoder"))
+    _rewrite(path, _set("num_nodes", 2))
+    with pytest.raises(CheckpointError, match="encoder reads 4"):
+        load_agent(path, build_scenario([1, 1]))
+
+
+@pytest.mark.parametrize(
+    "edit_meta, edit_arrays, match",
+    [
+        (dict.clear, None, "input_size"),
+        (_set("state_size", 0), None, "state_size"),
+        (_set("input_size", "3"), None, "input_size"),
+        (None, _drop("dec_bg"), "dec_bg"),
+        (None, lambda a: a.__setitem__("head_w0", a["head_w0"].T.copy()), "head_w0"),
+    ],
+    ids=["empty_meta", "zero_state_size", "string_input_size", "no_decoder_bias", "head_transposed"],
+)
+def test_autoencoder_checkpoint_contents_checked(tmp_path, edit_meta, edit_arrays, match):
+    model = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(0))
+    path = tmp_path / "model.ckpt"
+    save_autoencoder(path, model)
+    load_autoencoder(path)
+    _rewrite(path, edit_meta, edit_arrays)
+    with pytest.raises(CheckpointError, match=match):
+        load_autoencoder(path)

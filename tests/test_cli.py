@@ -8,7 +8,8 @@ import pytest
 import aoiplan
 from aoiplan import load_agent, load_autoencoder, load_scenario, lower_bound, save_scenario
 from aoiplan.cli import main
-from conftest import build_scenario
+from aoiplan.nnet import save_checkpoint
+from conftest import build_scenario, nonconverged_at
 
 
 def save(tmp_path, scenario, name="scenario.yaml"):
@@ -191,6 +192,19 @@ def test_enumerate_budget_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "5" in err and "3" in err
     assert not (out / "result.json").exists()
+
+
+def test_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    assert main(["enumerate", "--scenario", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("best order 1-2 ")
+    assert "1 candidate solves ended neither optimal nor infeasible" in captured.err
+    assert read_json(out / "result.json")["best_order"] == [1, 2]
+    assert any(row.startswith("2-1,0,max_iterations,") for row in read_lines(out / "enumeration.csv"))
+    assert (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +400,30 @@ def test_eval_checkpoint_guards(tmp_path, capsys):
     ])
     assert code == 3
     assert "state mode" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_without_meta_exit_3(tmp_path, capsys):
+    path = save(tmp_path, build_scenario([1, 1]))
+    ckpt = tmp_path / "agent.ckpt"
+    save_checkpoint(ckpt, "qnet", [("net_w0", np.zeros((3, 3))), ("net_b0", np.zeros(3))], {})
+    code = main(["eval", "--scenario", path, "--policy", "dqn", "--checkpoint", str(ckpt)])
+    assert code == 3
+    assert "num_nodes" in capsys.readouterr().err
+
+
+def test_train_dqn_encoder_width_exit_3(tmp_path, capsys):
+    ae_out = tmp_path / "ae"
+    assert main([
+        "train-autoencoder", "--scenario", save(tmp_path, build_scenario([1, 1]), "two.yaml"),
+        "--corpus-episodes", "2", "--sizes", "4", "--epochs", "1", "--out", str(ae_out),
+    ]) == 0
+    code = main([
+        "train-dqn", "--scenario", save(tmp_path, build_scenario([1, 1, 1]), "three.yaml"),
+        "--episodes", "2", "--state-mode", "autoencoder",
+        "--encoder", str(ae_out / "autoencoder.ckpt"), "--out", str(tmp_path / "dqn"),
+    ])
+    assert code == 3
+    assert "encoder reads 3 entries per column" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Fixed-order trajectory optimization and the independent solution checker."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -17,11 +18,17 @@ from aoiplan import (
     solve_schedule,
 )
 from aoiplan.bounds import min_speed_upper_bound
+from aoiplan import solver
+from aoiplan.bounds import all_max_updates
+from aoiplan.exhaustive import count_grid, multiset_permutations
 from aoiplan.physics import UpdateTimes, split_by_node
 from aoiplan.solver import (
     STATUS_INFEASIBLE,
+    STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
     _check_lagrangian,
+    _schedule_program,
+    _solve_ipm,
     build_time_quadratic,
     node_time_quadratic,
     validate_order,
@@ -422,3 +429,304 @@ def test_negative_duals_alone_fail_the_check():
     assert not report.ok
     assert len(report.messages) == 1
     assert report.messages[0].startswith("dual feasibility violation")
+
+
+# ---------------------------------------------------------------------------
+# Sparse program assembly against the dense and row-by-row references
+# ---------------------------------------------------------------------------
+
+
+def _balls(program):
+    """One (row, variables, centres, coefficient) tuple per energy ball."""
+    out = []
+    for row in program.ball_rows:
+        sel = program.ball_row == row
+        coef = program.ball_coef[sel]
+        assert np.all(coef == coef[0])
+        out.append((int(row), program.ball_var[sel], program.ball_center[sel], float(coef[0])))
+    return out
+
+
+def _ball_loop_values(program, z):
+    f = program.G @ z + program.g
+    for row, idx, center, coef in _balls(program):
+        d = z[idx] - center
+        f[row] += coef * float(d @ d)
+    return f
+
+
+def _ball_loop_jacobian(program, z):
+    jac = program.G.copy()
+    for row, idx, center, coef in _balls(program):
+        jac[row, idx] += 2.0 * coef * (z[idx] - center)
+    return jac
+
+
+def _dense_newton_matrix(program, jac, lam, weights):
+    h = program.P.copy()
+    for row, idx, center, coef in _balls(program):
+        h[idx, idx] += 2.0 * coef * lam[row]
+    return h + (jac.T * weights) @ jac
+
+
+def _rowwise_constraints(scenario, order):
+    """G, g, labels and balls as the row-by-row schedule builder made them."""
+    n = len(order)
+    horizon = scenario.uav.horizon_s
+    r_scale = scenario.coordinate_scale()
+    xy = scenario.node_xy() / r_scale
+    start = np.asarray(scenario.uav.initial) / r_scale
+    end = np.asarray(scenario.uav.final) / r_scale
+    vx = scenario.uav.vmax_x * horizon / r_scale
+    vy = scenario.uav.vmax_y * horizon / r_scale
+    nv = 3 * n
+    t_idx = np.arange(n)
+    x_idx = n + np.arange(n)
+    y_idx = 2 * n + np.arange(n)
+    order_arr = np.asarray(order, dtype=int)
+    rows_g, offs, balls, labels = [], [], [], []
+
+    def add_row(label):
+        rows_g.append(np.zeros(nv))
+        offs.append(0.0)
+        labels.append(label)
+        return len(rows_g) - 1
+
+    for node_id in sorted(set(order)):
+        m = node_id - 1
+        pos = np.flatnonzero(order_arr == node_id)
+        c = energy_budget_constant(scenario, m, pos.size) / (r_scale * r_scale)
+        idx = np.concatenate([x_idx[pos], y_idx[pos]])
+        center = np.concatenate([np.full(pos.size, xy[m, 0]), np.full(pos.size, xy[m, 1])])
+        row = add_row(f"energy_node_{m + 1}")
+        scale = max(c, 1e-12)
+        offs[row] = -c / scale
+        balls.append((row, idx, center, 1.0 / scale))
+
+    for axis, w_idx, w0, w1, vmax in (("x", x_idx, start[0], end[0], vx), ("y", y_idx, start[1], end[1], vy)):
+        scale = max(vmax, 1.0)
+        for sign, tag in ((1.0, "pos"), (-1.0, "neg")):
+            for leg in range(n + 1):
+                row = add_row(f"speed_{axis}_{tag}_leg_{leg}")
+                vec = rows_g[row]
+                off = 0.0
+                if leg == 0:
+                    vec[w_idx[0]] = sign / scale
+                    off += -sign * w0 / scale
+                    vec[t_idx[0]] += -vmax / scale
+                elif leg == n:
+                    vec[w_idx[n - 1]] = -sign / scale
+                    off += sign * w1 / scale
+                    vec[t_idx[n - 1]] += vmax / scale
+                    off += -vmax / scale
+                else:
+                    vec[w_idx[leg]] = sign / scale
+                    vec[w_idx[leg - 1]] = -sign / scale
+                    vec[t_idx[leg]] += -vmax / scale
+                    vec[t_idx[leg - 1]] += vmax / scale
+                offs[row] = off
+
+    for i in range(n - 1):
+        row = add_row(f"order_{i + 1}")
+        rows_g[row][t_idx[i]] = 1.0
+        rows_g[row][t_idx[i + 1]] = -1.0
+    for i in range(n):
+        row = add_row(f"time_lo_{i + 1}")
+        rows_g[row][t_idx[i]] = -1.0
+    for i in range(n):
+        row = add_row(f"time_hi_{i + 1}")
+        rows_g[row][t_idx[i]] = 1.0
+        offs[row] = -1.0
+    return np.vstack(rows_g), np.array(offs), labels, balls
+
+
+def _assembly_cases():
+    """(scenario, order) pairs: the random instances, every [2,2,2] order of
+    length 4 or more, and a 120-update round robin."""
+    cases = list(_random_instances())
+    scenario = build_scenario([2, 2, 2])
+    for combo in count_grid(all_max_updates(scenario)):
+        if sum(combo) >= 4:
+            cases += [(scenario, list(order)) for order in multiset_permutations(combo)]
+    cases.append((generate_scenario(3, 3, horizon_s=3600.0), [1, 2, 3] * 40))
+    return cases
+
+
+def test_schedule_builder_matches_rowwise_reference():
+    for scenario, order in _assembly_cases():
+        program, _ = _schedule_program(scenario, tuple(order))
+        g_mat, g_vec, labels, balls = _rowwise_constraints(scenario, order)
+        assert np.array_equal(program.G, g_mat)
+        assert np.array_equal(program.g, g_vec)
+        assert program.labels == labels
+        new_balls = _balls(program)
+        assert len(new_balls) == len(balls)
+        for (row, idx, center, coef), (row_r, idx_r, center_r, coef_r) in zip(new_balls, balls):
+            assert row == row_r and coef == coef_r
+            # Entries may come in another order within a ball.
+            assert sorted(zip(idx.tolist(), center.tolist())) == sorted(zip(idx_r.tolist(), center_r.tolist()))
+
+
+def _captured_programs(monkeypatch, run):
+    """Every (program, start, result) that ``run`` hands to the IPM."""
+    seen = []
+
+    def capture(program, z0, *args, **kwargs):
+        result = _solve_ipm(program, z0, *args, **kwargs)
+        seen.append((program, z0, result))
+        return result
+
+    monkeypatch.setattr(solver, "_solve_ipm", capture)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _points(program, z0, result):
+    """The start with its initial duals and the returned primal-dual pair."""
+    f0 = program.constraint_values(z0)
+    return [(z0, 1.0 / np.maximum(-f0, 1e-8)), (result.z, result.lam)]
+
+
+def _kind(program):
+    if program.labels[-1] == "speed_nonneg":
+        return "min_speed"
+    return "phase1" if np.all(program.G[:, -1] == -1.0) else "schedule"
+
+
+def _newton_programs(monkeypatch):
+    cases = _assembly_cases()
+    cases = cases[:-1:4] + cases[-1:]
+
+    def run():
+        for scenario, order in cases:
+            solve_schedule(scenario, order)
+        solve_min_speed(
+            build_scenario([1, 2], positions=[(0.0, 0.0), (300.0, 0.0)], initial=(0.0, 0.0), final=(300.0, 0.0))
+        )
+        solve_min_speed(build_scenario([2, 1], positions=[(200.0, 700.0), (650.0, 150.0)]))
+
+    return _captured_programs(monkeypatch, run)
+
+
+def test_vectorised_constraints_match_ball_loop(monkeypatch):
+    seen = _newton_programs(monkeypatch)
+    for program, z0, result in seen:
+        for z, _ in _points(program, z0, result):
+            values = program.constraint_values(z)
+            ref = _ball_loop_values(program, z)
+            assert np.max(np.abs(values - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert np.array_equal(program.constraint_jacobian(z), _ball_loop_jacobian(program, z))
+
+
+def test_newton_matrix_matches_dense_product(monkeypatch):
+    seen = _newton_programs(monkeypatch)
+    assert {_kind(program) for program, _, _ in seen} == {"schedule", "phase1", "min_speed"}
+    assert max(program.num_vars for program, _, _ in seen) == 361
+    for program, z0, result in seen:
+        for z, lam in _points(program, z0, result):
+            weights = lam / -program.constraint_values(z)
+            jac = program.constraint_jacobian(z)
+            ref = _dense_newton_matrix(program, jac, lam, weights)
+            got = program.newton_matrix(jac, lam, weights)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# Status and iteration count of every [2, 2] candidate, and its objective, as
+# the dense Newton assembly gave them; the sparse one follows the same iterates.
+_TWO_TWO_REFERENCE = [
+    ((), 0, 1.0),
+    ((2,), 11, 0.75),
+    ((2, 2), 14, 0.6666666666666666),
+    ((1,), 15, 0.75),
+    ((1, 2), 11, 0.5000482311365662),
+    ((2, 1), 18, 0.5000481768097295),
+    ((1, 2, 2), 22, 0.43023082961737164),
+    ((2, 1, 2), 16, 0.41666666666677443),
+    ((2, 2, 1), 21, 0.43023083315292177),
+    ((1, 1), 15, 0.6666666666666666),
+    ((1, 1, 2), 22, 0.43023084766331127),
+    ((1, 2, 1), 15, 0.4166666666667733),
+    ((2, 1, 1), 22, 0.4302308337267676),
+    ((1, 1, 2, 2), 22, 0.37825626416525854),
+    ((1, 2, 1, 2), 25, 0.3334344788265304),
+    ((1, 2, 2, 1), 24, 0.33363676853801316),
+    ((2, 1, 1, 2), 24, 0.3336367708116228),
+    ((2, 1, 2, 1), 24, 0.33343447878687443),
+    ((2, 2, 1, 1), 24, 0.3782562621144531),
+]
+
+
+def test_two_two_candidates_follow_reference_iterates():
+    scenario = build_scenario([2, 2])
+    orders = [o for c in count_grid(all_max_updates(scenario)) for o in multiset_permutations(c)]
+    assert orders == [order for order, _, _ in _TWO_TWO_REFERENCE]
+    for order, iterations, objective in _TWO_TWO_REFERENCE:
+        solution = solve_schedule(scenario, order)
+        assert solution.status == STATUS_OPTIMAL, order
+        assert solution.iterations == iterations, order
+        assert abs(solution.objective - objective) <= 1e-12, order
+
+
+# ---------------------------------------------------------------------------
+# Stop reasons
+# ---------------------------------------------------------------------------
+
+
+def _feasible_program():
+    # Each waypoint over its own node, which is the centre of its ball.
+    scenario = build_scenario([1, 1], vmax=1e3)
+    program, _ = _schedule_program(scenario, (1, 2))
+    xy = scenario.node_xy() / scenario.coordinate_scale()
+    z0 = np.concatenate([[1.0 / 3.0, 2.0 / 3.0], xy[:, 0], xy[:, 1]])
+    assert np.all(program.constraint_values(z0) < 0.0)
+    return program, z0
+
+
+def test_nan_objective_stops_with_reason():
+    program, z0 = _feasible_program()
+    program.q[0] = np.nan
+    result = _solve_ipm(program, z0, 1e-6, 50)
+    assert result.status == STATUS_MAX_ITERATIONS
+    assert result.iterations == 1
+    assert result.message == "Newton step not finite after ridge retries at iteration 1"
+
+
+def test_solve_schedule_reports_stop_reason(monkeypatch):
+    def nan_program(scenario, order):
+        program, meta = _schedule_program(scenario, order)
+        program.q[0] = np.nan
+        return program, meta
+
+    monkeypatch.setattr(solver, "_schedule_program", nan_program)
+    solution = solve_schedule(build_scenario([1, 1], vmax=1e3), [1, 2])
+    assert solution.status == STATUS_MAX_ITERATIONS
+    assert "Newton step not finite after ridge retries at iteration 1" in solution.message
+
+
+def test_failed_line_searches_stop_with_reason():
+    # Only the start evaluates as it should; every trial point looks bad.
+    program, z0 = _feasible_program()
+    f0 = program.constraint_values(z0)
+    values = itertools.chain([f0], itertools.repeat(np.ones_like(f0)))
+    program.constraint_values = lambda z: next(values)
+    result = _solve_ipm(program, z0, 1e-6, 50)
+    assert result.status == STATUS_MAX_ITERATIONS
+    assert result.message == "line search found no strictly feasible step at iteration 1"
+
+    program, z0 = _feasible_program()
+    g0 = program.objective_grad(z0)
+    grads = itertools.chain([g0], itertools.repeat(g0 + 1e6))
+    program.objective_grad = lambda z: next(grads)
+    result = _solve_ipm(program, z0, 1e-6, 50)
+    assert result.status == STATUS_MAX_ITERATIONS
+    assert result.message == "line search found no residual decrease at iteration 1"
+
+
+def test_iteration_limit_reason():
+    program, z0 = _feasible_program()
+    result = _solve_ipm(program, z0, 1e-6, 3)
+    assert result.status == STATUS_MAX_ITERATIONS
+    assert result.iterations == 3
+    assert result.message == "no convergence within 3 iterations"
+    assert _solve_ipm(program, z0, 1e-6, 200).message == ""

@@ -57,7 +57,6 @@ from .scenario import (
 from .solver import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     check_solution,
     solve_schedule,
@@ -213,9 +212,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         f"best order {'-'.join(map(str, result.best_order)) or '(none)'} "
         f"objective={result.objective:.10g} solves={result.num_solves}"
     )
-    unsettled = sum(
-        1 for _, _, status, _ in result.rows if status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE)
-    )
+    return _unsettled_exit(result.num_nonconverged)
+
+
+def _unsettled_exit(unsettled: int) -> int:
+    """Exit code after an enumeration: EXIT_SOLVER, with the count on
+    stderr, when some candidate solve ended neither optimal nor infeasible."""
     if unsettled:
         print(f"{unsettled} candidate solves ended neither optimal nor infeasible", file=sys.stderr)
         return EXIT_SOLVER
@@ -316,8 +318,10 @@ def cmd_train_autoencoder(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     doc: dict[str, Any] = {"policy": args.policy, "lower_bound": lower_bound(scenario)}
+    unsettled = 0
     if args.policy == "enumerate":
         result = enumerate_optimal(scenario, budget=args.budget, keep_rows=False)
+        unsettled = result.num_nonconverged
         doc.update(
             {
                 "order": list(result.best_order),
@@ -369,7 +373,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _write_json(out / "eval.json", doc)
         _write_manifest(out, "eval", args)
     _print_doc(doc)
-    return EXIT_OK
+    return _unsettled_exit(unsettled)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .scenario import Scenario
 from .solver import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     TrajectorySolution,
     solve_schedule,
@@ -103,13 +104,18 @@ def multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 @dataclass
 class EnumerationResult:
-    """Best order found by exhaustive search, with the full scoring table."""
+    """Best order found by exhaustive search, with the full scoring table.
+
+    ``num_nonconverged`` counts the candidates whose solve ended neither
+    optimal nor infeasible; it is kept whether or not the rows are.
+    """
 
     best_order: tuple[int, ...]
     best_solution: TrajectorySolution
     objective: float
     num_candidates: int
     num_solves: int
+    num_nonconverged: int
     per_count: dict[tuple[int, ...], tuple[tuple[int, ...], float, str]]
     rows: list[tuple[str, float, str, float]] = field(default_factory=list)
 
@@ -169,6 +175,7 @@ def enumerate_optimal(
     rows: list[tuple[str, float, str, float]] = []
     num_solves = 0
     num_candidates = 0
+    num_nonconverged = 0
 
     for combo in count_grid(max_counts, include_zero, max_total):
         count_best: tuple[float, tuple[int, ...]] | None = None
@@ -177,6 +184,8 @@ def enumerate_optimal(
             solution = solve_schedule(scenario, order, tol=tol, max_iters=max_iters)
             if len(order) > 0:
                 num_solves += 1
+            if solution.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE):
+                num_nonconverged += 1
             if keep_rows:
                 rows.append(
                     (
@@ -204,6 +213,7 @@ def enumerate_optimal(
         objective=best_key[0],
         num_candidates=num_candidates,
         num_solves=num_solves,
+        num_nonconverged=num_nonconverged,
         per_count=per_count,
         rows=rows,
     )

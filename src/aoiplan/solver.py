@@ -29,8 +29,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .bounds import all_max_updates, uniform_schedule
-from .errors import CoincidentTimesError, ScheduleError
+from .bounds import all_max_updates, min_speed_upper_bound, uniform_schedule
+from .errors import ScheduleError
 from .physics import UpdateTimes, energy_budget_constant, nwaoi, split_by_node
 from .scenario import Scenario
 
@@ -260,14 +260,17 @@ def _solve_ipm(
         neg = dlam < 0.0
         if neg.any():
             step = min(1.0, 0.99 * float((-lam[neg] / dlam[neg]).min()))
-        # Stay strictly inside the constraint set.
-        for _ in range(80):
+        # Stay strictly inside the constraint set. Both searches below refuse
+        # a cut step that is too short to move z: it would count as progress.
+        feasible = False
+        for trial in range(80):
             z_new = z + step * dz
             f_new = program.constraint_values(z_new)
             if (f_new < 0.0).all():
+                feasible = trial == 0 or not (z_new == z).all()
                 break
             step *= _LS_BETA
-        else:
+        if not feasible:
             message = f"line search found no strictly feasible step at iteration {iterations}"
             break
         # Backtrack on the combined residual; the first trial is the point
@@ -284,7 +287,7 @@ def _solve_ipm(
                 rc_new = -lam_new * f_new - 1.0 / t_bar
                 new_norm = math.sqrt(float(rd_new @ rd_new) + float(rc_new @ rc_new))
                 if new_norm <= (1.0 - _LS_ALPHA * step) * res_norm + 1e-14:
-                    accepted = True
+                    accepted = trial == 0 or not (z_new == z).all()
                     break
             step *= _LS_BETA
         if not accepted:
@@ -416,6 +419,75 @@ def _infeasible_solution(order: tuple[int, ...], message: str) -> TrajectorySolu
     )
 
 
+def _ball_and_leg_rows(
+    order: Sequence[int],
+    xy: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+    budgets: dict[int, float],
+    ball_floor: float,
+    leg_scale: tuple[float, float],
+    x_col: int,
+    shape: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], list[str]]:
+    """Energy-ball and speed-leg rows of the schedule and minimum-speed
+    programs, at the top of a ``shape`` matrix; the caller fills the rest and
+    adds its own speed allowance to the leg rows.
+
+    Waypoint i's x and y are columns x_col + i and x_col + n + i. One ball per
+    node in ``budgets`` (ascending) holds the x and then the y coordinates of
+    that node's updates, divided by max(budget, ball_floor). Then come speed
+    legs 0..n for x then y, the positive sign before the negative, each
+    divided by its axis's ``leg_scale``; start and end points sit in g.
+    Returns (G, g, (ball_row, ball_var, ball_center, ball_coef), labels).
+    """
+    n = len(order)
+    nodes = sorted(budgets)
+    k = len(nodes)
+    g_mat = np.zeros(shape)
+    g_vec = np.zeros(shape[0])
+    x_idx = x_col + np.arange(n)
+    y_idx = x_idx + n
+
+    c_scaled = np.array([budgets[m] for m in nodes])
+    ball_scale = np.maximum(c_scaled, ball_floor)
+    g_vec[:k] = -c_scaled / ball_scale
+    node = np.asarray(order, dtype=int) - 1
+    ball_of = np.full(len(xy), -1)
+    ball_of[nodes] = np.arange(k)
+    slot = ball_of[node]
+    in_ball = slot >= 0
+    node = node[in_ball]
+    ball_row = np.concatenate([slot[in_ball], slot[in_ball]])
+    ball_var = np.concatenate([x_idx[in_ball], y_idx[in_ball]])
+    ball_center = np.concatenate([xy[node, 0], xy[node, 1]])
+    ball_coef = (1.0 / ball_scale)[ball_row]
+
+    # Blocks x pos, x neg, y pos, y neg of legs 0..n, one row per block and
+    # leg. Leg l flies from waypoint l - 1 (the start for l = 0) to waypoint
+    # l (the end for l = n): legs 0..n-1 hold their far waypoint, legs 1..n
+    # their near one.
+    axis = [0, 0, 1, 1]
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    scale = np.asarray(leg_scale)[axis]
+    first = k + (n + 1) * np.arange(4)
+    into = first[:, None] + np.arange(n)
+    cols = np.array([x_idx, x_idx, y_idx, y_idx])
+    g_mat[into, cols] = (sign / scale)[:, None]
+    g_mat[into + 1, cols] = (-sign / scale)[:, None]
+    g_vec[first] = -sign * start[axis] / scale
+    g_vec[first + n] = sign * end[axis] / scale
+
+    labels = [f"energy_node_{m + 1}" for m in nodes]
+    labels += [
+        f"speed_{axis}_{tag}_leg_{leg}"
+        for axis in "xy"
+        for tag in ("pos", "neg")
+        for leg in range(n + 1)
+    ]
+    return g_mat, g_vec, (ball_row, ball_var, ball_center, ball_coef), labels
+
+
 def _schedule_program(
     scenario: Scenario, order: tuple[int, ...]
 ) -> tuple[_Program, dict[str, Any]] | str:
@@ -461,43 +533,23 @@ def _schedule_program(
         q_vec[t_idx[pos[-1]]] += -2.0 * weights[m]
     r0 = 1.0
 
-    # Rows: one energy ball per scheduled node (ascending), speed legs 0..n
-    # for x then y with the positive sign before the negative, ordering,
-    # time_lo, time_hi.
-    nodes = sorted(budgets)
-    k = len(nodes)
+    # Rows: the energy balls and speed legs, then ordering, time_lo, time_hi.
+    k = len(budgets)
     legs = n + 1
-    g_mat = np.zeros((k + 4 * legs + 3 * n - 1, nv))
-    g_vec = np.zeros(g_mat.shape[0])
+    g_mat, g_vec, balls, labels = _ball_and_leg_rows(
+        order, xy, start, end, budgets, ball_floor=1e-12, leg_scale=(max(vx, 1.0), max(vy, 1.0)),
+        x_col=n, shape=(k + 4 * legs + 3 * n - 1, nv),
+    )
+    # Each leg may cover at most vmax times its duration t_l - t_(l-1).
+    vmax = np.array([vx, vx, vy, vy])
+    allowance = vmax / np.maximum(vmax, 1.0)
+    first = k + legs * np.arange(4)
+    into = first[:, None] + t_idx
+    g_mat[into, t_idx] = -allowance[:, None]
+    g_mat[into + 1, t_idx] = allowance[:, None]
+    g_vec[first + n] -= allowance
 
-    c_scaled = np.array([budgets[m] for m in nodes])
-    ball_scale = np.maximum(c_scaled, 1e-12)
-    g_vec[:k] = -c_scaled / ball_scale
-    # Node m's ball holds the x and then the y coordinates of its updates.
-    node = np.asarray(order, dtype=int) - 1
-    slot = np.zeros(m_nodes, dtype=int)
-    slot[nodes] = np.arange(k)
-    ball_row = np.tile(slot[node], 2)
-    ball_var = np.concatenate([x_idx, y_idx])
-    ball_center = np.concatenate([xy[node, 0], xy[node, 1]])
-    ball_coef = (1.0 / ball_scale)[ball_row]
-
-    row = k
-    for w_idx, w0, w1, vmax in ((x_idx, start[0], end[0], vx), (y_idx, start[1], end[1], vy)):
-        scale = max(vmax, 1.0)
-        for sign in (1.0, -1.0):
-            # Leg l flies from waypoint l - 1 (the start for l = 0) to
-            # waypoint l (the end for l = n): legs 0..n-1 hold their far
-            # waypoint, legs 1..n their near one.
-            into = row + np.arange(n)
-            g_mat[into, w_idx] = sign / scale
-            g_mat[into + 1, w_idx] = -sign / scale
-            g_mat[into, t_idx] = -vmax / scale
-            g_mat[into + 1, t_idx] = vmax / scale
-            g_vec[row] = -sign * w0 / scale
-            g_vec[row + n] = sign * w1 / scale - vmax / scale
-            row += legs
-
+    row = k + 4 * legs
     ordering = row + np.arange(n - 1)
     g_mat[ordering, t_idx[:-1]] = 1.0
     g_mat[ordering, t_idx[1:]] = -1.0
@@ -507,29 +559,11 @@ def _schedule_program(
     g_mat[row + t_idx, t_idx] = 1.0
     g_vec[row:] = -1.0
 
-    labels = [f"energy_node_{m + 1}" for m in nodes]
-    labels += [
-        f"speed_{axis}_{tag}_leg_{leg}"
-        for axis in "xy"
-        for tag in ("pos", "neg")
-        for leg in range(legs)
-    ]
     labels += [f"order_{i}" for i in range(1, n)]
     labels += [f"time_lo_{i}" for i in range(1, n + 1)]
     labels += [f"time_hi_{i}" for i in range(1, n + 1)]
 
-    program = _Program(
-        P=p_mat,
-        q=q_vec,
-        r0=r0,
-        G=g_mat,
-        g=g_vec,
-        ball_row=ball_row,
-        ball_var=ball_var,
-        ball_center=ball_center,
-        ball_coef=ball_coef,
-        labels=labels,
-    )
+    program = _Program(p_mat, q_vec, r0, g_mat, g_vec, *balls, labels)
     meta = {
         "r_scale": r_scale,
         "horizon": horizon,
@@ -695,145 +729,75 @@ def solve_min_speed(
             kkt_residual=0.0,
             iterations=0,
         )
-    for i in range(n - 1):
-        if times[i + 1] - times[i] <= 0.0:
-            raise CoincidentTimesError(i + 1, i + 2, float(times[i]))
+    # The closed-form bound raises CoincidentTimesError; flying straight
+    # from node to node, it also sets the starting speed.
+    v_need = min_speed_upper_bound(scenario)
 
     horizon = scenario.uav.horizon_s
     r_scale = scenario.coordinate_scale()
     xy = scenario.node_xy() / r_scale
     start = np.asarray(scenario.uav.initial) / r_scale
     end = np.asarray(scenario.uav.final) / r_scale
-    t_scaled = times / horizon
     counts = all_max_updates(scenario)
 
     # Nodes whose budget lands exactly on the boundary must hover overhead;
-    # pin those waypoints instead of giving the ball an empty interior.
+    # their waypoints stay constants instead of giving the ball an empty
+    # interior.
     budgets = {}
-    pinned: dict[int, np.ndarray] = {}
-    for m in range(scenario.num_nodes):
-        if counts[m] == 0:
-            continue
-        c = energy_budget_constant(scenario, m, int(counts[m])) / (r_scale * r_scale)
-        if c <= 1e-16:
-            pinned[m] = xy[m]
-        else:
-            budgets[m] = c
+    for m in np.flatnonzero(counts):
+        c = energy_budget_constant(scenario, int(m), int(counts[m])) / (r_scale * r_scale)
+        if c > 1e-16:
+            budgets[int(m)] = c
 
-    free_pos = [i for i in range(n) if (order[i] - 1) not in pinned]
-    pos_of: dict[int, int] = {p: j for j, p in enumerate(free_pos)}
-    nf = len(free_pos)
-    nv = 2 * nf + 1
-    v_idx = nv - 1
+    # Columns: x of every update, y of every update, then the speed v.
+    k = len(budgets)
+    nv = 2 * n + 1
+    g_mat, g_vec, balls, labels = _ball_and_leg_rows(
+        order, xy, start, end, budgets, ball_floor=0.0, leg_scale=(1.0, 1.0),
+        x_col=0, shape=(k + 4 * (n + 1) + 1, nv),
+    )
+    # Each leg may cover at most v times its duration.
+    dt = np.diff(np.concatenate(([0.0], times / horizon, [1.0])))
+    g_mat[k:-1, -1] = np.tile(-dt, 4)
+    g_mat[-1, -1] = -1.0
+    labels.append("speed_nonneg")
 
-    def x_of(i: int) -> int:
-        return 2 * pos_of[i]
-
-    def y_of(i: int) -> int:
-        return 2 * pos_of[i] + 1
-
-    fixed_xy = np.zeros((n, 2))
-    for i in range(n):
-        m = order[i] - 1
-        fixed_xy[i] = xy[m]
-
-    rows_g: list[np.ndarray] = []
-    offs: list[float] = []
-    ball_row: list[int] = []
-    ball_var: list[int] = []
-    ball_center: list[float] = []
-    ball_coef: list[float] = []
-    labels: list[str] = []
-
-    def add_row(label: str) -> int:
-        rows_g.append(np.zeros(nv))
-        offs.append(0.0)
-        labels.append(label)
-        return len(rows_g) - 1
-
-    for m in sorted(budgets):
-        c_scaled = budgets[m]
-        pos = [i for i in range(n) if order[i] == m + 1]
-        row = add_row(f"energy_node_{m + 1}")
-        offs[row] = -1.0
-        ball_row += [row] * (2 * len(pos))
-        ball_var += [x_of(i) for i in pos] + [y_of(i) for i in pos]
-        ball_center += [xy[m, 0]] * len(pos) + [xy[m, 1]] * len(pos)
-        ball_coef += [1.0 / c_scaled] * (2 * len(pos))
-
-    leg_t = np.concatenate(([0.0], t_scaled, [1.0]))
-    for axis, col in (("x", 0), ("y", 1)):
-        for sign in (1.0, -1.0):
-            tag = "pos" if sign > 0 else "neg"
-            for leg in range(n + 1):
-                dt = leg_t[leg + 1] - leg_t[leg]
-                row = add_row(f"speed_{axis}_{tag}_leg_{leg}")
-                vec = rows_g[row]
-                off = 0.0
-                # leading point of the leg
-                if leg == 0:
-                    off += -sign * (start[col])
-                elif (order[leg - 1] - 1) in pinned:
-                    off += -sign * fixed_xy[leg - 1, col]
-                else:
-                    vec[x_of(leg - 1) + col] += -sign
-                # trailing point
-                if leg == n:
-                    off += sign * (end[col])
-                elif (order[leg] - 1) in pinned:
-                    off += sign * fixed_xy[leg, col]
-                else:
-                    vec[x_of(leg) + col] += sign
-                vec[v_idx] += -dt
-                offs[row] = off
-
-    row = add_row("speed_nonneg")
-    rows_g[row][v_idx] = -1.0
-
+    # Start over the nodes, faster than the bound; pinned waypoints keep
+    # that position and their columns move into g.
+    node = order - 1
+    v0 = v_need * horizon / r_scale * 1.5 + 0.1
+    z_full = np.concatenate([xy[node, 0], xy[node, 1], [v0]])
+    free = np.ones(nv, dtype=bool)
+    free[:-1] = np.tile(np.isin(node, list(budgets)), 2)
+    g_vec += g_mat[:, ~free] @ z_full[~free]
+    nf = int(free.sum())
+    ball_row, ball_var, ball_center, ball_coef = balls
     program = _Program(
-        P=np.zeros((nv, nv)),
-        q=np.concatenate([np.zeros(nv - 1), [1.0]]),
+        P=np.zeros((nf, nf)),
+        q=np.concatenate([np.zeros(nf - 1), [1.0]]),
         r0=0.0,
-        G=np.vstack(rows_g),
-        g=np.array(offs),
-        ball_row=np.array(ball_row, dtype=int),
-        ball_var=np.array(ball_var, dtype=int),
-        ball_center=np.array(ball_center, dtype=float),
-        ball_coef=np.array(ball_coef, dtype=float),
+        G=g_mat[:, free],
+        g=g_vec,
+        ball_row=ball_row,
+        ball_var=(np.cumsum(free) - 1)[ball_var],
+        ball_center=ball_center,
+        ball_coef=ball_coef,
         labels=labels,
     )
 
-    z0 = np.zeros(nv)
-    for i in free_pos:
-        z0[x_of(i)] = fixed_xy[i, 0]
-        z0[y_of(i)] = fixed_xy[i, 1]
-    pts = np.vstack([start[None, :], fixed_xy, end[None, :]])
-    v_need = 0.0
-    for leg in range(n + 1):
-        dt = leg_t[leg + 1] - leg_t[leg]
-        v_need = max(v_need, float(np.max(np.abs(pts[leg + 1] - pts[leg]))) / dt)
-    z0[v_idx] = v_need * 1.5 + 0.1
+    result = _solve_ipm(program, z_full[free], tol, max_iters)
 
-    result = _solve_ipm(program, z0, tol, max_iters)
-
-    waypoints = np.zeros((n, 2))
-    for i in range(n):
-        if (order[i] - 1) in pinned:
-            waypoints[i] = fixed_xy[i] * r_scale
-        else:
-            waypoints[i] = [result.z[x_of(i)] * r_scale, result.z[y_of(i)] * r_scale]
-    speed = float(result.z[v_idx]) * r_scale / horizon
+    z_full[free] = result.z
+    waypoints = np.column_stack([z_full[:n], z_full[n:-1]]) * r_scale
     return MinSpeedSolution(
         status=result.status,
-        speed=speed,
+        speed=float(z_full[-1]) * r_scale / horizon,
         times_s=times,
         order=tuple(int(v) for v in order),
         waypoints_xy=waypoints,
         kkt_residual=result.kkt_residual,
         iterations=result.iterations,
     )
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,19 @@ def test_eval_enumerate_document(tmp_path, capsys):
     assert read_json(out / "manifest.json")["command"] == "eval"
 
 
+def test_eval_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    assert main(["eval", "--scenario", path, "--policy", "enumerate", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "1 candidate solves ended neither optimal nor infeasible" in captured.err
+    doc = json.loads(captured.out)
+    assert doc["order"] == [1, 2]
+    assert read_json(out / "eval.json") == doc
+    assert (out / "manifest.json").exists()
+
+
 def test_eval_weight_deterministic(tmp_path, capsys):
     path = save(tmp_path, build_scenario([1, 1]))
     argv = ["eval", "--scenario", path, "--policy", "weight", "--episodes", "20", "--seed", "3"]

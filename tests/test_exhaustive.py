@@ -126,3 +126,12 @@ def test_nonconverged_solve_never_wins(monkeypatch):
     assert result.per_count[(1, 1)][2] == "optimal"
     statuses = {order: status for order, _, status, _ in result.rows}
     assert statuses["2-1"] == "max_iterations"
+
+
+def test_nonconverged_count_kept_without_rows(monkeypatch):
+    scenario = build_scenario([1, 1])
+    assert enumerate_optimal(scenario, keep_rows=False).num_nonconverged == 0
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
+    result = enumerate_optimal(scenario, keep_rows=False)
+    assert result.rows == []
+    assert result.num_nonconverged == 1

@@ -263,6 +263,64 @@ def test_min_speed_random_instances_within_bound():
         cases += 1
 
 
+# Status, iteration count, speed and waypoints of solve_min_speed on the
+# worked example and a two-node instance, as the hand-written minimum-speed
+# program gave them. With margin 0.0 every budget lands on its boundary and
+# every waypoint is pinned over its node.
+_WORKED = dict(
+    counts=[1, 2], positions=[(0.0, 0.0), (300.0, 0.0)], initial=(0.0, 0.0), final=(300.0, 0.0)
+)
+_TWO_ONE = dict(counts=[2, 1], positions=[(200.0, 700.0), (650.0, 150.0)])
+_MIN_SPEED_REFERENCE = [
+    (
+        _WORKED,
+        12,
+        1.356209767832429,
+        [[260.00000191745295, 0.0], [56.5685405774768, 0.0], [260.00000191744607, 0.0]],
+    ),
+    (dict(_WORKED, margin=0.0), 11, 2.0000000468602264, [[300.0, 0.0], [0.0, 0.0], [300.0, 0.0]]),
+    (
+        dict(_WORKED, margin=1e-12),
+        155,
+        1.9999990896241553,
+        [[299.99994343589276, 0.0], [7.999410910150074e-05, 0.0], [299.99994343589265, 0.0]],
+    ),
+    (
+        _TWO_ONE,
+        20,
+        3.0228764945845232,
+        [
+            [200.00009787801633, 660.0000041640267],
+            [649.9998613249497, 206.56853833723196],
+            [200.00010100199245, 660.000004164003],
+        ],
+    ),
+    (
+        dict(_TWO_ONE, margin=0.0),
+        12,
+        3.6666667015655863,
+        [[200.0, 700.0], [650.0, 150.0], [200.0, 700.0]],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, iterations, speed, waypoints",
+    _MIN_SPEED_REFERENCE,
+    ids=["worked", "worked_pinned", "worked_margin_1e-12", "two_one", "two_one_pinned"],
+)
+def test_min_speed_follows_reference(kwargs, iterations, speed, waypoints):
+    scenario = build_scenario(**kwargs)
+    result = solve_min_speed(scenario)
+    assert result.status == STATUS_OPTIMAL
+    assert result.iterations == iterations
+    assert abs(result.speed - speed) <= 1e-9 * speed
+    assert np.max(np.abs(result.waypoints_xy - waypoints)) <= 1e-6
+    if kwargs.get("margin") == 0.0:
+        on_node = scenario.node_xy()[np.asarray(result.order) - 1]
+        assert np.array_equal(result.waypoints_xy, on_node)
+
+
 def test_check_report_document_keys():
     scenario = build_scenario([1])
     report = check_solution(scenario, solve_schedule(scenario, [1]))
@@ -720,6 +778,27 @@ def test_failed_line_searches_stop_with_reason():
     program.objective_grad = lambda z: next(grads)
     result = _solve_ipm(program, z0, 1e-6, 50)
     assert result.status == STATUS_MAX_ITERATIONS
+    assert result.message == "line search found no residual decrease at iteration 1"
+
+
+def test_zero_length_steps_stop_with_reason():
+    # The start is the only point that evaluates well, so every cut step
+    # fails until one is too short to move z at all.
+    program, z0 = _feasible_program()
+    f0 = program.constraint_values(z0)
+    ones = np.ones_like(f0)
+    program.constraint_values = lambda z: f0 if np.array_equal(z, z0) else ones
+    result = _solve_ipm(program, z0, 1e-6, 50)
+    assert result.status == STATUS_MAX_ITERATIONS
+    assert result.iterations == 1
+    assert result.message == "line search found no strictly feasible step at iteration 1"
+
+    program, z0 = _feasible_program()
+    g0 = program.objective_grad(z0)
+    program.objective_grad = lambda z: g0 if np.array_equal(z, z0) else g0 + 1e6
+    result = _solve_ipm(program, z0, 1e-6, 50)
+    assert result.status == STATUS_MAX_ITERATIONS
+    assert result.iterations == 1
     assert result.message == "line search found no residual decrease at iteration 1"
 
 

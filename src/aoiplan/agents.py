@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Any, Iterator, Protocol
 
 import numpy as np
 
@@ -90,40 +90,39 @@ def denormalize_state_columns(scenario: Scenario, normalized: np.ndarray) -> np.
     return cols
 
 
+def _final_state(encoder: LstmCell, normalized: np.ndarray) -> np.ndarray:
+    """Run the encoder over normalized columns in reverse order and
+    concatenate its final cell and hidden state."""
+    hs, cs, _ = encoder.seq_forward(normalized[::-1].copy())
+    return np.concatenate([cs[-1], hs[-1]])
+
+
 @dataclass
 class StateRepr:
     """Turns a state matrix into the fixed-size vector the value net sees.
 
-    last_column mode uses the normalized most recent column. autoencoder
-    mode runs a trained recurrent encoder over the normalized columns in
-    reverse order and concatenates its final cell and hidden state.
+    Without an encoder it is the normalized most recent column; with a
+    trained encoder it is the encoder's final state over all columns.
     """
 
     scenario: Scenario
-    mode: str = "last_column"
     encoder: LstmCell | None = None
 
-    def __post_init__(self) -> None:
-        if self.mode not in {"last_column", "autoencoder"}:
-            raise ValueError(f"unknown state representation mode {self.mode!r}")
-        if self.mode == "autoencoder" and self.encoder is None:
-            raise ValueError("autoencoder mode needs a trained encoder")
+    @property
+    def mode(self) -> str:
+        return "last_column" if self.encoder is None else "autoencoder"
 
     @property
     def size(self) -> int:
-        if self.mode == "last_column":
+        if self.encoder is None:
             return self.scenario.num_nodes + 1
-        assert self.encoder is not None
         return 2 * self.encoder.hidden_size
 
     def encode(self, state: StateMatrix) -> np.ndarray:
         normalized = normalize_state_columns(self.scenario, state)
-        if self.mode == "last_column":
+        if self.encoder is None:
             return normalized[-1].copy()
-        assert self.encoder is not None
-        flipped = normalized[::-1].copy()
-        hs, cs, _ = self.encoder.seq_forward(flipped)
-        return np.concatenate([cs[-1], hs[-1]])
+        return _final_state(self.encoder, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +144,8 @@ class VectorTask(Protocol):
 class ScheduleTask:
     """Visit-order environment wrapped behind a vector observation."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        repr_: StateRepr,
-        tol: float = 1e-6,
-        infeasible_penalty: float = 0.0,
-        solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
-    ):
-        self.env = ScheduleEnv(
-            scenario,
-            tol=tol,
-            infeasible_penalty=infeasible_penalty,
-            solve_cache=solve_cache,
-        )
+    def __init__(self, env: ScheduleEnv, repr_: StateRepr):
+        self.env = env
         self.repr = repr_
 
     @property
@@ -168,10 +155,6 @@ class ScheduleTask:
     @property
     def metric(self) -> float:
         return self.env.metric
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        return self.env.order
 
     def reset(self) -> np.ndarray:
         return self.repr.encode(self.env.reset())
@@ -186,36 +169,37 @@ class ScheduleTask:
 # ---------------------------------------------------------------------------
 
 
+# Training constants no caller varies. Returns are undiscounted and SGD runs
+# without momentum, so neither has a setting.
+ACTIVATION = "relu"
+EPSILON_START = 1.0
+REPLAY_CAPACITY = 10_000
+DIVERGENCE_LIMIT = 1e6
+MAX_EPISODE_STEPS = 10_000
+
+
 @dataclass
 class DqnConfig:
     """Knobs for the action-value trainer."""
 
     hidden_sizes: tuple[int, ...] = (64,)
-    activation: str = "relu"
     lr: float = 0.01
     optimizer: str = "sgd"
-    momentum: float = 0.0
-    gamma: float = 1.0
-    epsilon_start: float = 1.0
     epsilon_end: float = 0.02
     epsilon_decay_frac: float = 0.6
-    replay_capacity: int = 10_000
     batch_size: int = 32
     grad_steps_per_episode: int = 1
-    divergence_limit: float = 1e6
     infeasible_penalty: float = 0.0
-    state_mode: str = "last_column"
-    max_episode_steps: int = 10_000
 
 
 def epsilon_at(episode: int, episodes: int, config: DqnConfig) -> float:
-    """Linear decay from epsilon_start to epsilon_end over the first
+    """Linear decay from EPSILON_START to epsilon_end over the first
     epsilon_decay_frac of training, constant afterwards."""
     span = max(1, int(round(config.epsilon_decay_frac * episodes)))
     if episode >= span:
         return config.epsilon_end
     frac = episode / span
-    return config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
+    return EPSILON_START + frac * (config.epsilon_end - EPSILON_START)
 
 
 @dataclass
@@ -250,21 +234,17 @@ class QAgent:
     """Greedy policy over a trained action-value network."""
 
     net: DenseNet
-    repr: StateRepr | None
-    num_actions: int
-
-    def q_values(self, obs: np.ndarray) -> np.ndarray:
-        return self.net.forward(obs)
+    repr: StateRepr
 
     def greedy_action(self, obs: np.ndarray) -> int:
         # np.argmax takes the first maximum, so ties resolve to the lowest
         # action index (terminate first).
-        return int(np.argmax(self.q_values(obs)))
+        return int(np.argmax(self.net.forward(obs)))
 
 
 def _build_qnet(input_size: int, num_actions: int, config: DqnConfig, rng) -> DenseNet:
     sizes = (input_size, *config.hidden_sizes, num_actions)
-    acts = tuple([config.activation] * len(config.hidden_sizes) + ["identity"])
+    acts = tuple([ACTIVATION] * len(config.hidden_sizes) + ["identity"])
     return DenseNet.init(sizes, acts, rng)
 
 
@@ -286,8 +266,8 @@ def dqn_train_task(
     obs0 = task.reset()
     if net is None:
         net = _build_qnet(obs0.size, task.num_actions, config, rng)
-    optimizer = make_optimizer(config.optimizer, config.lr, config.momentum)
-    replay = ReplayMemory(config.replay_capacity)
+    optimizer = make_optimizer(config.optimizer, config.lr)
+    replay = ReplayMemory(REPLAY_CAPACITY)
     curve: list[EpisodeStats] = []
 
     for episode in range(episodes):
@@ -296,7 +276,7 @@ def dqn_train_task(
         terminal = False
         ep_return = 0.0
         steps = 0
-        while not terminal and steps < config.max_episode_steps:
+        while not terminal and steps < MAX_EPISODE_STEPS:
             if rng.uniform() < eps:
                 action = int(rng.integers(0, task.num_actions))
             else:
@@ -318,16 +298,14 @@ def dqn_train_task(
             terminals = np.array([item[4] for item in batch], dtype=bool)
 
             next_q = target_net.forward(next_xs)
-            targets = rewards + np.where(
-                terminals, 0.0, config.gamma * next_q.max(axis=1)
-            )
+            targets = rewards + np.where(terminals, 0.0, next_q.max(axis=1))
             out, acts_cache = net.forward_cached(xs)
             picked = out[np.arange(len(batch)), actions]
             errors = picked - targets
             loss = float(np.mean(errors * errors))
-            if not np.isfinite(loss) or loss > config.divergence_limit:
+            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(
-                    f"training loss {loss:.3g} exceeded limit {config.divergence_limit:.3g}"
+                    f"training loss {loss:.3g} exceeded limit {DIVERGENCE_LIMIT:.3g}"
                 )
             dy = np.zeros_like(out)
             dy[np.arange(len(batch)), actions] = 2.0 * errors / len(batch)
@@ -358,30 +336,20 @@ def dqn_train(
 ) -> tuple[QAgent, list[EpisodeStats]]:
     """Train an action-value planner on a scenario.
 
-    With state_mode 'autoencoder', pass the trained encoder; observations
-    are then the encoder's compressed state instead of the raw last
-    column.
+    With a trained encoder the observations are the encoder's compressed
+    state instead of the raw last column.
     """
-    repr_ = StateRepr(scenario=scenario, mode=config.state_mode, encoder=encoder)
-    cache: dict[tuple[int, ...], TrajectorySolution] = {}
-    task = ScheduleTask(
-        scenario,
-        repr_,
-        infeasible_penalty=config.infeasible_penalty,
-        solve_cache=cache,
-    )
-    net, curve = dqn_train_task(task, config, episodes, seed)
-    agent = QAgent(net=net, repr=repr_, num_actions=task.num_actions)
-    return agent, curve
+    repr_ = StateRepr(scenario, encoder)
+    env = ScheduleEnv(scenario, infeasible_penalty=config.infeasible_penalty)
+    net, curve = dqn_train_task(ScheduleTask(env, repr_), config, episodes, seed)
+    return QAgent(net=net, repr=repr_), curve
 
 
 def greedy_evaluate(
     agent: QAgent, scenario: Scenario, max_steps: int | None = None
 ) -> tuple[tuple[int, ...], float]:
     """Roll the greedy policy out once; returns (visit order, metric)."""
-    if agent.repr is None:
-        raise ValueError("agent has no state representation bound")
-    task = ScheduleTask(scenario, agent.repr)
+    task = ScheduleTask(ScheduleEnv(scenario), agent.repr)
     obs = task.reset()
     steps = 0
     limit = max_steps if max_steps is not None else 100_000
@@ -390,7 +358,23 @@ def greedy_evaluate(
         action = agent.greedy_action(obs)
         obs, _, terminal = task.step(action)
         steps += 1
-    return task.order, task.metric
+    return task.env.order, task.env.metric
+
+
+def _weight_episode(env: ScheduleEnv, rng: np.random.Generator) -> Iterator[StateMatrix]:
+    """Run one weight-proportional episode on env, drawing nodes from rng.
+
+    Yields the initial state and every state reached. The policy never
+    terminates voluntarily; the episode ends when an append fails.
+    """
+    weights = env.scenario.weights()
+    yield env.reset()
+    while True:
+        action = int(rng.choice(env.scenario.num_nodes, p=weights)) + 1
+        transition = env.step(action)
+        if transition.terminal:
+            return
+        yield transition.next_state
 
 
 def weight_based_rollout(
@@ -399,17 +383,11 @@ def weight_based_rollout(
     solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
 ) -> tuple[tuple[int, ...], float, StateMatrix]:
     """Baseline policy: sample nodes in proportion to their weights until an
-    append fails; never terminates voluntarily."""
-    rng = np.random.default_rng(seed)
+    append fails; returns (visit order, metric, final state)."""
     env = ScheduleEnv(scenario, solve_cache=solve_cache)
-    env.reset()
-    weights = scenario.weights()
-    while True:
-        action = int(rng.choice(scenario.num_nodes, p=weights)) + 1
-        transition = env.step(action)
-        if transition.terminal:
-            break
-    return env.order, env.metric, env.state
+    for state in _weight_episode(env, np.random.default_rng(seed)):
+        pass
+    return env.order, env.metric, state
 
 
 def collect_states(
@@ -424,20 +402,8 @@ def collect_states(
     so the encoder sees single-column matrices too.
     """
     rng = np.random.default_rng(seed)
-    cache = solve_cache if solve_cache is not None else {}
-    env = ScheduleEnv(scenario, solve_cache=cache)
-    weights = scenario.weights()
-    corpus: list[StateMatrix] = []
-    for _ in range(episodes):
-        env.reset()
-        corpus.append(env.state)
-        while True:
-            action = int(rng.choice(scenario.num_nodes, p=weights)) + 1
-            transition = env.step(action)
-            if transition.terminal:
-                break
-            corpus.append(transition.next_state)
-    return corpus
+    env = ScheduleEnv(scenario, solve_cache=solve_cache)
+    return [state for _ in range(episodes) for state in _weight_episode(env, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +418,6 @@ class AutoencoderConfig:
     optimizer: str = "adam"
     epochs: int = 50
     batch: str = "stochastic"  # or "full"
-    divergence_limit: float = 1e6
 
 
 @dataclass
@@ -495,47 +460,38 @@ class Seq2SeqAutoencoder:
         self.head.set_flat(flat[n_enc + n_dec :])
 
     def encode_columns(self, normalized: np.ndarray) -> np.ndarray:
-        flipped = normalized[::-1].copy()
-        hs, cs, _ = self.encoder.seq_forward(flipped)
-        return np.concatenate([cs[-1], hs[-1]])
+        return _final_state(self.encoder, normalized)
+
+    def _reconstruct(self, normalized: np.ndarray) -> tuple:
+        """Teacher-forced pass over the reversed columns: the encoder input,
+        the decoder input, both recurrent traces (hs, cs, gates), the head's
+        cache and the reconstruction error."""
+        xs = normalized[::-1].copy()
+        enc = self.encoder.seq_forward(xs)
+        hs_e, cs_e, _ = enc
+        dec_in = np.zeros_like(xs)
+        dec_in[1:] = xs[:-1]
+        dec = self.decoder.seq_forward(dec_in, hs_e[-1], cs_e[-1])
+        out, head_cache = self.head.forward_cached(dec[0][1:])
+        return xs, dec_in, enc, dec, head_cache, out - xs
 
     def loss_and_grad(self, normalized: np.ndarray) -> tuple[float, np.ndarray]:
         """Reconstruction MSE on one sequence and the full parameter gradient."""
-        xs = normalized[::-1].copy()
-        t_len, d_in = xs.shape
+        xs, dec_in, enc, dec, head_cache, err = self._reconstruct(normalized)
         k = self.state_size
-
-        hs_e, cs_e, gates_e = self.encoder.seq_forward(xs)
-        dec_in = np.zeros_like(xs)
-        dec_in[1:] = xs[:-1]
-        hs_d, cs_d, gates_d = self.decoder.seq_forward(dec_in, hs_e[-1], cs_e[-1])
-        hidden = hs_d[1:]
-        out, acts_cache = self.head.forward_cached(hidden)
-        err = out - xs
-        mse = float(np.mean(err * err))
-
-        dy = 2.0 * err / err.size
-        dws, dbs, dhidden = self.head.backward(acts_cache, dy)
+        dws, dbs, dhidden = self.head.backward(head_cache, 2.0 * err / err.size)
         head_grad = self.head.grads_flat(dws, dbs)
         dwg_d, dbg_d, dh0_d, dc0_d, _ = self.decoder.seq_backward(
-            dec_in, hs_d, cs_d, gates_d, dhidden, np.zeros(k), np.zeros(k)
+            dec_in, *dec, dhidden, np.zeros(k), np.zeros(k)
         )
-        dwg_e, dbg_e, _, _, _ = self.encoder.seq_backward(
-            xs, hs_e, cs_e, gates_e, None, dh0_d, dc0_d
-        )
+        dwg_e, dbg_e, _, _, _ = self.encoder.seq_backward(xs, *enc, None, dh0_d, dc0_d)
         grad = np.concatenate(
             [dwg_e.ravel(), dbg_e.ravel(), dwg_d.ravel(), dbg_d.ravel(), head_grad]
         )
-        return mse, grad
+        return float(np.mean(err * err)), grad
 
     def reconstruction_mse(self, normalized: np.ndarray) -> float:
-        xs = normalized[::-1].copy()
-        hs_e, cs_e, _ = self.encoder.seq_forward(xs)
-        dec_in = np.zeros_like(xs)
-        dec_in[1:] = xs[:-1]
-        hs_d, _, _ = self.decoder.seq_forward(dec_in, hs_e[-1], cs_e[-1])
-        out = self.head.forward(hs_d[1:])
-        err = out - xs
+        err = self._reconstruct(normalized)[-1]
         return float(np.mean(err * err))
 
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -597,7 +553,7 @@ def autoencoder_train(
                 grad_sum = grad if grad_sum is None else grad_sum + grad
             assert grad_sum is not None
             epoch_loss = total / len(train)
-            if not np.isfinite(epoch_loss) or epoch_loss > config.divergence_limit:
+            if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"autoencoder loss diverged: {epoch_loss:.3g}")
             flat = optimizer.step(model.params_flat(), grad_sum / len(train))
             model.set_flat(flat)
@@ -607,7 +563,7 @@ def autoencoder_train(
             for i in order:
                 mse, grad = model.loss_and_grad(train[i])
                 total += mse
-                if not np.isfinite(mse) or mse > config.divergence_limit:
+                if not np.isfinite(mse) or mse > DIVERGENCE_LIMIT:
                     raise DivergenceError(f"autoencoder loss diverged: {mse:.3g}")
                 flat = optimizer.step(model.params_flat(), grad)
                 model.set_flat(flat)
@@ -638,18 +594,15 @@ class SearchResult:
 
 def save_agent(path: str | Path, agent: QAgent) -> None:
     """Persist a trained planner, including its encoder when it has one."""
-    if agent.repr is None:
-        raise ValueError("agent has no state representation bound")
     arrays = [(f"net_{name}", arr) for name, arr in agent.net.to_arrays()]
     meta: dict[str, Any] = {
         "net_sizes": list(agent.net.sizes),
         "net_activations": list(agent.net.activations),
-        "num_actions": agent.num_actions,
+        "num_actions": agent.net.sizes[-1],
         "state_mode": agent.repr.mode,
         "num_nodes": agent.repr.scenario.num_nodes,
     }
-    if agent.repr.mode == "autoencoder":
-        assert agent.repr.encoder is not None
+    if agent.repr.encoder is not None:
         for name, arr in agent.repr.encoder.to_arrays():
             arrays.append((f"enc_{name}", arr))
         meta["encoder_input_size"] = agent.repr.encoder.input_size
@@ -733,7 +686,7 @@ def load_agent(path: str | Path, scenario: Scenario) -> QAgent:
             )
     elif mode != "last_column":
         raise CheckpointError(f"checkpoint state mode {mode!r} is unknown")
-    repr_ = StateRepr(scenario=scenario, mode=mode, encoder=encoder)
+    repr_ = StateRepr(scenario, encoder)
     num_actions = _meta_size(meta, "num_actions")
     if (net.sizes[0], net.sizes[-1], num_actions) != (repr_.size, num_nodes + 1, num_nodes + 1):
         raise CheckpointError(
@@ -741,7 +694,7 @@ def load_agent(path: str | Path, scenario: Scenario) -> QAgent:
             f"{num_actions} actions; its {mode} state has {repr_.size} entries and "
             f"{num_nodes} nodes need {num_nodes + 1} actions"
         )
-    return QAgent(net=net, repr=repr_, num_actions=num_actions)
+    return QAgent(net=net, repr=repr_)
 
 
 def save_autoencoder(path: str | Path, model: Seq2SeqAutoencoder, meta: dict[str, Any] | None = None) -> None:

@@ -202,8 +202,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     result = enumerate_optimal(scenario, budget=args.budget, tol=args.tol)
     doc = result.to_document()
     doc["lower_bound"] = lower_bound(scenario)
-    if result.best_solution is not None:
-        doc["best_solution"] = result.best_solution.to_document()
     out = _ensure_out(args.out)
     _write_json(out / "result.json", doc)
     result.write_table_csv(out / "enumeration.csv")
@@ -234,14 +232,16 @@ def _dqn_config(args: argparse.Namespace) -> DqnConfig:
         batch_size=args.batch_size,
         grad_steps_per_episode=args.grad_steps,
         infeasible_penalty=args.penalty,
-        state_mode=args.state_mode,
     )
 
 
 def cmd_train_dqn(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     encoder = None
-    if args.state_mode == "autoencoder":
+    if args.state_mode == "last_column":
+        if args.encoder:
+            raise _UsageError("--encoder needs --state-mode autoencoder")
+    else:
         if not args.encoder:
             raise _UsageError("--state-mode autoencoder requires --encoder")
         if not Path(args.encoder).is_file():
@@ -360,7 +360,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
         agent = load_agent(args.checkpoint, scenario)
         wanted = "autoencoder" if args.policy == "dqn-lstm" else "last_column"
-        assert agent.repr is not None
         if agent.repr.mode != wanted:
             raise CheckpointError(
                 f"policy {args.policy} needs a checkpoint with state mode "
@@ -418,7 +417,6 @@ def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float]:
         _, metric, _ = weight_based_rollout(scenario, seed)
     elif policy in {"dqn", "dqn-lstm"}:
         encoder = None
-        mode = "last_column"
         if policy == "dqn-lstm":
             corpus = collect_states(scenario, episodes=knobs["corpus_episodes"], seed=seed)
             ae = autoencoder_train(
@@ -428,12 +426,10 @@ def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float]:
                 seed=seed,
             )
             encoder = ae.model.encoder
-            mode = "autoencoder"
         config = DqnConfig(
             lr=knobs["lr"],
             optimizer=knobs["optimizer"],
             grad_steps_per_episode=knobs["grad_steps"],
-            state_mode=mode,
         )
         agent, _ = dqn_train(scenario, config, episodes=knobs["episodes"], seed=seed, encoder=encoder)
         _, metric = greedy_evaluate(agent, scenario)

@@ -21,13 +21,7 @@ import numpy as np
 from .errors import EpisodeFinishedError, ScheduleError
 from .physics import update_energy
 from .scenario import Scenario
-from .solver import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    STATUS_OPTIMAL,
-    TrajectorySolution,
-    solve_schedule,
-)
+from .solver import STATUS_OPTIMAL, TrajectorySolution, solve_schedule
 
 TERMINATE = 0
 
@@ -62,9 +56,6 @@ class StateMatrix:
     @property
     def num_events(self) -> int:
         return self.columns.shape[1] - 1
-
-    def last_column(self) -> np.ndarray:
-        return self.columns[:, -1].copy()
 
 
 def build_state_matrix(scenario: Scenario, solution: TrajectorySolution) -> StateMatrix:
@@ -121,15 +112,11 @@ class ScheduleEnv:
     def __init__(
         self,
         scenario: Scenario,
-        tol: float = DEFAULT_TOL,
-        max_iters: int = DEFAULT_MAX_ITERS,
         infeasible_penalty: float = 0.0,
         solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
     ):
         scenario.validate()
         self.scenario = scenario
-        self.tol = tol
-        self.max_iters = max_iters
         self.infeasible_penalty = infeasible_penalty
         self._cache = solve_cache if solve_cache is not None else {}
         self._order: tuple[int, ...] = tuple()
@@ -160,9 +147,7 @@ class ScheduleEnv:
     def solve_order(self, order: tuple[int, ...]) -> TrajectorySolution:
         cached = self._cache.get(order)
         if cached is None:
-            cached = solve_schedule(
-                self.scenario, order, tol=self.tol, max_iters=self.max_iters
-            )
+            cached = solve_schedule(self.scenario, order)
             self._cache[order] = cached
         return cached
 

@@ -189,24 +189,34 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
-def _number(mapping: dict, key: str, where: str) -> float:
-    value = _require(mapping, key, where)
+def _checked_number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}: field '{key}' must be a number")
-    return float(value)
+        raise ScenarioError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ScenarioError(f"{what} is out of range") from exc
+
+
+def _number(mapping: dict, key: str, where: str) -> float:
+    return _checked_number(_require(mapping, key, where), f"{where}: field '{key}'")
+
+
+def _pair(mapping: dict, key: str, where: str) -> tuple[float, float]:
+    value = _require(mapping, key, where)
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(f"{where}: {key} must be a two-element list")
+    what = f"{where}: {key}"
+    return _checked_number(value[0], f"{what}[0]"), _checked_number(value[1], f"{what}[1]")
 
 
 def from_document(doc: dict[str, Any]) -> Scenario:
     """Build and validate a Scenario from a parsed document."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
-    version = _require(doc, "format_version", "document")
-    if int(version) != FORMAT_VERSION:
-        raise ScenarioError(f"unsupported format_version {version!r}")
-    region_raw = _require(doc, "region", "document")
-    if not isinstance(region_raw, (list, tuple)) or len(region_raw) != 2:
-        raise ScenarioError("region must be a two-element list")
-    region = (float(region_raw[0]), float(region_raw[1]))
+    if _number(doc, "format_version", "document") != FORMAT_VERSION:
+        raise ScenarioError(f"unsupported format_version {doc['format_version']!r}")
+    region = _pair(doc, "region", "document")
 
     ch = _require(doc, "channel", "document")
     channel = ChannelParams(
@@ -217,15 +227,9 @@ def from_document(doc: dict[str, Any]) -> Scenario:
     )
 
     uv = _require(doc, "uav", "document")
-    initial = _require(uv, "initial", "uav")
-    final = _require(uv, "final", "uav")
-    if not isinstance(initial, (list, tuple)) or len(initial) != 2:
-        raise ScenarioError("uav: initial must be a two-element list")
-    if not isinstance(final, (list, tuple)) or len(final) != 2:
-        raise ScenarioError("uav: final must be a two-element list")
     uav = UavParams(
-        initial=(float(initial[0]), float(initial[1])),
-        final=(float(final[0]), float(final[1])),
+        initial=_pair(uv, "initial", "uav"),
+        final=_pair(uv, "final", "uav"),
         altitude_m=_number(uv, "altitude_m", "uav"),
         vmax_x=_number(uv, "vmax_x", "uav"),
         vmax_y=_number(uv, "vmax_y", "uav"),
@@ -244,7 +248,7 @@ def from_document(doc: dict[str, Any]) -> Scenario:
                 y=_number(item, "y", where),
                 battery_j=_number(item, "battery_j", where),
                 weight=_number(item, "weight", where),
-                aoi_floor_s=float(item.get("aoi_floor_s", 0.0)),
+                aoi_floor_s=_number(item, "aoi_floor_s", where) if "aoi_floor_s" in item else 0.0,
             )
         )
 
@@ -258,7 +262,7 @@ def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"could not parse scenario file: {exc}") from exc
     return from_document(doc)
 

@@ -26,6 +26,7 @@ from aoiplan import (
     nwaoi,
     save_agent,
     save_autoencoder,
+    save_scenario,
     solve_schedule,
     weight_based_rollout,
 )
@@ -35,6 +36,7 @@ from aoiplan.agents import (
     normalize_state_columns,
     write_learning_curve_csv,
 )
+from aoiplan.cli import main
 from aoiplan.nnet import DenseNet, LstmCell, gradient_check, load_checkpoint, save_checkpoint
 from conftest import build_scenario
 
@@ -73,7 +75,7 @@ def test_replay_capacity_validation():
 
 
 def test_epsilon_schedule_endpoints():
-    config = DqnConfig(epsilon_start=1.0, epsilon_end=0.02, epsilon_decay_frac=0.6)
+    config = DqnConfig(epsilon_end=0.02, epsilon_decay_frac=0.6)
     episodes = 100
     assert epsilon_at(0, episodes, config) == 1.0
     assert epsilon_at(60, episodes, config) == 0.02
@@ -105,6 +107,7 @@ def test_normalization_round_trip():
 def test_last_column_representation():
     scenario = build_scenario([1, 1])
     repr_ = StateRepr(scenario=scenario)
+    assert repr_.mode == "last_column"
     assert repr_.size == 3
     env = ScheduleEnv(scenario)
     env.step(1)
@@ -117,20 +120,13 @@ def test_last_column_representation():
 def test_autoencoder_representation_size():
     scenario = build_scenario([1, 1])
     encoder = LstmCell.init(3, 5, np.random.default_rng(0))
-    repr_ = StateRepr(scenario=scenario, mode="autoencoder", encoder=encoder)
+    repr_ = StateRepr(scenario, encoder)
+    assert repr_.mode == "autoencoder"
     assert repr_.size == 10
     env = ScheduleEnv(scenario)
     env.step(1)
     obs = repr_.encode(env.state)
     assert obs.shape == (10,)
-
-
-def test_state_repr_validation():
-    scenario = build_scenario([1])
-    with pytest.raises(ValueError, match="mode"):
-        StateRepr(scenario=scenario, mode="raw")
-    with pytest.raises(ValueError, match="encoder"):
-        StateRepr(scenario=scenario, mode="autoencoder")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +271,7 @@ def test_zero_net_terminates_immediately():
     repr_ = StateRepr(scenario=scenario)
     net = DenseNet.init([3, 3], ["identity"], np.random.default_rng(0))
     net.set_flat(np.zeros(net.params_flat().size))
-    agent = QAgent(net=net, repr=repr_, num_actions=3)
+    agent = QAgent(net=net, repr=repr_)
     order, metric = greedy_evaluate(agent, scenario)
     assert order == ()
     assert metric == 1.0
@@ -301,7 +297,6 @@ def test_full_exploration_is_uniform_policy():
     config = DqnConfig(
         hidden_sizes=(4,),
         lr=0.0,
-        epsilon_start=1.0,
         epsilon_end=1.0,
         batch_size=4,
     )
@@ -461,6 +456,22 @@ def test_agent_checkpoint_round_trip(tmp_path):
     assert greedy_evaluate(loaded, scenario) == greedy_evaluate(agent, scenario)
 
 
+def test_dqn_train_with_encoder_is_autoencoder_mode(tmp_path):
+    scenario = build_scenario([1, 1])
+    encoder = LstmCell.init(3, 4, np.random.default_rng(0))
+    config = DqnConfig(hidden_sizes=(4,))
+    agent, _ = dqn_train(scenario, config, episodes=5, seed=0, encoder=encoder)
+    assert agent.repr.mode == "autoencoder"
+    assert agent.net.sizes[0] == 8
+    path = tmp_path / "agent.ckpt"
+    save_agent(path, agent)
+    loaded = load_agent(path, scenario)
+    assert loaded.repr.mode == "autoencoder"
+    assert np.array_equal(loaded.repr.encoder.params_flat(), encoder.params_flat())
+    assert np.array_equal(loaded.net.params_flat(), agent.net.params_flat())
+    assert greedy_evaluate(loaded, scenario) == greedy_evaluate(agent, scenario)
+
+
 def test_agent_checkpoint_node_count_guard(tmp_path):
     scenario = build_scenario([1, 1])
     agent, _ = dqn_train(scenario, DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0)
@@ -505,9 +516,9 @@ def _agent(scenario, mode):
     rng = np.random.default_rng(0)
     m = scenario.num_nodes
     encoder = LstmCell.init(m + 1, 3, rng) if mode == "autoencoder" else None
-    repr_ = StateRepr(scenario=scenario, mode=mode, encoder=encoder)
+    repr_ = StateRepr(scenario, encoder)
     net = DenseNet.init((repr_.size, 4, m + 1), ("relu", "identity"), rng)
-    return QAgent(net=net, repr=repr_, num_actions=m + 1)
+    return QAgent(net=net, repr=repr_)
 
 
 def _rewrite(path, edit_meta=None, edit_arrays=None):
@@ -587,3 +598,180 @@ def test_autoencoder_checkpoint_contents_checked(tmp_path, edit_meta, edit_array
     _rewrite(path, edit_meta, edit_arrays)
     with pytest.raises(CheckpointError, match=match):
         load_autoencoder(path)
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: the weight-proportional episode, the encoder forward and
+# the reconstruction error written out on their own. The package shares one
+# loop and one forward pass between its callers; these pin its outputs.
+# ---------------------------------------------------------------------------
+
+
+def _reference_rollout(scenario, seed):
+    rng = np.random.default_rng(seed)
+    env = ScheduleEnv(scenario)
+    env.reset()
+    weights = scenario.weights()
+    while True:
+        action = int(rng.choice(scenario.num_nodes, p=weights)) + 1
+        if env.step(action).terminal:
+            break
+    return env.order, env.metric, env.state
+
+
+def _reference_collect(scenario, episodes, seed):
+    rng = np.random.default_rng(seed)
+    env = ScheduleEnv(scenario)
+    weights = scenario.weights()
+    corpus = []
+    for _ in range(episodes):
+        env.reset()
+        corpus.append(env.state)
+        while True:
+            action = int(rng.choice(scenario.num_nodes, p=weights)) + 1
+            transition = env.step(action)
+            if transition.terminal:
+                break
+            corpus.append(transition.next_state)
+    return corpus
+
+
+def _reference_encode(encoder, normalized):
+    flipped = normalized[::-1].copy()
+    hs, cs, _ = encoder.seq_forward(flipped)
+    return np.concatenate([cs[-1], hs[-1]])
+
+
+def _reference_reconstruction_mse(model, normalized):
+    xs = normalized[::-1].copy()
+    hs_e, cs_e, _ = model.encoder.seq_forward(xs)
+    dec_in = np.zeros_like(xs)
+    dec_in[1:] = xs[:-1]
+    hs_d, _, _ = model.decoder.seq_forward(dec_in, hs_e[-1], cs_e[-1])
+    out = model.head.forward(hs_d[1:])
+    err = out - xs
+    return float(np.mean(err * err))
+
+
+class _ReferenceTask:
+    """Schedule task that observes through the reference encodings."""
+
+    def __init__(self, scenario, encoder):
+        self.scenario = scenario
+        self.encoder = encoder
+        self.env = ScheduleEnv(scenario)
+
+    @property
+    def num_actions(self):
+        return self.env.num_actions
+
+    @property
+    def metric(self):
+        return self.env.metric
+
+    def _observe(self, state):
+        normalized = normalize_state_columns(self.scenario, state)
+        if self.encoder is None:
+            return normalized[-1].copy()
+        return _reference_encode(self.encoder, normalized)
+
+    def reset(self):
+        return self._observe(self.env.reset())
+
+    def step(self, action):
+        transition = self.env.step(action)
+        return self._observe(transition.next_state), transition.reward, transition.terminal
+
+
+def _loaded_autoencoder_repr(path, scenario, encoder):
+    """The state representation of an autoencoder-mode agent loaded from a
+    checkpoint, as `eval --policy dqn-lstm` uses it."""
+    m = scenario.num_nodes
+    k = encoder.hidden_size
+    net = DenseNet.init((2 * k, m + 1), ("identity",), np.random.default_rng(0))
+    arrays = [(f"net_{name}", arr) for name, arr in net.to_arrays()]
+    arrays += [(f"enc_{name}", arr) for name, arr in encoder.to_arrays()]
+    meta = {
+        "net_sizes": [2 * k, m + 1],
+        "net_activations": ["identity"],
+        "num_actions": m + 1,
+        "state_mode": "autoencoder",
+        "num_nodes": m,
+        "encoder_input_size": m + 1,
+        "encoder_hidden_size": k,
+    }
+    save_checkpoint(path, "qnet", arrays, meta)
+    return load_agent(path, scenario).repr
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_weight_episodes_match_reference_loop(seed):
+    scenario = build_scenario([2, 2, 1], weights=[0.5, 0.3, 0.2])
+    cache = {}
+    for s in range(seed, seed + 4):
+        order, metric, state = weight_based_rollout(scenario, s, solve_cache=cache)
+        want_order, want_metric, want_state = _reference_rollout(scenario, s)
+        assert (order, metric) == (want_order, want_metric)
+        assert np.array_equal(state.columns, want_state.columns)
+    corpus = collect_states(scenario, episodes=6, seed=seed)
+    want = _reference_collect(scenario, 6, seed)
+    assert len(corpus) == len(want)
+    for got, ref in zip(corpus, want):
+        assert np.array_equal(got.columns, ref.columns)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_encoder_forward_matches_reference(tmp_path, seed):
+    scenario = build_scenario([2, 1])
+    corpus, sequences = sample_sequences(scenario, episodes=3, seed=seed)
+    model = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(seed))
+    repr_ = _loaded_autoencoder_repr(tmp_path / "agent.ckpt", scenario, model.encoder)
+    for state, seq in zip(corpus, sequences):
+        want = _reference_encode(model.encoder, seq)
+        assert np.array_equal(model.encode_columns(seq), want)
+        assert np.array_equal(repr_.encode(state), want)
+        mse = _reference_reconstruction_mse(model, seq)
+        assert model.reconstruction_mse(seq) == mse
+        assert model.loss_and_grad(seq)[0] == mse
+
+
+@pytest.mark.parametrize("mode", ["last_column", "autoencoder"])
+def test_train_dqn_matches_reference_task(tmp_path, capsys, mode):
+    scenario = build_scenario([2, 1])
+    path = tmp_path / "scenario.yaml"
+    save_scenario(scenario, path)
+    argv = [
+        "train-dqn", "--scenario", str(path), "--episodes", "25", "--hidden", "6",
+        "--seed", "2", "--state-mode", mode, "--out", str(tmp_path / "run"),
+    ]
+    encoder = None
+    if mode == "autoencoder":
+        model = Seq2SeqAutoencoder.init(3, 3, np.random.default_rng(4))
+        save_autoencoder(tmp_path / "ae.ckpt", model)
+        argv += ["--encoder", str(tmp_path / "ae.ckpt")]
+        encoder = model.encoder
+    assert main(argv) == 0
+    capsys.readouterr()
+    # The CLI's defaults for every flag not given above.
+    config = DqnConfig(
+        hidden_sizes=(6,),
+        lr=0.005,
+        optimizer="adam",
+        epsilon_end=0.02,
+        epsilon_decay_frac=0.6,
+        batch_size=32,
+        grad_steps_per_episode=4,
+    )
+    net, curve = dqn_train_task(_ReferenceTask(scenario, encoder), config, 25, 2)
+    agent = load_agent(tmp_path / "run" / "agent.ckpt", scenario)
+    assert agent.repr.mode == mode
+    assert np.array_equal(agent.net.params_flat(), net.params_flat())
+    with open(tmp_path / "run" / "learning_curve.csv", newline="") as fh:
+        losses = [row["loss"] for row in csv.DictReader(fh)]
+    assert losses == [f"{s.loss:.10g}" for s in curve]
+
+    task = _ReferenceTask(scenario, encoder)
+    obs, terminal = task.reset(), False
+    while not terminal:
+        obs, _, terminal = task.step(int(np.argmax(net.forward(obs))))
+    assert greedy_evaluate(agent, scenario) == (task.env.order, task.env.metric)

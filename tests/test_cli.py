@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 import aoiplan
 from aoiplan import load_agent, load_autoencoder, load_scenario, lower_bound, save_scenario
@@ -163,6 +164,15 @@ def test_bounds_artifacts(tmp_path, capsys):
     assert read_json(out / "manifest.json")["command"] == "bounds"
 
 
+def test_bounds_malformed_scenario_exit_2(tmp_path, capsys):
+    doc = worked_example().to_document()
+    doc["uav"]["initial"] = [None, 0.0]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["bounds", "--scenario", str(path)]) == 2
+    assert "initial[0] must be a number" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
@@ -263,6 +273,20 @@ def test_train_dqn_encoder_flag_validation(tmp_path, capsys):
     code = main(base + ["--encoder", str(tmp_path / "missing.ckpt")])
     assert code == 3
     assert "not found" in capsys.readouterr().err
+
+
+def test_train_dqn_encoder_without_autoencoder_mode_exit_1(tmp_path, capsys):
+    path = save(tmp_path, build_scenario([1, 1]))
+    encoder = tmp_path / "ae.ckpt"
+    aoiplan.save_autoencoder(encoder, aoiplan.Seq2SeqAutoencoder.init(3, 2, np.random.default_rng(0)))
+    out = tmp_path / "run"
+    code = main([
+        "train-dqn", "--scenario", path, "--state-mode", "last_column",
+        "--encoder", str(encoder), "--out", str(out),
+    ])
+    assert code == 1
+    assert "--state-mode autoencoder" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_dqn_with_encoder_round_trip(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Scenario validation, random generation, and file round-trips."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoiplan import ScenarioError, generate_scenario, load_scenario, save_scenario
 from aoiplan.scenario import from_document
@@ -61,6 +65,84 @@ def test_from_document_rejects_unknown_version():
     doc["format_version"] = 99
     with pytest.raises(ScenarioError, match="format_version"):
         from_document(doc)
+
+
+def _with(doc, path, value):
+    """A copy of doc with the field at path (a key/index sequence) set to value."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("uav", "initial"), [None, 0.0]),
+        (("uav", "initial"), ["a", 0.0]),
+        (("uav", "initial"), [True, 0.0]),
+        (("uav", "final"), [0.0, None]),
+        (("region",), [None, 1.0]),
+        (("region",), [2**1100, 1.0]),
+        (("nodes", 0, "aoi_floor_s"), "x"),
+        (("nodes", 0, "aoi_floor_s"), None),
+        (("format_version",), "x"),
+        (("format_version",), None),
+        (("format_version",), True),
+    ],
+    ids=[
+        "initial-null", "initial-str", "initial-bool", "final-null", "region-null",
+        "region-huge-int", "aoi-floor-str", "aoi-floor-null", "version-str", "version-null",
+        "version-bool",
+    ],
+)
+def test_malformed_field_raises_scenario_error(path, value):
+    doc = build_scenario([1, 2]).to_document()
+    with pytest.raises(ScenarioError):
+        from_document(_with(doc, path, value))
+
+
+def test_non_utf8_file_raises_scenario_error(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(b"\xff\xfeformat_version: 1\n")
+    with pytest.raises(ScenarioError, match="could not parse"):
+        load_scenario(path)
+
+
+def _field_paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _field_paths(child, prefix + (key,))
+
+
+_BASE_DOC = build_scenario([1, 2]).to_document()
+_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**1100), 2**1100)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(list(_field_paths(_BASE_DOC))), value=_values)
+def test_single_field_mutation_raises_only_scenario_error(path, value):
+    try:
+        from_document(_with(_BASE_DOC, path, value))
+    except ScenarioError:
+        pass
 
 
 def test_generate_is_deterministic():

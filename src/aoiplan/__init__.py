@@ -81,9 +81,7 @@ from .solver import (
     CheckReport,
     MinSpeedSolution,
     TrajectorySolution,
-    build_time_quadratic,
     check_solution,
-    node_time_quadratic,
     solve_min_speed,
     solve_schedule,
 )

@@ -345,16 +345,14 @@ def dqn_train(
     return QAgent(net=net, repr=repr_), curve
 
 
-def greedy_evaluate(
-    agent: QAgent, scenario: Scenario, max_steps: int | None = None
-) -> tuple[tuple[int, ...], float]:
-    """Roll the greedy policy out once; returns (visit order, metric)."""
+def greedy_evaluate(agent: QAgent, scenario: Scenario) -> tuple[tuple[int, ...], float]:
+    """Roll the greedy policy out once, for at most MAX_EPISODE_STEPS steps;
+    returns (visit order, metric)."""
     task = ScheduleTask(ScheduleEnv(scenario), agent.repr)
     obs = task.reset()
     steps = 0
-    limit = max_steps if max_steps is not None else 100_000
     terminal = False
-    while not terminal and steps < limit:
+    while not terminal and steps < MAX_EPISODE_STEPS:
         action = agent.greedy_action(obs)
         obs, _, terminal = task.step(action)
         steps += 1

@@ -172,7 +172,7 @@ class BoundReport:
         }
 
 
-def bound_report(scenario: Scenario, include_schedule: bool = True) -> BoundReport:
+def bound_report(scenario: Scenario) -> BoundReport:
     """Assemble the full closed-form report for a scenario."""
     counts = all_max_updates(scenario)
     ok, offending = divisor_condition(scenario)
@@ -193,7 +193,7 @@ def bound_report(scenario: Scenario, include_schedule: bool = True) -> BoundRepo
         sufficient_speed=speed,
         sufficient_speed_reason=reason,
         weight_guidance=[float(v) for v in weight_guidance(scenario)],
-        uniform_times=[float(v) for v in times] if include_schedule else [],
-        uniform_order=[int(v) for v in order] if include_schedule else [],
+        uniform_times=[float(v) for v in times],
+        uniform_order=[int(v) for v in order],
     )
     return report

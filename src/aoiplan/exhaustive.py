@@ -20,7 +20,6 @@ from .bounds import all_max_updates
 from .errors import BudgetExceededError
 from .scenario import Scenario
 from .solver import (
-    DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -153,7 +152,6 @@ def enumerate_optimal(
     include_zero: bool = True,
     max_total: int | None = None,
     tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
     keep_rows: bool = True,
 ) -> EnumerationResult:
     """Score every admissible visit order and return the best trajectory.
@@ -181,7 +179,7 @@ def enumerate_optimal(
         count_best: tuple[float, tuple[int, ...]] | None = None
         for order in multiset_permutations(combo):
             num_candidates += 1
-            solution = solve_schedule(scenario, order, tol=tol, max_iters=max_iters)
+            solution = solve_schedule(scenario, order, tol=tol)
             if len(order) > 0:
                 num_solves += 1
             if solution.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE):

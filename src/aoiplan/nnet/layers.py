@@ -194,21 +194,14 @@ class LstmCell:
 
 
 class SgdOptimizer:
-    """Plain gradient descent with optional momentum."""
+    """Plain gradient descent."""
 
-    def __init__(self, lr: float, momentum: float = 0.0):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.momentum = momentum
-        self._velocity: np.ndarray | None = None
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(grads)):
             raise NonFiniteGradientError("gradient contains non-finite entries")
-        if self.momentum > 0.0:
-            if self._velocity is None:
-                self._velocity = np.zeros_like(params)
-            self._velocity = self.momentum * self._velocity - self.lr * grads
-            return params + self._velocity
         return params - self.lr * grads
 
 
@@ -238,9 +231,9 @@ class AdamOptimizer:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def make_optimizer(name: str, lr: float, momentum: float = 0.0):
+def make_optimizer(name: str, lr: float):
     if name == "sgd":
-        return SgdOptimizer(lr, momentum)
+        return SgdOptimizer(lr)
     if name == "adam":
         return AdamOptimizer(lr)
     raise ValueError(f"unknown optimizer {name!r}")

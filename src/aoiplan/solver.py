@@ -11,6 +11,11 @@ The same machinery also solves the minimum-cruise-speed program over the
 fixed evenly spaced full-budget schedule (linear objective in the speed
 variable).
 
+A program keeps its linear constraint rows only as (row, column, value)
+nonzeros. Constraint values, Jacobian products and the Newton matrix are
+each a gather over those nonzeros and one `np.bincount`; the nv x nv Newton
+system is then solved dense.
+
 Everything inside the solver runs in nondimensional units: times divided
 by the horizon, coordinates by the scenario's length scale, and each
 constraint by a characteristic magnitude. Reported duals and the KKT
@@ -60,34 +65,6 @@ def validate_order(order: Sequence[int], num_nodes: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def node_time_quadratic(n: int) -> np.ndarray:
-    """Tridiagonal form whose quadratic, plus boundary terms, equals the sum
-    of squared gaps between consecutive update instants of one node."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = 2.0 * np.eye(n)
-    for i in range(n - 1):
-        q[i, i + 1] = -1.0
-        q[i + 1, i] = -1.0
-    return q
-
-
-def build_time_quadratic(
-    order: Sequence[int], num_nodes: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-node (merged-position indices, quadratic form) pairs for a visit
-    order. Nodes that never appear contribute an empty index list."""
-    order_arr = np.asarray(order, dtype=int)
-    out = []
-    for m in range(num_nodes):
-        pos = np.flatnonzero(order_arr == m + 1)
-        if pos.size:
-            out.append((pos, node_time_quadratic(pos.size)))
-        else:
-            out.append((pos, np.zeros((0, 0))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Canonical scaled program construction
 # ---------------------------------------------------------------------------
@@ -97,50 +74,56 @@ def build_time_quadratic(
 class _Program:
     """minimize 0.5 z'Pz + q'z + r0  s.t.  Gz + g + balls(z) <= 0.
 
-    Energy-ball entry e adds ball_coef[e] * (z[ball_var[e]] - ball_center[e])**2
-    to constraint row ball_row[e]. The index arrays that assemble the Newton
-    matrix from the nonzeros of G are built once, when the program is made.
+    G is kept as its nonzeros alone: entry e puts G_val[e] at row G_row[e],
+    column G_col[e]. Energy-ball entry e adds
+    ball_coef[e] * (z[ball_var[e]] - ball_center[e])**2 to constraint row
+    ball_row[e]. The constraint Jacobian has one nonzero per G entry and then
+    one per ball entry; `jacobian` returns their values at a point. The pairs
+    of Jacobian nonzeros that share a row, which assemble the Newton matrix,
+    are found once, when the program is made.
     """
 
     P: np.ndarray
     q: np.ndarray
     r0: float
-    G: np.ndarray
+    G_row: np.ndarray
+    G_col: np.ndarray
+    G_val: np.ndarray
     g: np.ndarray
     ball_row: np.ndarray
     ball_var: np.ndarray
     ball_center: np.ndarray
     ball_coef: np.ndarray
     labels: list[str]
-    ball_rows: np.ndarray = field(init=False, repr=False)
+    _jac_row: np.ndarray = field(init=False, repr=False)
+    _jac_col: np.ndarray = field(init=False, repr=False)
     _two_coef: np.ndarray = field(init=False, repr=False)
+    _pair_a: np.ndarray = field(init=False, repr=False)
+    _pair_b: np.ndarray = field(init=False, repr=False)
     _pair_row: np.ndarray = field(init=False, repr=False)
-    _pair_val: np.ndarray = field(init=False, repr=False)
     _newton_flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nv = self.num_vars
-        is_ball = np.zeros(self.num_cons, dtype=bool)
-        is_ball[self.ball_row] = True
-        self.ball_rows = np.flatnonzero(is_ball)
+        rows = np.concatenate([self.G_row, self.ball_row])
+        cols = np.concatenate([self.G_col, self.ball_var])
+        self._jac_row = rows
+        self._jac_col = cols
         self._two_coef = 2.0 * self.ball_coef
-        # Every ordered pair (a, b) of nonzeros that share a linear row r
-        # adds w_r * G[r, a] * G[r, b] to entry (a, b) of G'WG. Ball rows stay
-        # out: their full Jacobian row enters as a rank-1 term. The pairs are
-        # followed by the diagonal entries that carry the ball curvature.
-        rows, cols = np.nonzero(self.G)
-        keep = ~is_ball[rows]
-        rows = rows[keep]
-        cols = cols[keep]
-        vals = self.G[rows, cols]
+        # Every ordered pair (a, b) of Jacobian nonzeros that share a row r
+        # adds w_r * J_a * J_b to entry (col_a, col_b) of J'WJ. Sorted by row,
+        # a row's nonzeros are contiguous, and partner b runs over them. The
+        # pairs are followed by the diagonal entries that carry the ball
+        # curvature.
+        by_row = np.argsort(rows, kind="stable")
         per_row = np.bincount(rows, minlength=self.num_cons)
-        reps = per_row[rows]
-        a = np.repeat(np.arange(rows.size), reps)
-        # Partner b runs over the nonzeros of a's row, which are contiguous.
+        reps = per_row[rows[by_row]]
+        a = np.repeat(by_row, reps)
         first = np.cumsum(per_row) - per_row
-        b = first[rows[a]] + np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        b = by_row[first[rows[a]] + np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)]
+        self._pair_a = a
+        self._pair_b = b
         self._pair_row = rows[a]
-        self._pair_val = vals[a] * vals[b]
         self._newton_flat = np.concatenate([cols[a] * nv + cols[b], self.ball_var * (nv + 1)])
 
     @property
@@ -153,14 +136,20 @@ class _Program:
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
         d = z[self.ball_var] - self.ball_center
-        f = self.G @ z + self.g
-        f += np.bincount(self.ball_row, weights=self.ball_coef * d * d, minlength=f.size)
-        return f
+        terms = np.concatenate([self.G_val * z[self.G_col], self.ball_coef * d * d])
+        return np.bincount(self._jac_row, weights=terms, minlength=self.num_cons) + self.g
 
-    def constraint_jacobian(self, z: np.ndarray) -> np.ndarray:
-        jac = self.G.copy()
-        jac[self.ball_row, self.ball_var] += self._two_coef * (z[self.ball_var] - self.ball_center)
-        return jac
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Values of the Jacobian nonzeros at z."""
+        return np.concatenate([self.G_val, self._two_coef * (z[self.ball_var] - self.ball_center)])
+
+    def jac_t_dot(self, jac: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """J'v for the Jacobian values ``jac``."""
+        return np.bincount(self._jac_col, weights=jac * v[self._jac_row], minlength=self.num_vars)
+
+    def jac_dot(self, jac: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """J dz for the Jacobian values ``jac``."""
+        return np.bincount(self._jac_row, weights=jac * dz[self._jac_col], minlength=self.num_cons)
 
     def objective(self, z: np.ndarray) -> float:
         return 0.5 * float(z @ self.P @ z) + float(self.q @ z) + self.r0
@@ -169,16 +158,17 @@ class _Program:
         return self.P @ z + self.q
 
     def newton_matrix(self, jac: np.ndarray, lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """P + sum_r lam_r * Hess(f_r) + jac' diag(weights) jac, where jac is
-        the constraint Jacobian at the point that lam and weights belong to."""
+        """P + sum_r lam_r * Hess(f_r) + J' diag(weights) J, where ``jac``
+        holds the Jacobian values at the point that lam and weights belong to."""
         nv = self.num_vars
         scaled = np.concatenate(
-            [self._pair_val * weights[self._pair_row], self._two_coef * lam[self.ball_row]]
+            [
+                jac[self._pair_a] * jac[self._pair_b] * weights[self._pair_row],
+                self._two_coef * lam[self.ball_row],
+            ]
         )
         mat = np.bincount(self._newton_flat, weights=scaled, minlength=nv * nv).reshape(nv, nv)
         mat += self.P
-        ball_jac = jac[self.ball_rows]
-        mat += (ball_jac.T * weights[self.ball_rows]) @ ball_jac
         return mat
 
 
@@ -213,8 +203,8 @@ def _solve_ipm(
     m = program.num_cons
     # The constraint values, Jacobian and dual residual at the current point;
     # after the first iteration they come from the accepted line-search trial.
-    jac = program.constraint_jacobian(z)
-    r_dual = program.objective_grad(z) + jac.T @ lam
+    jac = program.jacobian(z)
+    r_dual = program.objective_grad(z) + program.jac_t_dot(jac, lam)
 
     status = STATUS_MAX_ITERATIONS
     message = ""
@@ -238,7 +228,7 @@ def _solve_ipm(
 
         weights = lam / (-f)
         m_red = program.newton_matrix(jac, lam, weights)
-        rhs = -(r_dual + jac.T @ (r_cent / f))
+        rhs = -(r_dual + program.jac_t_dot(jac, r_cent / f))
         dz = None
         ridge = 0.0
         for _ in range(6):
@@ -254,7 +244,7 @@ def _solve_ipm(
         if dz is None or not np.isfinite(dz).all():
             message = f"Newton step not finite after ridge retries at iteration {iterations}"
             break
-        dlam = (r_cent - lam * (jac @ dz)) / f
+        dlam = (r_cent - lam * program.jac_dot(jac, dz)) / f
 
         step = 1.0
         neg = dlam < 0.0
@@ -282,8 +272,8 @@ def _solve_ipm(
                 f_new = program.constraint_values(z_new)
             lam_new = lam + step * dlam
             if (f_new < 0.0).all() and (lam_new > 0.0).all():
-                jac_new = program.constraint_jacobian(z_new)
-                rd_new = program.objective_grad(z_new) + jac_new.T @ lam_new
+                jac_new = program.jacobian(z_new)
+                rd_new = program.objective_grad(z_new) + program.jac_t_dot(jac_new, lam_new)
                 rc_new = -lam_new * f_new - 1.0 / t_bar
                 new_norm = math.sqrt(float(rd_new @ rd_new) + float(rc_new @ rc_new))
                 if new_norm <= (1.0 - _LS_ALPHA * step) * res_norm + 1e-14:
@@ -311,12 +301,15 @@ def _phase1(
     (interior point or None, final s, iterations used).
     """
     n = program.num_vars
+    m = program.num_cons
     prog1 = replace(
         program,
         P=np.zeros((n + 1, n + 1)),
         q=np.concatenate([np.zeros(n), [1.0]]),
         r0=0.0,
-        G=np.hstack([program.G, -np.ones((program.num_cons, 1))]),
+        G_row=np.concatenate([program.G_row, np.arange(m)]),
+        G_col=np.concatenate([program.G_col, np.full(m, n)]),
+        G_val=np.concatenate([program.G_val, -np.ones(m)]),
     )
     f0 = program.constraint_values(z0)
     # Keep the worst-violated row's slack comparable to the others; starting
@@ -428,24 +421,25 @@ def _ball_and_leg_rows(
     ball_floor: float,
     leg_scale: tuple[float, float],
     x_col: int,
-    shape: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], list[str]]:
+    num_rows: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...], list[str]]:
     """Energy-ball and speed-leg rows of the schedule and minimum-speed
-    programs, at the top of a ``shape`` matrix; the caller fills the rest and
-    adds its own speed allowance to the leg rows.
+    programs, the first rows of both; the caller adds its own speed
+    allowance to the leg rows and its further rows.
 
     Waypoint i's x and y are columns x_col + i and x_col + n + i. One ball per
     node in ``budgets`` (ascending) holds the x and then the y coordinates of
     that node's updates, divided by max(budget, ball_floor). Then come speed
     legs 0..n for x then y, the positive sign before the negative, each
     divided by its axis's ``leg_scale``; start and end points sit in g.
-    Returns (G, g, (ball_row, ball_var, ball_center, ball_coef), labels).
+    Returns the nonzeros (rows, cols, vals) of G in these rows, g with
+    ``num_rows`` entries, (ball_row, ball_var, ball_center, ball_coef) and
+    the labels.
     """
     n = len(order)
     nodes = sorted(budgets)
     k = len(nodes)
-    g_mat = np.zeros(shape)
-    g_vec = np.zeros(shape[0])
+    g_vec = np.zeros(num_rows)
     x_idx = x_col + np.arange(n)
     y_idx = x_idx + n
 
@@ -471,10 +465,9 @@ def _ball_and_leg_rows(
     sign = np.array([1.0, -1.0, 1.0, -1.0])
     scale = np.asarray(leg_scale)[axis]
     first = k + (n + 1) * np.arange(4)
-    into = first[:, None] + np.arange(n)
-    cols = np.array([x_idx, x_idx, y_idx, y_idx])
-    g_mat[into, cols] = (sign / scale)[:, None]
-    g_mat[into + 1, cols] = (-sign / scale)[:, None]
+    far = (first[:, None] + np.arange(n)).ravel()
+    cols = np.concatenate([x_idx, x_idx, y_idx, y_idx])
+    vals = np.repeat(sign / scale, n)
     g_vec[first] = -sign * start[axis] / scale
     g_vec[first + n] = sign * end[axis] / scale
 
@@ -485,17 +478,22 @@ def _ball_and_leg_rows(
         for tag in ("pos", "neg")
         for leg in range(n + 1)
     ]
-    return g_mat, g_vec, (ball_row, ball_var, ball_center, ball_coef), labels
+    return (
+        np.concatenate([far, far + 1]),
+        np.concatenate([cols, cols]),
+        np.concatenate([vals, -vals]),
+        g_vec,
+        (ball_row, ball_var, ball_center, ball_coef),
+        labels,
+    )
 
 
-def _schedule_program(
-    scenario: Scenario, order: tuple[int, ...]
-) -> tuple[_Program, dict[str, Any]] | str:
-    """Build the scaled fixed-order program. Returns an error message string
-    when some node cannot afford its update count."""
+def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | str:
+    """Build the scaled fixed-order program. Its columns are the n update
+    instants, then the waypoints' x, then their y. Returns an error message
+    string when some node cannot afford its update count."""
     n = len(order)
     m_nodes = scenario.num_nodes
-    weights = scenario.weights()
     horizon = scenario.uav.horizon_s
     r_scale = scenario.coordinate_scale()
     xy = scenario.node_xy() / r_scale
@@ -504,7 +502,8 @@ def _schedule_program(
     vx = scenario.uav.vmax_x * horizon / r_scale
     vy = scenario.uav.vmax_y * horizon / r_scale
 
-    counts = np.bincount(np.asarray(order, dtype=int), minlength=m_nodes + 1)[1:]
+    node = np.asarray(order, dtype=int) - 1
+    counts = np.bincount(node, minlength=m_nodes)
     budgets = {}
     for m in range(m_nodes):
         if counts[m] == 0:
@@ -517,75 +516,63 @@ def _schedule_program(
             )
         budgets[m] = c / (r_scale * r_scale)
 
+    # A node's squared gaps between its instants s, fenced by 0 and 1, sum to
+    # s'Qs - 2 s_last + 1, with Q tridiagonal: 2 on the diagonal, -1 beside
+    # it. The weighted 1s sum to r0 = 1.
     nv = 3 * n
     t_idx = np.arange(n)
-    x_idx = n + np.arange(n)
-    y_idx = 2 * n + np.arange(n)
-
+    w = scenario.weights()[node]
+    by_node = np.argsort(node, kind="stable")
+    same = node[by_node[1:]] == node[by_node[:-1]]
+    a = by_node[:-1][same]
+    b = by_node[1:][same]
+    last = by_node[np.append(~same, True)]
     p_mat = np.zeros((nv, nv))
+    p_mat[t_idx, t_idx] = 4.0 * w
+    p_mat[a, b] = -2.0 * w[a]
+    p_mat[b, a] = -2.0 * w[a]
     q_vec = np.zeros(nv)
-    forms = build_time_quadratic(order, m_nodes)
-    for m in range(m_nodes):
-        pos, q_form = forms[m]
-        if pos.size == 0:
-            continue
-        p_mat[np.ix_(t_idx[pos], t_idx[pos])] += 2.0 * weights[m] * q_form
-        q_vec[t_idx[pos[-1]]] += -2.0 * weights[m]
-    r0 = 1.0
+    q_vec[last] = -2.0 * w[last]
 
     # Rows: the energy balls and speed legs, then ordering, time_lo, time_hi.
     k = len(budgets)
     legs = n + 1
-    g_mat, g_vec, balls, labels = _ball_and_leg_rows(
+    row = k + 4 * legs
+    rows, cols, vals, g_vec, balls, labels = _ball_and_leg_rows(
         order, xy, start, end, budgets, ball_floor=1e-12, leg_scale=(max(vx, 1.0), max(vy, 1.0)),
-        x_col=n, shape=(k + 4 * legs + 3 * n - 1, nv),
+        x_col=n, num_rows=row + 3 * n - 1,
     )
     # Each leg may cover at most vmax times its duration t_l - t_(l-1).
     vmax = np.array([vx, vx, vy, vy])
     allowance = vmax / np.maximum(vmax, 1.0)
     first = k + legs * np.arange(4)
-    into = first[:, None] + t_idx
-    g_mat[into, t_idx] = -allowance[:, None]
-    g_mat[into + 1, t_idx] = allowance[:, None]
     g_vec[first + n] -= allowance
+    far = (first[:, None] + t_idx).ravel()
+    t_far = np.tile(t_idx, 4)
+    allowance = np.repeat(allowance, n)
 
-    row = k + 4 * legs
-    ordering = row + np.arange(n - 1)
-    g_mat[ordering, t_idx[:-1]] = 1.0
-    g_mat[ordering, t_idx[1:]] = -1.0
-    row += n - 1
-    g_mat[row + t_idx, t_idx] = -1.0
-    row += n
-    g_mat[row + t_idx, t_idx] = 1.0
-    g_vec[row:] = -1.0
+    # Ordering t_i - t_(i+1), time_lo -t_i and time_hi t_i - 1.
+    ordering = row + t_idx[:-1]
+    time_lo = row + n - 1 + t_idx
+    time_hi = time_lo + n
+    g_vec[time_hi] = -1.0
+    ones = np.ones(n)
 
     labels += [f"order_{i}" for i in range(1, n)]
     labels += [f"time_lo_{i}" for i in range(1, n + 1)]
     labels += [f"time_hi_{i}" for i in range(1, n + 1)]
 
-    program = _Program(p_mat, q_vec, r0, g_mat, g_vec, *balls, labels)
-    meta = {
-        "r_scale": r_scale,
-        "horizon": horizon,
-        "start": start,
-        "end": end,
-        "t_idx": t_idx,
-        "x_idx": x_idx,
-        "y_idx": y_idx,
-    }
-    return program, meta
-
-
-def _schedule_start(scenario: Scenario, order: tuple[int, ...], meta: dict) -> np.ndarray:
-    n = len(order)
-    frac = (np.arange(n) + 1.0) / (n + 1.0)
-    start = meta["start"]
-    end = meta["end"]
-    z = np.zeros(3 * n)
-    z[meta["t_idx"]] = frac
-    z[meta["x_idx"]] = start[0] + (end[0] - start[0]) * frac
-    z[meta["y_idx"]] = start[1] + (end[1] - start[1]) * frac
-    return z
+    return _Program(
+        p_mat,
+        q_vec,
+        1.0,
+        np.concatenate([rows, far, far + 1, ordering, ordering, time_lo, time_hi]),
+        np.concatenate([cols, t_far, t_far, t_idx[:-1], t_idx[1:], t_idx, t_idx]),
+        np.concatenate([vals, -allowance, allowance, ones[1:], -ones[1:], -ones, ones]),
+        g_vec,
+        *balls,
+        labels,
+    )
 
 
 def solve_schedule(
@@ -621,12 +608,19 @@ def solve_schedule(
             used_phase1=False,
         )
 
-    built = _schedule_program(scenario, order_t)
-    if isinstance(built, str):
-        return _infeasible_solution(order_t, built)
-    program, meta = built
+    program = _schedule_program(scenario, order_t)
+    if isinstance(program, str):
+        return _infeasible_solution(order_t, program)
 
-    z0 = _schedule_start(scenario, order_t, meta)
+    # Start on the straight run from start to end, at evenly spaced instants.
+    n = len(order_t)
+    horizon = scenario.uav.horizon_s
+    r_scale = scenario.coordinate_scale()
+    start = np.asarray(scenario.uav.initial) / r_scale
+    end = np.asarray(scenario.uav.final) / r_scale
+    frac = (np.arange(n) + 1.0) / (n + 1.0)
+    z0 = np.concatenate([frac, (start[:, None] + (end - start)[:, None] * frac).ravel()])
+
     used_phase1 = False
     phase1_iters = 0
     f0 = program.constraint_values(z0)
@@ -642,13 +636,9 @@ def solve_schedule(
 
     result = _solve_ipm(program, z0, tol, max_iters)
 
-    n = len(order_t)
-    horizon = meta["horizon"]
-    r_scale = meta["r_scale"]
-    times = result.z[meta["t_idx"]] * horizon
-    waypoints = np.column_stack(
-        [result.z[meta["x_idx"]] * r_scale, result.z[meta["y_idx"]] * r_scale]
-    )
+    t, x, y = result.z.reshape(3, n)
+    times = t * horizon
+    waypoints = np.column_stack([x, y]) * r_scale
     per_node = split_by_node(list(order_t), times, scenario.num_nodes)
     objective = nwaoi(scenario, UpdateTimes(per_node))
     # A duality gap of tol blurs each instant by about sqrt(tol)*horizon,
@@ -752,34 +742,42 @@ def solve_min_speed(
     # Columns: x of every update, y of every update, then the speed v.
     k = len(budgets)
     nv = 2 * n + 1
-    g_mat, g_vec, balls, labels = _ball_and_leg_rows(
+    num_rows = k + 4 * (n + 1) + 1
+    rows, cols, vals, g_vec, balls, labels = _ball_and_leg_rows(
         order, xy, start, end, budgets, ball_floor=0.0, leg_scale=(1.0, 1.0),
-        x_col=0, shape=(k + 4 * (n + 1) + 1, nv),
+        x_col=0, num_rows=num_rows,
     )
     # Each leg may cover at most v times its duration.
     dt = np.diff(np.concatenate(([0.0], times / horizon, [1.0])))
-    g_mat[k:-1, -1] = np.tile(-dt, 4)
-    g_mat[-1, -1] = -1.0
+    rows = np.concatenate([rows, np.arange(k, num_rows)])
+    cols = np.concatenate([cols, np.full(num_rows - k, nv - 1)])
+    vals = np.concatenate([vals, np.tile(-dt, 4), [-1.0]])
     labels.append("speed_nonneg")
 
     # Start over the nodes, faster than the bound; pinned waypoints keep
-    # that position and their columns move into g.
+    # that position and their entries move into g.
     node = order - 1
     v0 = v_need * horizon / r_scale * 1.5 + 0.1
     z_full = np.concatenate([xy[node, 0], xy[node, 1], [v0]])
     free = np.ones(nv, dtype=bool)
     free[:-1] = np.tile(np.isin(node, list(budgets)), 2)
-    g_vec += g_mat[:, ~free] @ z_full[~free]
+    pinned = ~free[cols]
+    g_vec += np.bincount(
+        rows[pinned], weights=vals[pinned] * z_full[cols[pinned]], minlength=num_rows
+    )
+    column = np.cumsum(free) - 1
     nf = int(free.sum())
     ball_row, ball_var, ball_center, ball_coef = balls
     program = _Program(
         P=np.zeros((nf, nf)),
         q=np.concatenate([np.zeros(nf - 1), [1.0]]),
         r0=0.0,
-        G=g_mat[:, free],
+        G_row=rows[~pinned],
+        G_col=column[cols[~pinned]],
+        G_val=vals[~pinned],
         g=g_vec,
         ball_row=ball_row,
-        ball_var=(np.cumsum(free) - 1)[ball_var],
+        ball_var=column[ball_var],
         ball_center=ball_center,
         ball_coef=ball_coef,
         labels=labels,

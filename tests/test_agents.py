@@ -30,6 +30,7 @@ from aoiplan import (
     solve_schedule,
     weight_based_rollout,
 )
+from aoiplan import agents
 from aoiplan.agents import (
     denormalize_state_columns,
     epsilon_at,
@@ -277,6 +278,21 @@ def test_zero_net_terminates_immediately():
     assert metric == 1.0
     again = greedy_evaluate(agent, scenario)
     assert again == (order, metric)
+
+
+def test_greedy_episode_stops_at_training_step_cap(monkeypatch):
+    # Node 1 affords three updates; a policy that always appends it stops at
+    # the step cap that training uses.
+    scenario = build_scenario([3])
+
+    class AppendNodeOne:
+        repr = StateRepr(scenario=scenario)
+
+        def greedy_action(self, obs):
+            return 1
+
+    monkeypatch.setattr(agents, "MAX_EPISODE_STEPS", 2)
+    assert greedy_evaluate(AppendNodeOne(), scenario)[0] == (1, 1)
 
 
 def test_greedy_metric_matches_physics():

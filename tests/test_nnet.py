@@ -218,17 +218,6 @@ def test_sgd_zero_gradient_is_identity():
     assert np.array_equal(opt.step(theta, np.zeros(2)), theta)
 
 
-def test_sgd_momentum_accumulates():
-    opt = SgdOptimizer(lr=0.1, momentum=0.9)
-    theta = np.array([0.0])
-    g = np.array([1.0])
-    theta = opt.step(theta, g)
-    assert theta[0] == pytest.approx(-0.1, abs=1e-15)
-    theta = opt.step(theta, g)
-    # Velocity: 1 then 1.9.
-    assert theta[0] == pytest.approx(-0.1 - 0.19, abs=1e-15)
-
-
 def test_adam_first_step_is_lr_sized():
     opt = AdamOptimizer(lr=0.01)
     theta = np.array([0.0, 0.0])

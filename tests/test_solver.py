@@ -29,54 +29,26 @@ from aoiplan.solver import (
     _check_lagrangian,
     _schedule_program,
     _solve_ipm,
-    build_time_quadratic,
-    node_time_quadratic,
     validate_order,
 )
 from conftest import build_scenario
 from oracle_grid import oracle_objective
 
 
-def test_node_quadratic_two_updates():
-    assert node_time_quadratic(2).tolist() == [[2.0, -1.0], [-1.0, 2.0]]
-
-
-def test_node_quadratic_three_update_spectrum():
-    eigs = np.sort(np.linalg.eigvalsh(node_time_quadratic(3)))
-    expected = np.sort([2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)])
-    assert np.allclose(eigs, expected, atol=1e-12)
-
-
-def test_node_quadratic_positive_definite():
-    for n in range(1, 8):
-        assert np.min(np.linalg.eigvalsh(node_time_quadratic(n))) > 0.0
-
-
 def test_quadratic_matches_metric():
-    # sum of squared gaps = s'Qs - 2*tau*s_last + tau^2 per node.
-    scenario = build_scenario([2, 1], weights=[0.3, 0.7])
+    # The program's objective at scaled instants is the metric of those instants.
+    scenario = build_scenario([2, 2, 1], weights=[0.2, 0.3, 0.5])
     horizon = scenario.uav.horizon_s
-    weights = scenario.weights()
     rng = np.random.default_rng(11)
-    order = [1, 2, 1]
-    forms = build_time_quadratic(order, scenario.num_nodes)
-    for _ in range(25):
-        times = np.sort(rng.uniform(0.0, horizon, len(order)))
-        value = 0.0
-        for m, (pos, quad) in enumerate(forms):
-            if pos.size == 0:
-                value += weights[m]
-                continue
-            s = times[pos]
-            value += (
-                weights[m]
-                * (s @ quad @ s - 2.0 * horizon * s[-1] + horizon**2)
-                / horizon**2
+    for order in ([1], [2, 1], [1, 2, 1], [3, 1, 2, 2, 1], [1, 1, 2, 3, 2]):
+        program = _schedule_program(scenario, tuple(order))
+        for _ in range(10):
+            times = np.sort(rng.uniform(0.0, horizon, len(order)))
+            z = np.concatenate([times / horizon, rng.uniform(0.0, 1.0, 2 * len(order))])
+            direct = nwaoi(
+                scenario, UpdateTimes(split_by_node(order, times, scenario.num_nodes))
             )
-        direct = nwaoi(
-            scenario, UpdateTimes(split_by_node(order, times, scenario.num_nodes))
-        )
-        assert value == pytest.approx(direct, abs=1e-12)
+            assert program.objective(z) == pytest.approx(direct, abs=1e-12)
 
 
 def test_validate_order_rejects_bad_entries():
@@ -494,10 +466,23 @@ def test_negative_duals_alone_fail_the_check():
 # ---------------------------------------------------------------------------
 
 
+def _dense(rows, cols, vals, shape):
+    """The matrix whose nonzeros are (rows, cols, vals), repeats summed."""
+    out = np.zeros(shape)
+    np.add.at(out, (rows, cols), vals)
+    return out
+
+
+def _dense_g(program):
+    return _dense(
+        program.G_row, program.G_col, program.G_val, (program.num_cons, program.num_vars)
+    )
+
+
 def _balls(program):
     """One (row, variables, centres, coefficient) tuple per energy ball."""
     out = []
-    for row in program.ball_rows:
+    for row in np.unique(program.ball_row):
         sel = program.ball_row == row
         coef = program.ball_coef[sel]
         assert np.all(coef == coef[0])
@@ -506,7 +491,7 @@ def _balls(program):
 
 
 def _ball_loop_values(program, z):
-    f = program.G @ z + program.g
+    f = _dense_g(program) @ z + program.g
     for row, idx, center, coef in _balls(program):
         d = z[idx] - center
         f[row] += coef * float(d @ d)
@@ -514,7 +499,7 @@ def _ball_loop_values(program, z):
 
 
 def _ball_loop_jacobian(program, z):
-    jac = program.G.copy()
+    jac = _dense_g(program)
     for row, idx, center, coef in _balls(program):
         jac[row, idx] += 2.0 * coef * (z[idx] - center)
     return jac
@@ -612,9 +597,9 @@ def _assembly_cases():
 
 def test_schedule_builder_matches_rowwise_reference():
     for scenario, order in _assembly_cases():
-        program, _ = _schedule_program(scenario, tuple(order))
+        program = _schedule_program(scenario, tuple(order))
         g_mat, g_vec, labels, balls = _rowwise_constraints(scenario, order)
-        assert np.array_equal(program.G, g_mat)
+        assert np.array_equal(_dense_g(program), g_mat)
         assert np.array_equal(program.g, g_vec)
         assert program.labels == labels
         new_balls = _balls(program)
@@ -649,7 +634,7 @@ def _points(program, z0, result):
 def _kind(program):
     if program.labels[-1] == "speed_nonneg":
         return "min_speed"
-    return "phase1" if np.all(program.G[:, -1] == -1.0) else "schedule"
+    return "phase1" if np.all(_dense_g(program)[:, -1] == -1.0) else "schedule"
 
 
 def _newton_programs(monkeypatch):
@@ -669,12 +654,26 @@ def _newton_programs(monkeypatch):
 
 def test_vectorised_constraints_match_ball_loop(monkeypatch):
     seen = _newton_programs(monkeypatch)
+    rng = np.random.default_rng(5)
     for program, z0, result in seen:
+        shape = (program.num_cons, program.num_vars)
         for z, _ in _points(program, z0, result):
             values = program.constraint_values(z)
             ref = _ball_loop_values(program, z)
             assert np.max(np.abs(values - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-            assert np.array_equal(program.constraint_jacobian(z), _ball_loop_jacobian(program, z))
+            jac = program.jacobian(z)
+            ref_jac = _ball_loop_jacobian(program, z)
+            rows = np.concatenate([program.G_row, program.ball_row])
+            cols = np.concatenate([program.G_col, program.ball_var])
+            assert np.array_equal(_dense(rows, cols, jac, shape), ref_jac)
+            v = rng.normal(size=program.num_cons)
+            dz = rng.normal(size=program.num_vars)
+            products = [
+                (program.jac_t_dot(jac, v), ref_jac.T @ v),
+                (program.jac_dot(jac, dz), ref_jac @ dz),
+            ]
+            for got, want in products:
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_newton_matrix_matches_dense_product(monkeypatch):
@@ -684,9 +683,8 @@ def test_newton_matrix_matches_dense_product(monkeypatch):
     for program, z0, result in seen:
         for z, lam in _points(program, z0, result):
             weights = lam / -program.constraint_values(z)
-            jac = program.constraint_jacobian(z)
-            ref = _dense_newton_matrix(program, jac, lam, weights)
-            got = program.newton_matrix(jac, lam, weights)
+            ref = _dense_newton_matrix(program, _ball_loop_jacobian(program, z), lam, weights)
+            got = program.newton_matrix(program.jacobian(z), lam, weights)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -726,6 +724,30 @@ def test_two_two_candidates_follow_reference_iterates():
         assert abs(solution.objective - objective) <= 1e-12, order
 
 
+# Iteration count and objective of round robins over three nodes, as the
+# dense constraint matrix gave them; the sparse one follows the same iterates.
+_ROUND_ROBIN_REFERENCE = [
+    (3, 30, 21, 0.09090929966229999),
+    (3, 60, 23, 0.04761920411375834),
+    (3, 120, 21, 0.024390472380267817),
+    (4, 30, 13, 0.09090945773451566),
+    (4, 60, 14, 0.04761921605607291),
+    (4, 120, 22, 0.024390390259560794),
+    (5, 30, 19, 0.09090940989611739),
+    (5, 60, 22, 0.04761918518665931),
+    (5, 120, 24, 0.024390443404075174),
+]
+
+
+def test_round_robins_follow_reference_iterates():
+    for seed, n, iterations, objective in _ROUND_ROBIN_REFERENCE:
+        scenario = generate_scenario(3, seed, horizon_s=3600.0)
+        solution = solve_schedule(scenario, [1, 2, 3] * (n // 3))
+        assert solution.status == STATUS_OPTIMAL, (seed, n)
+        assert solution.iterations == iterations, (seed, n)
+        assert abs(solution.objective - objective) <= 1e-12, (seed, n)
+
+
 # ---------------------------------------------------------------------------
 # Stop reasons
 # ---------------------------------------------------------------------------
@@ -734,7 +756,7 @@ def test_two_two_candidates_follow_reference_iterates():
 def _feasible_program():
     # Each waypoint over its own node, which is the centre of its ball.
     scenario = build_scenario([1, 1], vmax=1e3)
-    program, _ = _schedule_program(scenario, (1, 2))
+    program = _schedule_program(scenario, (1, 2))
     xy = scenario.node_xy() / scenario.coordinate_scale()
     z0 = np.concatenate([[1.0 / 3.0, 2.0 / 3.0], xy[:, 0], xy[:, 1]])
     assert np.all(program.constraint_values(z0) < 0.0)
@@ -752,9 +774,9 @@ def test_nan_objective_stops_with_reason():
 
 def test_solve_schedule_reports_stop_reason(monkeypatch):
     def nan_program(scenario, order):
-        program, meta = _schedule_program(scenario, order)
+        program = _schedule_program(scenario, order)
         program.q[0] = np.nan
-        return program, meta
+        return program
 
     monkeypatch.setattr(solver, "_schedule_program", nan_program)
     solution = solve_schedule(build_scenario([1, 1], vmax=1e3), [1, 2])

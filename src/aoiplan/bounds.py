@@ -41,10 +41,13 @@ def all_max_updates(scenario: Scenario) -> np.ndarray:
 
 
 def per_count_floor(scenario: Scenario, counts: np.ndarray | list[int]) -> float:
-    """Best achievable metric when node m sends exactly counts[m] updates.
+    """Lower bound on the metric of every order in which node m sends
+    exactly counts[m] updates.
 
-    Attained by evenly spaced updates, so it equals the weight-blended
-    1/(count+1). Valid whenever travel never forces uneven spacing.
+    It equals the weight-blended 1/(count+1): with the gaps' total fixed at
+    the horizon, the sum of squared gaps is smallest when they are equal.
+    Evenly spaced updates attain it only when travel allows them; otherwise
+    every order with these counts scores strictly above it.
     """
     counts = np.asarray(counts, dtype=int)
     weights = scenario.weights()

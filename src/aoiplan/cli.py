@@ -208,7 +208,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _write_manifest(out, "enumerate", args)
     print(
         f"best order {'-'.join(map(str, result.best_order)) or '(none)'} "
-        f"objective={result.objective:.10g} solves={result.num_solves}"
+        f"objective={result.objective:.10g} solves={result.num_solves} "
+        f"pruned={result.num_pruned}"
     )
     return _unsettled_exit(result.num_nonconverged)
 
@@ -328,6 +329,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "nwaoi": result.objective,
                 "num_candidates": result.num_candidates,
                 "num_solves": result.num_solves,
+                "num_pruned": result.num_pruned,
             }
         )
     elif args.policy == "weight":

@@ -3,8 +3,11 @@
 The number of distinct visit orders for a given per-node update allocation
 is the multinomial coefficient, and the grid of allocations is bounded by
 each node's energy budget, so small instances can be enumerated exactly.
-Every candidate order is scored with a full trajectory solve. A budget
-guard refuses enumerations that would need more solves than allowed.
+A candidate order is scored with a full trajectory solve, unless the
+per-count floor of its allocation already exceeds the best objective found:
+then no order of that allocation can win, and none is solved (branch and
+bound, Land and Doig 1960). A budget guard refuses enumerations with more
+candidate orders than allowed, counting those it would skip.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from .bounds import all_max_updates
+from .bounds import all_max_updates, per_count_floor
 from .errors import BudgetExceededError
 from .scenario import Scenario
 from .solver import (
@@ -28,6 +31,7 @@ from .solver import (
 )
 
 DEFAULT_BUDGET = 100_000
+STATUS_PRUNED = "pruned"
 
 
 def schedule_count(counts: Sequence[int]) -> int:
@@ -103,10 +107,14 @@ def multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 @dataclass
 class EnumerationResult:
-    """Best order found by exhaustive search, with the full scoring table.
+    """Best order found by exact search, with the full scoring table.
 
-    ``num_nonconverged`` counts the candidates whose solve ended neither
-    optimal nor infeasible; it is kept whether or not the rows are.
+    ``num_solves`` counts the non-empty orders solved and ``num_pruned`` the
+    orders skipped because their count vector's floor exceeded the
+    incumbent; the empty order is always scored, so the two add up to
+    ``num_candidates - 1``. ``per_count`` holds the count vectors that were
+    solved. ``num_nonconverged`` counts the candidates whose solve ended
+    neither optimal nor infeasible; it is kept whether or not the rows are.
     """
 
     best_order: tuple[int, ...]
@@ -114,6 +122,7 @@ class EnumerationResult:
     objective: float
     num_candidates: int
     num_solves: int
+    num_pruned: int
     num_nonconverged: int
     per_count: dict[tuple[int, ...], tuple[tuple[int, ...], float, str]]
     rows: list[tuple[str, float, str, float]] = field(default_factory=list)
@@ -124,6 +133,7 @@ class EnumerationResult:
             "objective": float(self.objective),
             "num_candidates": int(self.num_candidates),
             "num_solves": int(self.num_solves),
+            "num_pruned": int(self.num_pruned),
             "best_solution": self.best_solution.to_document(),
         }
 
@@ -146,39 +156,49 @@ def _order_str(order: tuple[int, ...]) -> str:
     return "-".join(str(v) for v in order)
 
 
-def enumerate_optimal(
+def _search(
     scenario: Scenario,
-    budget: int = DEFAULT_BUDGET,
-    include_zero: bool = True,
-    max_total: int | None = None,
-    tol: float = DEFAULT_TOL,
-    keep_rows: bool = True,
+    budget: int,
+    max_total: int | None,
+    tol: float,
+    keep_rows: bool,
+    prune: bool,
 ) -> EnumerationResult:
-    """Score every admissible visit order and return the best trajectory.
-
-    Only solves with status ``optimal`` can win, overall or per count; the
-    rows keep every candidate's real status. Ties on the objective break
-    toward the lexicographically smallest order. Raises BudgetExceededError up front when the candidate count
-    exceeds ``budget``; nothing is solved in that case.
-    """
+    """Score the candidates of every count vector; with ``prune``, visit the
+    vectors by ascending floor and skip those whose floor exceeds the
+    incumbent's objective."""
     scenario.validate()
     max_counts = all_max_updates(scenario)
-    required = total_candidates(max_counts, include_zero, max_total)
+    required = total_candidates(max_counts, max_total=max_total)
     if required > budget:
         raise BudgetExceededError(required, budget)
 
+    combos = list(count_grid(max_counts, max_total=max_total))
+    floor = {combo: per_count_floor(scenario, combo) for combo in combos}
+    visit = sorted(combos, key=lambda combo: (floor[combo], combo)) if prune else combos
     best_key: tuple[float, tuple[int, ...]] | None = None
     best_solution: TrajectorySolution | None = None
     per_count: dict[tuple[int, ...], tuple[tuple[int, ...], float, str]] = {}
-    rows: list[tuple[str, float, str, float]] = []
+    rows_of: dict[tuple[int, ...], list[tuple[str, float, str, float]]] = {}
     num_solves = 0
-    num_candidates = 0
+    num_pruned = 0
     num_nonconverged = 0
 
-    for combo in count_grid(max_counts, include_zero, max_total):
+    for combo in visit:
+        rows = rows_of[combo] = []
+        # Every order with these counts scores at least the floor, so none
+        # can beat an incumbent below it. The empty order needs no real
+        # solve and is always scored.
+        if prune and best_key is not None and any(combo) and floor[combo] > best_key[0]:
+            num_pruned += schedule_count(combo)
+            if keep_rows:
+                rows.extend(
+                    (_order_str(order), math.inf, STATUS_PRUNED, math.inf)
+                    for order in multiset_permutations(combo)
+                )
+            continue
         count_best: tuple[float, tuple[int, ...]] | None = None
         for order in multiset_permutations(combo):
-            num_candidates += 1
             solution = solve_schedule(scenario, order, tol=tol)
             if len(order) > 0:
                 num_solves += 1
@@ -209,12 +229,36 @@ def enumerate_optimal(
         best_order=best_key[1],
         best_solution=best_solution,
         objective=best_key[0],
-        num_candidates=num_candidates,
+        num_candidates=required,
         num_solves=num_solves,
+        num_pruned=num_pruned,
         num_nonconverged=num_nonconverged,
         per_count=per_count,
-        rows=rows,
+        rows=[row for combo in combos for row in rows_of[combo]],
     )
+
+
+def enumerate_optimal(
+    scenario: Scenario,
+    budget: int = DEFAULT_BUDGET,
+    max_total: int | None = None,
+    tol: float = DEFAULT_TOL,
+    keep_rows: bool = True,
+) -> EnumerationResult:
+    """Best trajectory over every admissible visit order, by branch and bound.
+
+    Count vectors are visited by ascending ``per_count_floor`` (then
+    lexicographically), and a vector whose floor is strictly above the
+    objective of the best ``optimal`` solve so far is skipped unsolved: its
+    rows carry status ``pruned``. Every order with those counts scores at
+    least the floor, so the winner is the one exhaustive scoring would
+    pick. Only solves with status ``optimal`` can win; the rows keep every
+    solved candidate's real status, in count-grid order. Ties on the
+    objective break toward the lexicographically smallest order. Raises
+    BudgetExceededError up front when the candidate count, pruned ones
+    included, exceeds ``budget``; nothing is solved in that case.
+    """
+    return _search(scenario, budget, max_total, tol, keep_rows, prune=True)
 
 
 def per_count_best(
@@ -223,13 +267,7 @@ def per_count_best(
     max_total: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> dict[tuple[int, ...], tuple[tuple[int, ...], float, str]]:
-    """Best order and objective for each per-node update allocation."""
-    result = enumerate_optimal(
-        scenario,
-        budget=budget,
-        include_zero=True,
-        max_total=max_total,
-        tol=tol,
-        keep_rows=False,
-    )
-    return result.per_count
+    """Best order and objective for each per-node update allocation.
+
+    Scores every candidate: no vector is pruned."""
+    return _search(scenario, budget, max_total, tol, keep_rows=False, prune=False).per_count

@@ -186,12 +186,50 @@ def test_enumerate_artifacts(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("best order")
     doc = read_json(out / "result.json")
     assert doc["num_candidates"] == 5
-    assert doc["num_solves"] == 4
+    assert doc["num_solves"] == 2
+    assert doc["num_pruned"] == 2
     assert doc["objective"] >= doc["lower_bound"] - 1e-9
     assert doc["best_solution"]["status"] == "optimal"
     rows = read_lines(out / "enumeration.csv")
     assert rows[0] == "order,objective,status,kkt_residual"
     assert len(rows) == 6
+
+
+def test_enumerate_reports_pruned_candidates(tmp_path, capsys):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    assert main(["enumerate", "--scenario", path, "--out", str(out)]) == 0
+    assert "solves=2 pruned=2" in capsys.readouterr().out
+    assert read_json(out / "result.json")["num_pruned"] == 2
+    rows = [line.split(",") for line in read_lines(out / "enumeration.csv")[1:]]
+    assert [(row[0], row[2]) for row in rows] == [
+        ("", "optimal"),
+        ("2", "pruned"),
+        ("1", "pruned"),
+        ("1-2", "optimal"),
+        ("2-1", "optimal"),
+    ]
+    assert all(row[1] == row[3] == "" for row in rows if row[2] == "pruned")
+    assert main(["eval", "--scenario", path, "--policy", "enumerate"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["num_solves"], doc["num_pruned"]) == (2, 2)
+
+
+def test_enumerate_never_solves_pruned_nonconverged_order(tmp_path, capsys, monkeypatch):
+    stub = nonconverged_at((1,))
+    solved = []
+
+    def record(scenario, order, **kwargs):
+        solved.append(tuple(order))
+        return stub(scenario, order, **kwargs)
+
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", record)
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    assert main(["enumerate", "--scenario", path, "--out", str(out)]) == 0
+    assert (1,) not in solved
+    assert "1,,pruned," in read_lines(out / "enumeration.csv")
+    assert read_json(out / "result.json")["best_order"] == [1, 2]
 
 
 def test_enumerate_budget_exit_4(tmp_path, capsys):

@@ -9,6 +9,7 @@ from aoiplan import (
     BudgetExceededError,
     enumerate_optimal,
     lower_bound,
+    per_count_floor,
     per_count_best,
     schedule_count,
     solve_schedule,
@@ -54,7 +55,8 @@ def test_enumeration_matches_direct_solves():
     scenario = build_scenario([1, 1], weights=[0.35, 0.65])
     result = enumerate_optimal(scenario)
     assert result.num_candidates == 5
-    assert result.num_solves == 4
+    assert result.num_solves == 2
+    assert result.num_pruned == 2
     direct = {
         order: solve_schedule(scenario, list(order)).objective
         for order in [(), (1,), (2,), (1, 2), (2, 1)]
@@ -135,3 +137,37 @@ def test_nonconverged_count_kept_without_rows(monkeypatch):
     result = enumerate_optimal(scenario, keep_rows=False)
     assert result.rows == []
     assert result.num_nonconverged == 1
+
+
+@pytest.mark.parametrize(
+    "counts, kwargs",
+    [
+        ([3], {}),
+        ([2, 2], {}),
+        ([2, 2, 1], {}),
+        ([1, 1, 1, 1], {}),
+        ([2, 2, 2], {}),
+        ([2, 2], {"vmax": 4.0, "horizon": 400.0}),
+    ],
+)
+def test_branch_and_bound_matches_exhaustive_scoring(counts, kwargs):
+    scenario = build_scenario(counts, **kwargs)
+    result = enumerate_optimal(scenario)
+    table = per_count_best(scenario)
+    best_order, best_objective, _ = min(table.values(), key=lambda v: (v[1], v[0]))
+    assert result.best_order == best_order
+    assert result.objective == best_objective
+    assert result.best_solution.objective == best_objective
+    assert result.num_solves + result.num_pruned == result.num_candidates - 1
+    assert result.num_pruned > 0
+    for order_str, objective, status, kkt in result.rows:
+        if status != "pruned":
+            continue
+        assert objective == float("inf") and kkt == float("inf")
+        order = [int(v) for v in order_str.split("-")]
+        combo = [order.count(m + 1) for m in range(len(counts))]
+        assert per_count_floor(scenario, combo) > result.objective
+    if kwargs:
+        # Slow flight: the winner leaves one update of the budget unused.
+        assert result.best_order == (2, 1, 2)
+        assert len(result.best_order) < sum(counts)

@@ -84,6 +84,7 @@ from .solver import (
     check_solution,
     solve_min_speed,
     solve_schedule,
+    solve_schedules,
 )
 
 __version__ = "0.1.0"

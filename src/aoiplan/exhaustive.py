@@ -6,8 +6,11 @@ each node's energy budget, so small instances can be enumerated exactly.
 A candidate order is scored with a full trajectory solve, unless the
 per-count floor of its allocation already exceeds the best objective found:
 then no order of that allocation can win, and none is solved (branch and
-bound, Land and Doig 1960). A budget guard refuses enumerations with more
-candidate orders than allowed, counting those it would skip.
+bound, Land and Doig 1960). The orders of a count vector share the shape
+of their program, so a vector with more than one order is solved as one
+stack (`solve_schedules`); a vector with one order goes to
+`solve_schedule`. A budget guard refuses enumerations with more candidate
+orders than allowed, counting those it would skip.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .solver import (
     STATUS_OPTIMAL,
     TrajectorySolution,
     solve_schedule,
+    solve_schedules,
 )
 
 DEFAULT_BUDGET = 100_000
@@ -198,8 +202,12 @@ def _search(
                 )
             continue
         count_best: tuple[float, tuple[int, ...]] | None = None
-        for order in multiset_permutations(combo):
-            solution = solve_schedule(scenario, order, tol=tol)
+        orders = list(multiset_permutations(combo))
+        if len(orders) > 1:
+            solutions = solve_schedules(scenario, orders, tol=tol)
+        else:
+            solutions = [solve_schedule(scenario, orders[0], tol=tol)]
+        for order, solution in zip(orders, solutions):
             if len(order) > 0:
                 num_solves += 1
             if solution.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE):

@@ -7,7 +7,6 @@ resets to its floor whenever it uploads an update.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,8 +163,9 @@ def write_aoi_trace_csv(
 ) -> None:
     """Write the sampled age trace as CSV: time_s, then one column per node."""
     grid, ages = aoi_trace(scenario, times, num_samples)
+    header = ",".join(["time_s"] + [f"age_node_{m + 1}_s" for m in range(scenario.num_nodes)])
+    # One format per row, with the \r\n line ends csv.writer would give.
+    row = ",".join(["%.10g"] * (scenario.num_nodes + 1)) + "\r\n"
+    table = np.column_stack([grid, ages]).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s"] + [f"age_node_{m + 1}_s" for m in range(scenario.num_nodes)])
-        for i in range(grid.size):
-            writer.writerow([f"{grid[i]:.10g}"] + [f"{ages[i, m]:.10g}" for m in range(scenario.num_nodes)])
+        fh.write(header + "\r\n" + "".join(row % tuple(values) for values in table))

@@ -20,6 +20,10 @@ from .errors import ScenarioError
 
 FORMAT_VERSION = 1
 
+# The libyaml parser where PyYAML was built with it; the same documents
+# come out of the pure-Python one, only slower.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 # Defaults mirror the reference evaluation setup: 1 MHz bandwidth, 10 Mbit
 # update packets, -100 dBm noise floor, 80 m cruise altitude, 25 m/s per-axis
 # speed limit, 900 s mission horizon, 1 km square region.
@@ -261,7 +265,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario document from a YAML file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"could not parse scenario file: {exc}") from exc
     return from_document(doc)

@@ -11,10 +11,18 @@ The same machinery also solves the minimum-cruise-speed program over the
 fixed evenly spaced full-budget schedule (linear objective in the speed
 variable).
 
-A program keeps its linear constraint rows only as (row, column, value)
-nonzeros. Constraint values, Jacobian products and the Newton matrix are
-each a gather over those nonzeros and one `np.bincount`; the nv x nv Newton
-system is then solved dense.
+A program keeps its objective's P and its linear constraint rows only as
+(row, column, value) nonzeros. Constraint values, Jacobian products and the
+Newton matrix are each a gather over those nonzeros and one `np.bincount`;
+the nv x nv Newton system is then solved dense.
+
+There are two loops. `_solve_ipm` solves one program. `_solve_ipm_stack`
+solves programs of equal shape, such as the orders of one count vector, as
+one block-diagonal stack: one Newton solve per iteration for all of them,
+with every per-problem quantity of the scalar loop kept per problem, so each
+result equals the scalar one. `solve_schedules` stacks the programs that
+share their shape and leaves a program with no partner to the scalar loop,
+which is faster for one problem.
 
 Everything inside the solver runs in nondimensional units: times divided
 by the horizon, coordinates by the scenario's length scale, and each
@@ -29,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -74,16 +83,23 @@ def validate_order(order: Sequence[int], num_nodes: int) -> tuple[int, ...]:
 class _Program:
     """minimize 0.5 z'Pz + q'z + r0  s.t.  Gz + g + balls(z) <= 0.
 
-    G is kept as its nonzeros alone: entry e puts G_val[e] at row G_row[e],
-    column G_col[e]. Energy-ball entry e adds
+    P and G are kept as their nonzeros alone: entry e puts G_val[e] at row
+    G_row[e], column G_col[e], and likewise for P. Energy-ball entry e adds
     ball_coef[e] * (z[ball_var[e]] - ball_center[e])**2 to constraint row
     ball_row[e]. The constraint Jacobian has one nonzero per G entry and then
     one per ball entry; `jacobian` returns their values at a point. The pairs
     of Jacobian nonzeros that share a row, which assemble the Newton matrix,
-    are found once, when the program is made.
+    are found when it is first needed.
+
+    A program may hold ``num_problems`` problems of equal shape, stacked
+    block-diagonally (see `_stack`): the vectors hold the problems one after
+    another, `objective` gives one value per problem and `newton_matrix` one
+    matrix per problem.
     """
 
-    P: np.ndarray
+    P_row: np.ndarray
+    P_col: np.ndarray
+    P_val: np.ndarray
     q: np.ndarray
     r0: float
     G_row: np.ndarray
@@ -95,49 +111,52 @@ class _Program:
     ball_center: np.ndarray
     ball_coef: np.ndarray
     labels: list[str]
+    num_problems: int = 1
     _jac_row: np.ndarray = field(init=False, repr=False)
     _jac_col: np.ndarray = field(init=False, repr=False)
     _two_coef: np.ndarray = field(init=False, repr=False)
-    _pair_a: np.ndarray = field(init=False, repr=False)
-    _pair_b: np.ndarray = field(init=False, repr=False)
-    _pair_row: np.ndarray = field(init=False, repr=False)
-    _newton_flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nv = self.num_vars
-        rows = np.concatenate([self.G_row, self.ball_row])
-        cols = np.concatenate([self.G_col, self.ball_var])
-        self._jac_row = rows
-        self._jac_col = cols
+        self._jac_row = np.concatenate([self.G_row, self.ball_row])
+        self._jac_col = np.concatenate([self.G_col, self.ball_var])
         self._two_coef = 2.0 * self.ball_coef
+
+    @cached_property
+    def _newton_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # Every ordered pair (a, b) of Jacobian nonzeros that share a row r
         # adds w_r * J_a * J_b to entry (col_a, col_b) of J'WJ. Sorted by row,
         # a row's nonzeros are contiguous, and partner b runs over them. The
         # pairs are followed by the diagonal entries that carry the ball
-        # curvature.
+        # curvature and then by P. Indices are into the stack of nv x nv
+        # matrices; a row's nonzeros all belong to one problem.
+        nv = self.num_vars
+        rows, cols = self._jac_row, self._jac_col
         by_row = np.argsort(rows, kind="stable")
-        per_row = np.bincount(rows, minlength=self.num_cons)
+        per_row = np.bincount(rows, minlength=self.g.size)
         reps = per_row[rows[by_row]]
         a = np.repeat(by_row, reps)
         first = np.cumsum(per_row) - per_row
         b = by_row[first[rows[a]] + np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)]
-        self._pair_a = a
-        self._pair_b = b
-        self._pair_row = rows[a]
-        self._newton_flat = np.concatenate([cols[a] * nv + cols[b], self.ball_var * (nv + 1)])
+        flat = np.concatenate(
+            [cols[a] * nv + cols[b] % nv, self.ball_var * nv + self.ball_var % nv,
+             self.P_row * nv + self.P_col % nv]
+        )
+        return a, b, rows[a], flat
 
     @property
     def num_vars(self) -> int:
-        return self.q.size
+        """Variables of one problem."""
+        return self.q.size // self.num_problems
 
     @property
     def num_cons(self) -> int:
-        return self.g.size
+        """Constraint rows of one problem."""
+        return self.g.size // self.num_problems
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
         d = z[self.ball_var] - self.ball_center
         terms = np.concatenate([self.G_val * z[self.G_col], self.ball_coef * d * d])
-        return np.bincount(self._jac_row, weights=terms, minlength=self.num_cons) + self.g
+        return np.bincount(self._jac_row, weights=terms, minlength=self.g.size) + self.g
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Values of the Jacobian nonzeros at z."""
@@ -145,31 +164,54 @@ class _Program:
 
     def jac_t_dot(self, jac: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J'v for the Jacobian values ``jac``."""
-        return np.bincount(self._jac_col, weights=jac * v[self._jac_row], minlength=self.num_vars)
+        return np.bincount(self._jac_col, weights=jac * v[self._jac_row], minlength=self.q.size)
 
     def jac_dot(self, jac: np.ndarray, dz: np.ndarray) -> np.ndarray:
         """J dz for the Jacobian values ``jac``."""
-        return np.bincount(self._jac_row, weights=jac * dz[self._jac_col], minlength=self.num_cons)
-
-    def objective(self, z: np.ndarray) -> float:
-        return 0.5 * float(z @ self.P @ z) + float(self.q @ z) + self.r0
+        return np.bincount(self._jac_row, weights=jac * dz[self._jac_col], minlength=self.g.size)
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
-        return self.P @ z + self.q
+        pz = np.bincount(self.P_row, weights=self.P_val * z[self.P_col], minlength=self.q.size)
+        return pz + self.q
+
+    def objective(self, z: np.ndarray) -> np.ndarray:
+        """The objective of each problem: z'(0.5 Pz + q) + r0."""
+        half = 0.5 * (self.objective_grad(z) + self.q)
+        return (z * half).reshape(self.num_problems, -1).sum(axis=1) + self.r0
 
     def newton_matrix(self, jac: np.ndarray, lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """P + sum_r lam_r * Hess(f_r) + J' diag(weights) J, where ``jac``
-        holds the Jacobian values at the point that lam and weights belong to."""
+        """P + sum_r lam_r * Hess(f_r) + J' diag(weights) J for each problem,
+        shaped (num_problems, nv, nv), where ``jac`` holds the Jacobian values
+        at the point that lam and weights belong to."""
         nv = self.num_vars
+        pair_a, pair_b, pair_row, flat = self._newton_pairs
         scaled = np.concatenate(
             [
-                jac[self._pair_a] * jac[self._pair_b] * weights[self._pair_row],
+                jac[pair_a] * jac[pair_b] * weights[pair_row],
                 self._two_coef * lam[self.ball_row],
+                self.P_val,
             ]
         )
-        mat = np.bincount(self._newton_flat, weights=scaled, minlength=nv * nv).reshape(nv, nv)
-        mat += self.P
-        return mat
+        mat = np.bincount(flat, weights=scaled, minlength=self.num_problems * nv * nv)
+        return mat.reshape(self.num_problems, nv, nv)
+
+
+def _stack(programs: Sequence[_Program]) -> _Program:
+    """One program holding ``programs``, which share their shape and r0,
+    block-diagonally: problem b's rows are offset by b*m and its columns by
+    b*nv. Each row's terms keep their order, so every problem's values,
+    products and Newton matrix equal the ones its own program gives."""
+    num = len(programs)
+    cols = programs[0].num_vars * np.arange(num)[:, None]
+    rows = programs[0].num_cons * np.arange(num)[:, None]
+    offsets = {"P_row": cols, "P_col": cols, "G_col": cols, "ball_var": cols,
+               "G_row": rows, "ball_row": rows}
+    arrays = {}
+    for name in ("P_row", "P_col", "P_val", "q", "G_row", "G_col", "G_val", "g",
+                 "ball_row", "ball_var", "ball_center", "ball_coef"):
+        arr = np.stack([getattr(p, name) for p in programs])
+        arrays[name] = (arr + offsets[name] if name in offsets else arr).ravel()
+    return _Program(**arrays, r0=programs[0].r0, labels=[], num_problems=num)
 
 
 @dataclass
@@ -180,6 +222,22 @@ class _IpmResult:
     iterations: int
     kkt_residual: float
     message: str = ""
+
+
+def _newton_step(m_red: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve m_red dz = rhs; while that fails or is not finite, retry with a
+    ridge that starts at 1e-10 of the largest entry and grows 100-fold.
+    None when six tries give no finite step."""
+    ridge = 0.0
+    for _ in range(6):
+        try:
+            dz = np.linalg.solve(m_red if ridge == 0.0 else m_red + ridge * np.eye(rhs.size), rhs)
+        except np.linalg.LinAlgError:
+            dz = None
+        if dz is not None and np.isfinite(dz).all():
+            return dz
+        ridge = max(ridge * 100.0, 1e-10 * max(1.0, float(np.max(np.abs(m_red)))))
+    return None
 
 
 def _solve_ipm(
@@ -222,26 +280,15 @@ def _solve_ipm(
         if dual_inf <= tol and eta <= tol:
             status = STATUS_OPTIMAL
             break
-        if stop_below is not None and program.objective(z) < stop_below:
+        if stop_below is not None and program.objective(z)[0] < stop_below:
             status = STATUS_OPTIMAL
             break
 
         weights = lam / (-f)
-        m_red = program.newton_matrix(jac, lam, weights)
+        m_red = program.newton_matrix(jac, lam, weights)[0]
         rhs = -(r_dual + program.jac_t_dot(jac, r_cent / f))
-        dz = None
-        ridge = 0.0
-        for _ in range(6):
-            try:
-                dz = np.linalg.solve(
-                    m_red if ridge == 0.0 else m_red + ridge * np.eye(program.num_vars), rhs
-                )
-            except np.linalg.LinAlgError:
-                dz = None
-            if dz is not None and np.isfinite(dz).all():
-                break
-            ridge = max(ridge * 100.0, 1e-10 * max(1.0, float(np.max(np.abs(m_red)))))
-        if dz is None or not np.isfinite(dz).all():
+        dz = _newton_step(m_red, rhs)
+        if dz is None:
             message = f"Newton step not finite after ridge retries at iteration {iterations}"
             break
         dlam = (r_cent - lam * program.jac_dot(jac, dz)) / f
@@ -292,36 +339,217 @@ def _solve_ipm(
     )
 
 
-def _phase1(
-    program: _Program, z0: np.ndarray, tol: float, max_iters: int
-) -> tuple[np.ndarray | None, float, int]:
-    """Find a strictly interior point, or certify there is none.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i, summed as the 1-D product sums it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    Minimizes the worst scaled violation s over (z, s). Returns
-    (interior point or None, final s, iterations used).
+
+def _solve_ipm_stack(
+    programs: Sequence[_Program],
+    z0: np.ndarray,
+    tol: float,
+    max_iters: int,
+    stop_below: float | None = None,
+) -> list[_IpmResult]:
+    """`_solve_ipm` on programs of equal shape at once, starting from the
+    rows of ``z0``, with one stacked Newton solve per iteration.
+
+    Every quantity of the scalar loop is kept per problem: duality measure,
+    step to the boundary, both line searches, ridge retries and the stop
+    message, so each result is the one `_solve_ipm` gives on that program
+    alone. A problem that stops is frozen: its step is zero and its Newton
+    system is left out. The stack is rebuilt from the running problems once
+    half of it has stopped.
     """
+    results: list[_IpmResult | None] = [None] * len(programs)
+    ids = np.arange(len(programs))
+    stack = _stack(programs)
+    nv, m = stack.num_vars, stack.num_cons
+    z = z0.copy()
+    f = stack.constraint_values(z.ravel()).reshape(-1, m)
+    if np.any(f >= 0.0):
+        raise ValueError("interior-point start must be strictly feasible")
+    lam = 1.0 / np.maximum(-f, 1e-8)
+    jac = stack.jacobian(z.ravel())
+    r_dual = (stack.objective_grad(z.ravel()) + stack.jac_t_dot(jac, lam.ravel())).reshape(-1, nv)
+    live = np.ones(len(programs), dtype=bool)
+    kkt = np.full(len(programs), math.inf)
+    iterations = 0
+
+    def stop(slots: np.ndarray, status: str, message: str) -> None:
+        if not slots.any():
+            return
+        for s in np.flatnonzero(slots):
+            results[ids[s]] = _IpmResult(
+                z=z[s].copy(), lam=lam[s].copy(), status=status, iterations=iterations,
+                kkt_residual=float(kkt[s]), message=message,
+            )
+        live[slots] = False
+
+    for it in range(max_iters):
+        iterations = it + 1
+        if 2 * live.sum() <= live.size:
+            ids, z, lam, f, r_dual, kkt = (a[live] for a in (ids, z, lam, f, r_dual, kkt))
+            live = live[live]
+            stack = _stack([programs[i] for i in ids])
+            jac = stack.jacobian(z.ravel())
+        eta = -_row_dots(f, lam)
+        t_bar = _MU * m / np.maximum(eta, 1e-300)
+        r_cent = -lam * f - (1.0 / t_bar)[:, None]
+        res_norm = np.sqrt(_row_dots(r_dual, r_dual) + _row_dots(r_cent, r_cent))
+
+        dual_inf = np.abs(r_dual).max(axis=1)
+        comp = np.abs(lam * f).max(axis=1)
+        kkt = np.where(live, np.where(comp > dual_inf, comp, dual_inf), kkt)
+        done = live & (dual_inf <= tol) & (eta <= tol)
+        if stop_below is not None:
+            done |= live & (stack.objective(z.ravel()) < stop_below)
+        stop(done, STATUS_OPTIMAL, "")
+        if not live.any():
+            break
+
+        weights = lam / (-f)
+        m_red = stack.newton_matrix(jac, lam.ravel(), weights.ravel())
+        rhs = -(r_dual + stack.jac_t_dot(jac, (r_cent / f).ravel()).reshape(-1, nv))
+        dz = np.zeros_like(z)
+        try:
+            dz[live] = np.linalg.solve(m_red[live], rhs[live][:, :, None])[:, :, 0]
+            retry = live & ~np.isfinite(dz).all(axis=1)
+        except np.linalg.LinAlgError:
+            retry = live.copy()
+        failed = np.zeros_like(live)
+        for s in np.flatnonzero(retry):
+            dz_s = _newton_step(m_red[s], rhs[s])
+            failed[s] = dz_s is None
+            dz[s] = 0.0 if dz_s is None else dz_s
+        stop(failed, STATUS_MAX_ITERATIONS,
+             f"Newton step not finite after ridge retries at iteration {iterations}")
+        j_dz = stack.jac_dot(jac, dz.ravel()).reshape(-1, m)
+        dlam = np.where(live[:, None], (r_cent - lam * j_dz) / f, 0.0)
+
+        neg = dlam < 0.0
+        step = 0.99 * np.where(neg, lam / np.where(neg, -dlam, 1.0), np.inf).min(axis=1)
+        step = np.where(live, np.where(step < 1.0, step, 1.0), 0.0)
+        # The two searches of `_solve_ipm`, each problem cutting its own step;
+        # a search ends when every problem has found its point.
+        searching = live.copy()
+        for trial in range(80):
+            z_new = z + step[:, None] * dz
+            f_new = stack.constraint_values(z_new.ravel()).reshape(-1, m)
+            found = searching & (f_new < 0.0).all(axis=1)
+            if trial:
+                stop(found & ~(z_new != z).any(axis=1), STATUS_MAX_ITERATIONS,
+                     f"line search found no strictly feasible step at iteration {iterations}")
+            searching &= ~found
+            if not searching.any():
+                break
+            step[searching] *= _LS_BETA
+        stop(searching, STATUS_MAX_ITERATIONS,
+             f"line search found no strictly feasible step at iteration {iterations}")
+        searching = live.copy()
+        for trial in range(80):
+            if trial:
+                z_new = z + step[:, None] * dz
+                f_new = stack.constraint_values(z_new.ravel()).reshape(-1, m)
+            lam_new = lam + step[:, None] * dlam
+            jac_new = stack.jacobian(z_new.ravel())
+            rd_new = stack.objective_grad(z_new.ravel()) + stack.jac_t_dot(jac_new, lam_new.ravel())
+            rd_new = rd_new.reshape(-1, nv)
+            rc_new = -lam_new * f_new - (1.0 / t_bar)[:, None]
+            new_norm = np.sqrt(_row_dots(rd_new, rd_new) + _row_dots(rc_new, rc_new))
+            found = (
+                searching
+                & (f_new < 0.0).all(axis=1)
+                & (lam_new > 0.0).all(axis=1)
+                & (new_norm <= (1.0 - _LS_ALPHA * step) * res_norm + 1e-14)
+            )
+            if trial:
+                stop(found & ~(z_new != z).any(axis=1), STATUS_MAX_ITERATIONS,
+                     f"line search found no residual decrease at iteration {iterations}")
+            searching &= ~found
+            if not searching.any():
+                break
+            step[searching] *= _LS_BETA
+        stop(searching, STATUS_MAX_ITERATIONS,
+             f"line search found no residual decrease at iteration {iterations}")
+        # Stopped problems keep their point.
+        keep = live[:, None]
+        z, lam, f, r_dual = (
+            np.where(keep, new, old)
+            for new, old in ((z_new, z), (lam_new, lam), (f_new, f), (rd_new, r_dual))
+        )
+        jac = stack.jacobian(z.ravel())
+    stop(live, STATUS_MAX_ITERATIONS, f"no convergence within {max_iters} iterations")
+    return results  # type: ignore[return-value]
+
+
+# Most problems one stacked solve holds; a larger group runs in chunks.
+STACK_SIZE = 1024
+
+
+def _solve_many(
+    programs: Sequence[_Program],
+    starts: Sequence[np.ndarray],
+    tol: float,
+    max_iters: int,
+    stop_below: float | None = None,
+) -> list[_IpmResult]:
+    """`_solve_ipm` on each program. Programs of equal shape are solved
+    together, up to STACK_SIZE at a time, by `_solve_ipm_stack`; a program
+    with no partner runs the scalar loop, which is the faster one alone."""
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(programs):
+        key = (p.num_vars, p.num_cons, p.G_row.size, p.ball_row.size, p.P_row.size, p.r0)
+        groups.setdefault(key, []).append(i)
+    results: list[_IpmResult | None] = [None] * len(programs)
+    for members in groups.values():
+        for lo in range(0, len(members), STACK_SIZE):
+            chunk = members[lo : lo + STACK_SIZE]
+            if len(chunk) == 1:
+                out = [_solve_ipm(programs[chunk[0]], starts[chunk[0]], tol, max_iters, stop_below)]
+            else:
+                out = _solve_ipm_stack(
+                    [programs[i] for i in chunk], np.stack([starts[i] for i in chunk]),
+                    tol, max_iters, stop_below,
+                )
+            for i, result in zip(chunk, out):
+                results[i] = result
+    return results  # type: ignore[return-value]
+
+
+_NO_ENTRIES = np.zeros(0, dtype=np.intp)
+
+
+def _phase1_program(program: _Program) -> _Program:
+    """Minimize the worst scaled violation s over (z, s): each row gets -s."""
     n = program.num_vars
     m = program.num_cons
-    prog1 = replace(
+    return replace(
         program,
-        P=np.zeros((n + 1, n + 1)),
+        P_row=_NO_ENTRIES,
+        P_col=_NO_ENTRIES,
+        P_val=np.zeros(0),
         q=np.concatenate([np.zeros(n), [1.0]]),
         r0=0.0,
         G_row=np.concatenate([program.G_row, np.arange(m)]),
         G_col=np.concatenate([program.G_col, np.full(m, n)]),
         G_val=np.concatenate([program.G_val, -np.ones(m)]),
     )
-    f0 = program.constraint_values(z0)
+
+
+def _phase1_start(program: _Program, z0: np.ndarray) -> np.ndarray:
     # Keep the worst-violated row's slack comparable to the others; starting
     # with max(f) + 1 leaves it absurdly uncentered and the iteration crawls.
-    s0 = 2.0 * float(np.max(f0)) + 1.0
-    z_aug = np.concatenate([z0, [s0]])
-    result = _solve_ipm(prog1, z_aug, tol, max_iters, stop_below=-_STRICT_MARGIN)
-    s_final = float(result.z[-1])
+    s0 = 2.0 * float(np.max(program.constraint_values(z0))) + 1.0
+    return np.concatenate([z0, [s0]])
+
+
+def _phase1_point(program: _Program, result: _IpmResult) -> np.ndarray | None:
+    """The strictly interior point phase I found, or None: then there is none."""
     z_final = result.z[:-1]
-    if s_final < -_STRICT_MARGIN and np.all(program.constraint_values(z_final) < 0.0):
-        return z_final, s_final, result.iterations
-    return None, s_final, result.iterations
+    if result.z[-1] < -_STRICT_MARGIN and np.all(program.constraint_values(z_final) < 0.0):
+        return z_final
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +747,6 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
     # A node's squared gaps between its instants s, fenced by 0 and 1, sum to
     # s'Qs - 2 s_last + 1, with Q tridiagonal: 2 on the diagonal, -1 beside
     # it. The weighted 1s sum to r0 = 1.
-    nv = 3 * n
     t_idx = np.arange(n)
     w = scenario.weights()[node]
     by_node = np.argsort(node, kind="stable")
@@ -527,11 +754,7 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
     a = by_node[:-1][same]
     b = by_node[1:][same]
     last = by_node[np.append(~same, True)]
-    p_mat = np.zeros((nv, nv))
-    p_mat[t_idx, t_idx] = 4.0 * w
-    p_mat[a, b] = -2.0 * w[a]
-    p_mat[b, a] = -2.0 * w[a]
-    q_vec = np.zeros(nv)
+    q_vec = np.zeros(3 * n)
     q_vec[last] = -2.0 * w[last]
 
     # Rows: the energy balls and speed legs, then ordering, time_lo, time_hi.
@@ -563,7 +786,9 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
     labels += [f"time_hi_{i}" for i in range(1, n + 1)]
 
     return _Program(
-        p_mat,
+        np.concatenate([t_idx, a, b]),
+        np.concatenate([t_idx, b, a]),
+        np.concatenate([4.0 * w, -2.0 * w[a], -2.0 * w[a]]),
         q_vec,
         1.0,
         np.concatenate([rows, far, far + 1, ordering, ordering, time_lo, time_hi]),
@@ -590,56 +815,107 @@ def solve_schedule(
     'infeasible'. A solve that stops short of convergence comes back as
     'max_iterations' and says why in ``message``.
     """
-    order_t = validate_order(order, scenario.num_nodes)
+    return solve_schedules(scenario, [order], tol, max_iters)[0]
+
+
+def solve_schedules(
+    scenario: Scenario,
+    orders: Sequence[Sequence[int]],
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> list[TrajectorySolution]:
+    """`solve_schedule` for each order, with the same results.
+
+    The programs of equal shape (the orders of one count vector, for one)
+    run as one stacked interior-point iteration, first through phase I for
+    those whose straight-run start is not strictly interior and then
+    through the main phase; see `_solve_many`.
+    """
+    orders_t = [validate_order(order, scenario.num_nodes) for order in orders]
     scenario.validate()
-    if len(order_t) == 0:
-        return TrajectorySolution(
-            status=STATUS_OPTIMAL,
-            order=order_t,
-            times_s=np.zeros(0),
-            waypoints_xy=np.zeros((0, 2)),
-            objective=1.0,
-            solver_objective=1.0,
-            kkt_residual=0.0,
-            iterations=0,
-            duals=np.zeros(0),
-            constraint_labels=[],
-            coincident_pairs=[],
-            used_phase1=False,
+    solutions: list[TrajectorySolution | None] = [None] * len(orders_t)
+    programs: dict[int, _Program] = {}
+    starts: dict[int, np.ndarray] = {}
+    for i, order in enumerate(orders_t):
+        if not order:
+            solutions[i] = TrajectorySolution(
+                status=STATUS_OPTIMAL,
+                order=order,
+                times_s=np.zeros(0),
+                waypoints_xy=np.zeros((0, 2)),
+                objective=1.0,
+                solver_objective=1.0,
+                kkt_residual=0.0,
+                iterations=0,
+                duals=np.zeros(0),
+                constraint_labels=[],
+                coincident_pairs=[],
+                used_phase1=False,
+            )
+            continue
+        program = _schedule_program(scenario, order)
+        if isinstance(program, str):
+            solutions[i] = _infeasible_solution(order, program)
+            continue
+        programs[i] = program
+        starts[i] = _straight_start(scenario, len(order))
+
+    hard = [
+        i for i in programs if np.max(programs[i].constraint_values(starts[i])) >= -_STRICT_MARGIN
+    ]
+    phase1 = _solve_many(
+        [_phase1_program(programs[i]) for i in hard],
+        [_phase1_start(programs[i], starts[i]) for i in hard],
+        tol, max_iters, stop_below=-_STRICT_MARGIN,
+    )
+    phase1_iters = {}
+    for i, result in zip(hard, phase1):
+        z_feas = _phase1_point(programs[i], result)
+        if z_feas is None:
+            del programs[i]
+            solutions[i] = _infeasible_solution(
+                orders_t[i],
+                "no strictly interior trajectory exists "
+                f"(best scaled violation {result.z[-1]:.3g})",
+            )
+        else:
+            starts[i] = z_feas
+            phase1_iters[i] = result.iterations
+
+    main = _solve_many(list(programs.values()), [starts[i] for i in programs], tol, max_iters)
+    for (i, program), result in zip(programs.items(), main):
+        solutions[i] = _trajectory_solution(
+            scenario, orders_t[i], program, result, phase1_iters.get(i), tol
         )
+    return solutions  # type: ignore[return-value]
 
-    program = _schedule_program(scenario, order_t)
-    if isinstance(program, str):
-        return _infeasible_solution(order_t, program)
 
-    # Start on the straight run from start to end, at evenly spaced instants.
-    n = len(order_t)
-    horizon = scenario.uav.horizon_s
+def _straight_start(scenario: Scenario, n: int) -> np.ndarray:
+    """The scaled start on the straight run from start to end, at evenly
+    spaced instants."""
     r_scale = scenario.coordinate_scale()
     start = np.asarray(scenario.uav.initial) / r_scale
     end = np.asarray(scenario.uav.final) / r_scale
     frac = (np.arange(n) + 1.0) / (n + 1.0)
-    z0 = np.concatenate([frac, (start[:, None] + (end - start)[:, None] * frac).ravel()])
+    return np.concatenate([frac, (start[:, None] + (end - start)[:, None] * frac).ravel()])
 
-    used_phase1 = False
-    phase1_iters = 0
-    f0 = program.constraint_values(z0)
-    if np.max(f0) >= -_STRICT_MARGIN:
-        used_phase1 = True
-        z_feas, s_final, phase1_iters = _phase1(program, z0, tol, max_iters)
-        if z_feas is None:
-            return _infeasible_solution(
-                order_t,
-                f"no strictly interior trajectory exists (best scaled violation {s_final:.3g})",
-            )
-        z0 = z_feas
 
-    result = _solve_ipm(program, z0, tol, max_iters)
-
+def _trajectory_solution(
+    scenario: Scenario,
+    order: tuple[int, ...],
+    program: _Program,
+    result: _IpmResult,
+    phase1_iters: int | None,
+    tol: float,
+) -> TrajectorySolution:
+    """The solution of ``order`` from its main-phase result; ``phase1_iters``
+    is None when phase I did not run."""
+    n = len(order)
+    horizon = scenario.uav.horizon_s
     t, x, y = result.z.reshape(3, n)
     times = t * horizon
-    waypoints = np.column_stack([x, y]) * r_scale
-    per_node = split_by_node(list(order_t), times, scenario.num_nodes)
+    waypoints = np.column_stack([x, y]) * scenario.coordinate_scale()
+    per_node = split_by_node(list(order), times, scenario.num_nodes)
     objective = nwaoi(scenario, UpdateTimes(per_node))
     # A duality gap of tol blurs each instant by about sqrt(tol)*horizon,
     # so gaps below that are numerically a single instant.
@@ -650,17 +926,17 @@ def solve_schedule(
     ]
     return TrajectorySolution(
         status=result.status,
-        order=order_t,
+        order=order,
         times_s=times,
         waypoints_xy=waypoints,
         objective=objective,
-        solver_objective=program.objective(result.z),
+        solver_objective=float(program.objective(result.z)[0]),
         kkt_residual=result.kkt_residual,
-        iterations=result.iterations + phase1_iters,
+        iterations=result.iterations + (phase1_iters or 0),
         duals=result.lam,
         constraint_labels=list(program.labels),
         coincident_pairs=coincident,
-        used_phase1=used_phase1,
+        used_phase1=phase1_iters is not None,
         message=result.message,
     )
 
@@ -769,7 +1045,9 @@ def solve_min_speed(
     nf = int(free.sum())
     ball_row, ball_var, ball_center, ball_coef = balls
     program = _Program(
-        P=np.zeros((nf, nf)),
+        P_row=_NO_ENTRIES,
+        P_col=_NO_ENTRIES,
+        P_val=np.zeros(0),
         q=np.concatenate([np.zeros(nf - 1), [1.0]]),
         r0=0.0,
         G_row=rows[~pinned],

@@ -10,7 +10,7 @@ import aoiplan
 from aoiplan import load_agent, load_autoencoder, load_scenario, lower_bound, save_scenario
 from aoiplan.cli import main
 from aoiplan.nnet import save_checkpoint
-from conftest import build_scenario, nonconverged_at
+from conftest import build_scenario, nonconverged_at, nonconverged_in_stack_at
 
 
 def save(tmp_path, scenario, name="scenario.yaml"):
@@ -243,7 +243,7 @@ def test_enumerate_budget_exit_4(tmp_path, capsys):
 
 
 def test_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
     assert main(["enumerate", "--scenario", path, "--out", str(out)]) == 2
@@ -426,7 +426,7 @@ def test_eval_enumerate_document(tmp_path, capsys):
 
 
 def test_eval_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
     assert main(["eval", "--scenario", path, "--policy", "enumerate", "--out", str(out)]) == 2

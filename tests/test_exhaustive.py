@@ -16,7 +16,7 @@ from aoiplan import (
     total_candidates,
 )
 from aoiplan.exhaustive import count_grid, multiset_permutations
-from conftest import build_scenario, nonconverged_at
+from conftest import build_scenario, nonconverged_in_stack_at
 
 
 def test_schedule_count_multinomial():
@@ -119,7 +119,7 @@ def test_max_total_prunes_candidates():
 
 def test_nonconverged_solve_never_wins(monkeypatch):
     scenario = build_scenario([1, 1])
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
     result = enumerate_optimal(scenario)
     assert result.best_order != (2, 1)
     assert result.objective > 0.0
@@ -133,7 +133,7 @@ def test_nonconverged_solve_never_wins(monkeypatch):
 def test_nonconverged_count_kept_without_rows(monkeypatch):
     scenario = build_scenario([1, 1])
     assert enumerate_optimal(scenario, keep_rows=False).num_nonconverged == 0
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
     result = enumerate_optimal(scenario, keep_rows=False)
     assert result.rows == []
     assert result.num_nonconverged == 1

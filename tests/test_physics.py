@@ -215,3 +215,33 @@ def test_trace_csv_layout(tmp_path):
     assert len(rows) == 6
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == 900.0
+
+
+def _reference_trace_csv(path, scenario, times, num_samples=1001):
+    """The cell-by-cell csv.writer version of write_aoi_trace_csv."""
+    grid, ages = aoi_trace(scenario, times, num_samples)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s"] + [f"age_node_{m + 1}_s" for m in range(scenario.num_nodes)])
+        for i in range(grid.size):
+            writer.writerow([f"{grid[i]:.10g}"] + [f"{ages[i, m]:.10g}" for m in range(scenario.num_nodes)])
+
+
+@pytest.mark.parametrize(
+    "counts, per_node, floor",
+    [
+        ([1, 1], ([450.0], []), 0.0),
+        ([2, 1], ([300.0, 600.0], [450.0]), 0.0),
+        ([2, 1, 1], ([123.456789, 777.0], [1e-9], [899.999]), 2.5),
+        ([1], ([],), 7.0),
+    ],
+)
+def test_trace_csv_matches_csv_writer_bytes(tmp_path, counts, per_node, floor):
+    scenario = build_scenario(counts)
+    scenario.nodes[0].aoi_floor_s = floor
+    times = times_of(scenario, *per_node)
+    for num_samples in (1001, 7):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_aoi_trace_csv(got, scenario, times, num_samples=num_samples)
+        _reference_trace_csv(want, scenario, times, num_samples=num_samples)
+        assert got.read_bytes() == want.read_bytes()

@@ -177,3 +177,26 @@ def test_generate_scalar_region_is_square():
 def test_generate_rejects_zero_nodes():
     with pytest.raises(ScenarioError):
         generate_scenario(0, seed=1)
+
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["default", "python-loader"])
+def test_yaml_loaders_give_equal_scenarios(tmp_path, monkeypatch, capsys, fallback):
+    import yaml
+
+    from aoiplan import scenario as scenario_module
+    from aoiplan.cli import main
+
+    if fallback:
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.SafeLoader)
+    for i, scenario in enumerate([build_scenario([1, 2], weights=[0.4, 0.6]), generate_scenario(5, seed=3)]):
+        path = tmp_path / f"scenario_{i}.yaml"
+        save_scenario(scenario, path)
+        assert load_scenario(path) == scenario
+    for i, text in enumerate([b"nodes: [1, 2\n", b"a: b: c\n", b"\tformat_version: 1\n", b"\xff\xfe: 1\n"]):
+        path = tmp_path / f"bad_{i}.yaml"
+        path.write_bytes(text)
+        with pytest.raises(ScenarioError, match="could not parse"):
+            load_scenario(path)
+        assert main(["bounds", "--scenario", str(path)]) == 2
+    capsys.readouterr()

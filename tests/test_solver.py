@@ -506,7 +506,7 @@ def _ball_loop_jacobian(program, z):
 
 
 def _dense_newton_matrix(program, jac, lam, weights):
-    h = program.P.copy()
+    h = _dense(program.P_row, program.P_col, program.P_val, (program.num_vars,) * 2)
     for row, idx, center, coef in _balls(program):
         h[idx, idx] += 2.0 * coef * lam[row]
     return h + (jac.T * weights) @ jac
@@ -831,3 +831,153 @@ def test_iteration_limit_reason():
     assert result.iterations == 3
     assert result.message == "no convergence within 3 iterations"
     assert _solve_ipm(program, z0, 1e-6, 200).message == ""
+
+
+# ---------------------------------------------------------------------------
+# Stacked solves
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_solution(got, want):
+    key = (want.order, want.status)
+    assert got.order == want.order
+    assert (got.status, got.iterations, got.used_phase1, got.message) == (
+        want.status, want.iterations, want.used_phase1, want.message,
+    ), key
+    if want.status == STATUS_INFEASIBLE:
+        return
+    assert abs(got.objective - want.objective) <= 1e-12 * abs(want.objective), key
+    assert abs(got.kkt_residual - want.kkt_residual) <= 1e-12 * max(1.0, want.kkt_residual), key
+    assert np.max(np.abs(got.waypoints_xy - want.waypoints_xy), initial=0.0) <= 1e-6, key
+
+
+@pytest.mark.parametrize(
+    "counts, kwargs",
+    [([3], {}), ([2, 2], {}), ([2, 2, 1], {}), ([1, 1, 1, 1], {}), ([2, 2], {"vmax": 4.0, "horizon": 400.0})],
+)
+def test_stacked_solves_match_single_solves(counts, kwargs):
+    scenario = build_scenario(counts, **kwargs)
+    vectors = [list(multiset_permutations(c)) for c in count_grid(all_max_updates(scenario))]
+    singles = {order: solve_schedule(scenario, order) for orders in vectors for order in orders}
+    seen = set()
+    for orders in vectors:
+        if len(orders) > 1:
+            for got, order in zip(solver.solve_schedules(scenario, orders), orders):
+                _assert_same_solution(got, singles[order])
+                seen.add((got.status, got.used_phase1))
+    # All orders in one call: programs of unequal shape, singletons and the
+    # empty order side by side.
+    everything = [order for orders in vectors for order in orders]
+    for got, order in zip(solver.solve_schedules(scenario, everything), everything):
+        _assert_same_solution(got, singles[order])
+    # Phase I runs in the stack; the slow instance also has orders without
+    # an interior and orders that need no phase I.
+    if len(counts) > 1:
+        assert (STATUS_OPTIMAL, True) in seen
+    if kwargs:
+        assert {(STATUS_INFEASIBLE, False), (STATUS_OPTIMAL, False)} <= seen
+
+
+@pytest.mark.parametrize("stack_size", [1, 7])
+def test_stacked_results_do_not_depend_on_stack_size(monkeypatch, stack_size):
+    scenario = build_scenario([2, 2, 1])
+    orders = list(multiset_permutations([2, 2, 1]))
+    want = solver.solve_schedules(scenario, orders)
+    monkeypatch.setattr(solver, "STACK_SIZE", stack_size)
+    for got, solution in zip(solver.solve_schedules(scenario, orders), want):
+        _assert_same_solution(got, solution)
+
+
+def _only_start_evaluates(program, z0, method):
+    """``method`` of ``program`` gives its value at z0 and a bad one elsewhere:
+    every constraint positive, or a gradient 1e6 too large."""
+    good = getattr(program, method)(z0)
+    bad = np.ones_like(good) if method == "constraint_values" else good + 1e6
+    return good, bad
+
+
+def _mixed_programs():
+    """Healthy programs next to ones that fail: a NaN in q, a column nothing
+    touches (a singular Newton matrix every iteration, which only a ridge
+    solves), and two that evaluate well only at their start."""
+    program, z0 = _feasible_program()
+    other = _schedule_program(build_scenario([1, 1], vmax=1e3), (2, 1))
+    z_other = z0[[0, 1, 3, 2, 5, 4]]
+    nan_q = replace(program, q=program.q.copy())
+    nan_q.q[0] = np.nan
+    untouched = program.G_col == 5
+    singular = replace(
+        program,
+        G_val=np.where(untouched, 0.0, program.G_val),
+        ball_coef=np.where(program.ball_var == 5, 0.0, program.ball_coef),
+    )
+    infeasible_steps = replace(program)
+    stuck_residual = replace(program)
+    programs = [program, nan_q, other, singular, infeasible_steps, stuck_residual]
+    starts = [z0, z0, z_other, z0, z0, z0]
+    return programs, starts, {4: "constraint_values", 5: "objective_grad"}
+
+
+# Without the singular program, the stacked solve itself succeeds and the
+# NaN program's step comes out not finite; with it, the stacked solve raises.
+@pytest.mark.parametrize("members", [range(6), [0, 1, 2, 4, 5]], ids=["all", "no-singular"])
+def test_mixed_stack_matches_each_program_alone(monkeypatch, members):
+    programs, starts, patched = _mixed_programs()
+    programs = [programs[i] for i in members]
+    starts = [starts[i] for i in members]
+    patched = {list(members).index(i): method for i, method in patched.items()}
+    real_stack = solver._stack
+
+    def stack(members):
+        out = real_stack(members)
+        for i, method in patched.items():
+            slot = next((b for b, p in enumerate(members) if p is programs[i]), None)
+            if slot is None:
+                continue
+            good, bad = _only_start_evaluates(programs[i], starts[i], method)
+            original = getattr(out, method)
+
+            def evaluate(z, slot=slot, i=i, good=good, bad=bad, original=original):
+                values = original(z).reshape(len(members), -1)
+                at_start = np.array_equal(z.reshape(len(members), -1)[slot], starts[i])
+                values[slot] = good if at_start else bad
+                return values.ravel()
+
+            setattr(out, method, evaluate)
+        return out
+
+    singles = []
+    for i, program in enumerate(programs):
+        single = replace(program)
+        if i in patched:
+            good, bad = _only_start_evaluates(program, starts[i], patched[i])
+            setattr(single, patched[i], lambda z, g=good, b=bad, s=starts[i]: g if np.array_equal(z, s) else b)
+        singles.append(single)
+    monkeypatch.setattr(solver, "_stack", stack)
+    for max_iters in (3, 200):
+        stacked = solver._solve_ipm_stack(programs, np.stack(starts), 1e-6, max_iters)
+        alone = [_solve_ipm(p, z0, 1e-6, max_iters) for p, z0 in zip(singles, starts)]
+        for got, want in zip(stacked, alone):
+            assert (got.status, got.iterations, got.message) == (want.status, want.iterations, want.message)
+            for a, b in ((got.z, want.z), (got.lam, want.lam), (got.kkt_residual, want.kkt_residual)):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        messages = dict(zip(members, (result.message for result in stacked)))
+        healthy = [messages[i] for i in (0, 2, 3) if i in messages]
+        if max_iters == 200:
+            assert healthy == [""] * len(healthy)
+            assert messages[1] == "Newton step not finite after ridge retries at iteration 1"
+            assert messages[4] == "line search found no strictly feasible step at iteration 1"
+            assert messages[5] == "line search found no residual decrease at iteration 1"
+        else:
+            assert healthy == ["no convergence within 3 iterations"] * len(healthy)
+
+
+def test_singular_stack_member_needs_ridge():
+    programs, starts, _ = _mixed_programs()
+    singular = programs[3]
+    f = singular.constraint_values(starts[3])
+    lam = 1.0 / -f
+    matrix = singular.newton_matrix(singular.jacobian(starts[3]), lam, lam / -f)[0]
+    assert not matrix[5].any() and not matrix[:, 5].any()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(matrix, np.ones(6))

@@ -358,11 +358,9 @@ def _solve_ipm_stack(
     step to the boundary, both line searches, ridge retries and the stop
     message, so each result is the one `_solve_ipm` gives on that program
     alone. A problem that stops is frozen: its step is zero and its Newton
-    system is left out. The stack is rebuilt from the running problems once
-    half of it has stopped.
+    system is left out of the batched solve.
     """
     results: list[_IpmResult | None] = [None] * len(programs)
-    ids = np.arange(len(programs))
     stack = _stack(programs)
     nv, m = stack.num_vars, stack.num_cons
     z = z0.copy()
@@ -380,7 +378,7 @@ def _solve_ipm_stack(
         if not slots.any():
             return
         for s in np.flatnonzero(slots):
-            results[ids[s]] = _IpmResult(
+            results[s] = _IpmResult(
                 z=z[s].copy(), lam=lam[s].copy(), status=status, iterations=iterations,
                 kkt_residual=float(kkt[s]), message=message,
             )
@@ -388,11 +386,6 @@ def _solve_ipm_stack(
 
     for it in range(max_iters):
         iterations = it + 1
-        if 2 * live.sum() <= live.size:
-            ids, z, lam, f, r_dual, kkt = (a[live] for a in (ids, z, lam, f, r_dual, kkt))
-            live = live[live]
-            stack = _stack([programs[i] for i in ids])
-            jac = stack.jacobian(z.ravel())
         eta = -_row_dots(f, lam)
         t_bar = _MU * m / np.maximum(eta, 1e-300)
         r_cent = -lam * f - (1.0 / t_bar)[:, None]
@@ -412,11 +405,17 @@ def _solve_ipm_stack(
         m_red = stack.newton_matrix(jac, lam.ravel(), weights.ravel())
         rhs = -(r_dual + stack.jac_t_dot(jac, (r_cent / f).ravel()).reshape(-1, nv))
         dz = np.zeros_like(z)
+        solved = live.copy()
         try:
             dz[live] = np.linalg.solve(m_red[live], rhs[live][:, :, None])[:, :, 0]
-            retry = live & ~np.isfinite(dz).all(axis=1)
         except np.linalg.LinAlgError:
-            retry = live.copy()
+            # The solve raises only for a matrix with an exact zero pivot, as
+            # the LU of slogdet finds it: solve the others together, and
+            # leave those to the ridge rule of `_newton_step`.
+            with np.errstate(invalid="ignore"):
+                solved[live] = np.linalg.slogdet(m_red[live])[0] != 0.0
+            dz[solved] = np.linalg.solve(m_red[solved], rhs[solved][:, :, None])[:, :, 0]
+        retry = live & ~(solved & np.isfinite(dz).all(axis=1))
         failed = np.zeros_like(live)
         for s in np.flatnonzero(retry):
             dz_s = _newton_step(m_red[s], rhs[s])

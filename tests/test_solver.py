@@ -888,18 +888,26 @@ def test_stacked_results_do_not_depend_on_stack_size(monkeypatch, stack_size):
         _assert_same_solution(got, solution)
 
 
-def _only_start_evaluates(program, z0, method):
-    """``method`` of ``program`` gives its value at z0 and a bad one elsewhere:
-    every constraint positive, or a gradient 1e6 too large."""
-    good = getattr(program, method)(z0)
-    bad = np.ones_like(good) if method == "constraint_values" else good + 1e6
-    return good, bad
+def _evaluates_only_at(program, points, method):
+    """``method`` of ``program`` as a function that gives its true value at
+    each of ``points`` and a bad one elsewhere: every constraint positive, or
+    a gradient 1e6 too large."""
+    goods = [getattr(program, method)(point) for point in points]
+    bad = np.ones_like(goods[0]) if method == "constraint_values" else goods[0] + 1e6
+
+    def evaluate(z):
+        return next((good for point, good in zip(points, goods) if np.array_equal(z, point)), bad)
+
+    return evaluate
 
 
 def _mixed_programs():
     """Healthy programs next to ones that fail: a NaN in q, a column nothing
     touches (a singular Newton matrix every iteration, which only a ridge
-    solves), and two that evaluate well only at their start."""
+    solves), two that evaluate well only at their start, a slower one that
+    evaluates well only at its first 12 iterates, so it fails at iteration
+    13, after the healthy ones have converged at iteration 12, and a NaN
+    ball centre, which makes its Newton matrix NaN."""
     program, z0 = _feasible_program()
     other = _schedule_program(build_scenario([1, 1], vmax=1e3), (2, 1))
     z_other = z0[[0, 1, 3, 2, 5, 4]]
@@ -911,47 +919,68 @@ def _mixed_programs():
         G_val=np.where(untouched, 0.0, program.G_val),
         ball_coef=np.where(program.ball_var == 5, 0.0, program.ball_coef),
     )
-    infeasible_steps = replace(program)
-    stuck_residual = replace(program)
-    programs = [program, nan_q, other, singular, infeasible_steps, stuck_residual]
-    starts = [z0, z0, z_other, z0, z0, z0]
-    return programs, starts, {4: "constraint_values", 5: "objective_grad"}
+    slow = replace(program, q=100.0 * program.q, P_val=100.0 * program.P_val)
+    iterates = [z0] + [_solve_ipm(slow, z0, 1e-6, k).z for k in range(1, 13)]
+    nan_ball = replace(program, ball_center=program.ball_center.copy())
+    nan_ball.ball_center[0] = np.nan
+    programs = [program, nan_q, other, singular, replace(program), replace(program), slow, nan_ball]
+    starts = [z0, z0, z_other, z0, z0, z0, z0, z0]
+    patched = {4: (program, [z0], "constraint_values"), 5: (program, [z0], "objective_grad"),
+               6: (slow, iterates, "constraint_values")}
+    return programs, starts, {
+        i: (method, _evaluates_only_at(p, points, method)) for i, (p, points, method) in patched.items()
+    }
+
+
+_MIXED_FAILURES = {
+    1: "Newton step not finite after ridge retries at iteration 1",
+    4: "line search found no strictly feasible step at iteration 1",
+    5: "line search found no residual decrease at iteration 1",
+    6: "line search found no strictly feasible step at iteration 13",
+    7: "Newton step not finite after ridge retries at iteration 1",
+}
 
 
 # Without the singular program, the stacked solve itself succeeds and the
-# NaN program's step comes out not finite; with it, the stacked solve raises.
-@pytest.mark.parametrize("members", [range(6), [0, 1, 2, 4, 5]], ids=["all", "no-singular"])
+# NaN programs' steps come out not finite; with it, the stacked solve raises
+# and the matrices that can be solved, a NaN one among them, are solved again.
+# In "all-fail" every problem stops at iteration 1 and the loop must end with
+# no problem left; in "fail-after-healthy" the failing one outlives a healthy
+# one and then stops alone.
+@pytest.mark.parametrize(
+    "members",
+    [range(8), [0, 1, 2, 4, 5, 7], [1, 4], [4, 5], [0, 6], [6, 2, 3]],
+    ids=["all", "no-singular", "all-fail", "all-fail-line-search", "fail-after-healthy",
+         "fail-after-singular"],
+)
 def test_mixed_stack_matches_each_program_alone(monkeypatch, members):
     programs, starts, patched = _mixed_programs()
     programs = [programs[i] for i in members]
     starts = [starts[i] for i in members]
-    patched = {list(members).index(i): method for i, method in patched.items()}
+    patched = {list(members).index(i): patch for i, patch in patched.items() if i in members}
     real_stack = solver._stack
 
     def stack(members):
         out = real_stack(members)
-        for i, method in patched.items():
+        for i, (method, evaluate) in patched.items():
             slot = next((b for b, p in enumerate(members) if p is programs[i]), None)
             if slot is None:
                 continue
-            good, bad = _only_start_evaluates(programs[i], starts[i], method)
             original = getattr(out, method)
 
-            def evaluate(z, slot=slot, i=i, good=good, bad=bad, original=original):
+            def stacked(z, slot=slot, evaluate=evaluate, original=original):
                 values = original(z).reshape(len(members), -1)
-                at_start = np.array_equal(z.reshape(len(members), -1)[slot], starts[i])
-                values[slot] = good if at_start else bad
+                values[slot] = evaluate(z.reshape(len(members), -1)[slot])
                 return values.ravel()
 
-            setattr(out, method, evaluate)
+            setattr(out, method, stacked)
         return out
 
     singles = []
     for i, program in enumerate(programs):
         single = replace(program)
         if i in patched:
-            good, bad = _only_start_evaluates(program, starts[i], patched[i])
-            setattr(single, patched[i], lambda z, g=good, b=bad, s=starts[i]: g if np.array_equal(z, s) else b)
+            setattr(single, *patched[i])
         singles.append(single)
     monkeypatch.setattr(solver, "_stack", stack)
     for max_iters in (3, 200):
@@ -961,15 +990,31 @@ def test_mixed_stack_matches_each_program_alone(monkeypatch, members):
             assert (got.status, got.iterations, got.message) == (want.status, want.iterations, want.message)
             for a, b in ((got.z, want.z), (got.lam, want.lam), (got.kkt_residual, want.kkt_residual)):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-        messages = dict(zip(members, (result.message for result in stacked)))
-        healthy = [messages[i] for i in (0, 2, 3) if i in messages]
-        if max_iters == 200:
-            assert healthy == [""] * len(healthy)
-            assert messages[1] == "Newton step not finite after ridge retries at iteration 1"
-            assert messages[4] == "line search found no strictly feasible step at iteration 1"
-            assert messages[5] == "line search found no residual decrease at iteration 1"
-        else:
-            assert healthy == ["no convergence within 3 iterations"] * len(healthy)
+        for i, result in zip(members, stacked):
+            want = _MIXED_FAILURES.get(i, "")
+            if max_iters == 3 and i in (0, 2, 3, 6):
+                want = "no convergence within 3 iterations"
+            assert result.message == want, i
+
+
+def test_singular_stack_member_alone_takes_the_ridge_rule(monkeypatch):
+    # The batched solve raises for the singular matrix; only that problem
+    # goes through the scalar ridge rule, once per iteration that needs a
+    # step, and the others keep the batched solve.
+    programs, starts, _ = _mixed_programs()
+    members = [programs[i] for i in (0, 2, 3)]
+    calls = []
+    real_step = solver._newton_step
+
+    def newton_step(m_red, rhs):
+        calls.append(m_red)
+        return real_step(m_red, rhs)
+
+    monkeypatch.setattr(solver, "_newton_step", newton_step)
+    results = solver._solve_ipm_stack(members, np.stack([starts[i] for i in (0, 2, 3)]), 1e-6, 200)
+    assert [r.status for r in results] == [STATUS_OPTIMAL] * 3
+    assert len(calls) == results[2].iterations - 1
+    assert all(not m[5].any() and not m[:, 5].any() for m in calls)
 
 
 def test_singular_stack_member_needs_ridge():

@@ -142,11 +142,23 @@ class VectorTask(Protocol):
 
 
 class ScheduleTask:
-    """Visit-order environment wrapped behind a vector observation."""
+    """Visit-order environment wrapped behind a vector observation.
+
+    A state depends only on its order, so each order is encoded once; the
+    kept observations are read-only, since replay shares them.
+    """
 
     def __init__(self, env: ScheduleEnv, repr_: StateRepr):
         self.env = env
         self.repr = repr_
+        self._obs: dict[tuple[int, ...], np.ndarray] = {}
+
+    def _observe(self, state: StateMatrix) -> np.ndarray:
+        obs = self._obs.get(self.env.order)
+        if obs is None:
+            obs = self._obs[self.env.order] = self.repr.encode(state)
+            obs.flags.writeable = False
+        return obs
 
     @property
     def num_actions(self) -> int:
@@ -157,11 +169,11 @@ class ScheduleTask:
         return self.env.metric
 
     def reset(self) -> np.ndarray:
-        return self.repr.encode(self.env.reset())
+        return self._observe(self.env.reset())
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool]:
         transition = self.env.step(action)
-        return self.repr.encode(transition.next_state), transition.reward, transition.terminal
+        return self._observe(transition.next_state), transition.reward, transition.terminal
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,24 @@ def _parse_ints(text: str, flag: str) -> list[int]:
         raise _UsageError(f"{flag} expects a comma-separated integer list: {exc}") from exc
 
 
+def _parse_sizes(text: str, flag: str) -> list[int]:
+    sizes = _parse_ints(text, flag)
+    if any(v < 1 for v in sizes):
+        raise _UsageError(f"{flag} entries must be at least 1, got {text!r}")
+    return sizes
+
+
+def _count(text: str) -> int:
+    """Argument type of a size or count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
@@ -225,7 +243,7 @@ def _unsettled_exit(unsettled: int) -> int:
 
 def _dqn_config(args: argparse.Namespace) -> DqnConfig:
     return DqnConfig(
-        hidden_sizes=tuple(_parse_ints(args.hidden, "--hidden")),
+        hidden_sizes=tuple(_parse_sizes(args.hidden, "--hidden")),
         lr=args.lr,
         optimizer=args.optimizer,
         epsilon_end=args.epsilon_end,
@@ -237,6 +255,7 @@ def _dqn_config(args: argparse.Namespace) -> DqnConfig:
 
 
 def cmd_train_dqn(args: argparse.Namespace) -> int:
+    config = _dqn_config(args)
     scenario = _load(args.scenario)
     encoder = None
     if args.state_mode == "last_column":
@@ -254,7 +273,6 @@ def cmd_train_dqn(args: argparse.Namespace) -> int:
                 f"encoder reads {encoder.input_size} entries per column, "
                 f"a {scenario.num_nodes}-node scenario gives {scenario.num_nodes + 1}"
             )
-    config = _dqn_config(args)
     agent, curve = dqn_train(scenario, config, episodes=args.episodes, seed=args.seed, encoder=encoder)
     order, metric = greedy_evaluate(agent, scenario)
     out = _ensure_out(args.out)
@@ -277,13 +295,15 @@ def cmd_train_dqn(args: argparse.Namespace) -> int:
 
 
 def cmd_train_autoencoder(args: argparse.Namespace) -> int:
+    sizes = _parse_sizes(args.sizes, "--sizes")
+    if not sizes:
+        raise _UsageError("--sizes must list at least one state size")
+    hidden = _parse_sizes(args.hidden_sizes, "--hidden-sizes") if args.hidden_sizes else None
     scenario = _load(args.scenario)
     corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=args.seed)
     config = AutoencoderConfig(
         lr=args.lr, optimizer=args.optimizer, epochs=args.epochs, batch=args.batch
     )
-    sizes = _parse_ints(args.sizes, "--sizes")
-    hidden = _parse_ints(args.hidden_sizes, "--hidden-sizes") if args.hidden_sizes else None
     try:
         search = autoencoder_search(
             scenario, corpus, cell_sizes=sizes, hidden_sizes=hidden, config=config, seed=args.seed
@@ -468,6 +488,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for policy in policies
         for seed in seeds
     ]
+    if args.workers is None:
+        try:
+            args.workers = _count(os.environ.get("AOIPLAN_WORKERS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"AOIPLAN_WORKERS: {exc}") from exc
     workers = args.workers
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -547,15 +572,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-dqn", help="train the action-value planner")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--episodes", type=int, default=300)
+    p.add_argument("--episodes", type=_count, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", default="64")
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
     p.add_argument("--epsilon-end", type=float, default=0.02)
     p.add_argument("--epsilon-decay-frac", type=float, default=0.6)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--grad-steps", type=int, default=4)
+    p.add_argument("--batch-size", type=_count, default=32)
+    p.add_argument("--grad-steps", type=_count, default=4)
     p.add_argument("--penalty", type=float, default=0.0)
     p.add_argument("--state-mode", default="last_column", choices=["last_column", "autoencoder"])
     p.add_argument("--encoder", default=None, help="autoencoder checkpoint for --state-mode autoencoder")
@@ -564,11 +589,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-autoencoder", help="train the recurrent state encoder")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--corpus-episodes", type=int, default=50)
+    p.add_argument("--corpus-episodes", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", default="4,8,16", help="candidate state sizes, comma list")
     p.add_argument("--hidden-sizes", default=None, help="optional second range; must intersect --sizes")
-    p.add_argument("--epochs", type=int, default=40)
+    p.add_argument("--epochs", type=_count, default=40)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
     p.add_argument("--batch", default="stochastic", choices=["stochastic", "full"])
@@ -580,7 +605,7 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", required=True, choices=list(EVAL_POLICIES))
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--episodes", type=int, default=100, help="rollouts for the weight policy")
+    p.add_argument("--episodes", type=_count, default=100, help="rollouts for the weight policy")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
@@ -592,18 +617,18 @@ def build_parser() -> _Parser:
     p.add_argument("--policies", default="enumerate,weight")
     p.add_argument("--seeds", default="0")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--episodes", type=int, default=300, help="training episodes per dqn cell")
+    p.add_argument("--episodes", type=_count, default=300, help="training episodes per dqn cell")
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
-    p.add_argument("--grad-steps", type=int, default=4)
-    p.add_argument("--corpus-episodes", type=int, default=40)
-    p.add_argument("--state-size", type=int, default=8)
-    p.add_argument("--ae-epochs", type=int, default=30)
+    p.add_argument("--grad-steps", type=_count, default=4)
+    p.add_argument("--corpus-episodes", type=_count, default=40)
+    p.add_argument("--state-size", type=_count, default=8)
+    p.add_argument("--ae-epochs", type=_count, default=30)
     p.add_argument(
         "--workers",
-        type=int,
-        default=int(os.environ.get("AOIPLAN_WORKERS", "1")),
-        help="parallel cell evaluations (default from AOIPLAN_WORKERS)",
+        type=_count,
+        default=None,
+        help="parallel cell evaluations (default from AOIPLAN_WORKERS, else 1)",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -119,8 +119,12 @@ class ScheduleEnv:
         self.scenario = scenario
         self.infeasible_penalty = infeasible_penalty
         self._cache = solve_cache if solve_cache is not None else {}
+        # Each order's state matrix, built once: it follows from the order's
+        # cached solve alone.
+        self._states = {(): initial_state(scenario)}
+        self._states[()].columns.flags.writeable = False
         self._order: tuple[int, ...] = tuple()
-        self._state = initial_state(scenario)
+        self._state = self._states[()]
         self._metric = 1.0
         self._done = False
 
@@ -153,7 +157,7 @@ class ScheduleEnv:
 
     def reset(self) -> StateMatrix:
         self._order = tuple()
-        self._state = initial_state(self.scenario)
+        self._state = self._states[()]
         self._metric = 1.0
         self._done = False
         return self._state
@@ -194,7 +198,10 @@ class ScheduleEnv:
                     "reason": f"{solution.status}: {solution.message}",
                 },
             )
-        next_state = build_state_matrix(self.scenario, solution)
+        next_state = self._states.get(candidate)
+        if next_state is None:
+            next_state = self._states[candidate] = build_state_matrix(self.scenario, solution)
+            next_state.columns.flags.writeable = False
         reward = self._metric - solution.objective
         self._order = candidate
         self._state = next_state

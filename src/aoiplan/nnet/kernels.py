@@ -104,17 +104,14 @@ def lstm_seq_forward(
     for t in range(t_len):
         z = np.concatenate([hs[t], xs[t]])
         pre = wg @ z + bg
-        f = _sigmoid(pre[:k])
-        r = _sigmoid(pre[k : 2 * k])
-        cbar = np.tanh(pre[2 * k : 3 * k])
-        o = _sigmoid(pre[3 * k :])
-        c_new = f * cs[t] + r * cbar
-        hs[t + 1] = o * np.tanh(c_new)
+        # One sigmoid over all four blocks; the candidate block is then
+        # overwritten with its tanh.
+        g = gates[t]
+        g[:] = _sigmoid(pre)
+        g[2 * k : 3 * k] = np.tanh(pre[2 * k : 3 * k])
+        c_new = g[:k] * cs[t] + g[k : 2 * k] * g[2 * k : 3 * k]
+        hs[t + 1] = g[3 * k :] * np.tanh(c_new)
         cs[t + 1] = c_new
-        gates[t, :k] = f
-        gates[t, k : 2 * k] = r
-        gates[t, 2 * k : 3 * k] = cbar
-        gates[t, 3 * k :] = o
     return hs, cs, gates
 
 
@@ -144,25 +141,19 @@ def lstm_seq_backward(
     for t in range(t_len - 1, -1, -1):
         if dhs is not None:
             dh = dh + dhs[t]
-        f = gates[t, :k]
-        r = gates[t, k : 2 * k]
-        cbar = gates[t, 2 * k : 3 * k]
-        o = gates[t, 3 * k :]
+        g = gates[t]
+        f = g[:k]
+        r = g[k : 2 * k]
+        cbar = g[2 * k : 3 * k]
+        o = g[3 * k :]
         tanh_c = np.tanh(cs[t + 1])
-        do = dh * tanh_c
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        df = dc * cs[t]
-        dr = dc * cbar
-        dcbar = dc * r
+        # Upstream gradients of the four gates [f; r; cbar; o] as one vector,
+        # through the sigmoid at once; the candidate block goes through tanh.
+        dg = np.concatenate([dc * cs[t], dc * cbar, dc * r, dh * tanh_c])
+        da = dg * g * (1.0 - g)
+        da[2 * k : 3 * k] = dg[2 * k : 3 * k] * (1.0 - cbar * cbar)
         dc_prev = dc * f
-        da = np.concatenate(
-            [
-                df * f * (1.0 - f),
-                dr * r * (1.0 - r),
-                dcbar * (1.0 - cbar * cbar),
-                do * o * (1.0 - o),
-            ]
-        )
         z = np.concatenate([hs[t], xs[t]])
         dwg += np.outer(da, z)
         dbg += da

@@ -115,11 +115,13 @@ class _Program:
     _jac_row: np.ndarray = field(init=False, repr=False)
     _jac_col: np.ndarray = field(init=False, repr=False)
     _two_coef: np.ndarray = field(init=False, repr=False)
+    _offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._jac_row = np.concatenate([self.G_row, self.ball_row])
         self._jac_col = np.concatenate([self.G_col, self.ball_var])
         self._two_coef = 2.0 * self.ball_coef
+        self._offsets = (None, None)
 
     @cached_property
     def _newton_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -155,12 +157,17 @@ class _Program:
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
         d = z[self.ball_var] - self.ball_center
+        self._offsets = (z, d)
         terms = np.concatenate([self.G_val * z[self.G_col], self.ball_coef * d * d])
         return np.bincount(self._jac_row, weights=terms, minlength=self.g.size) + self.g
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Values of the Jacobian nonzeros at z."""
-        return np.concatenate([self.G_val, self._two_coef * (z[self.ball_var] - self.ball_center)])
+        """Values of the Jacobian nonzeros at z. The ball offsets are reused
+        when z is the array `constraint_values` last evaluated."""
+        at, d = self._offsets
+        if at is not z:
+            d = z[self.ball_var] - self.ball_center
+        return np.concatenate([self.G_val, self._two_coef * d])
 
     def jac_t_dot(self, jac: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J'v for the Jacobian values ``jac``."""
@@ -249,9 +256,9 @@ def _solve_ipm(
 ) -> _IpmResult:
     """Primal-dual interior-point iteration from a strictly feasible start.
 
-    ``stop_below`` allows phase-I callers to bail out as soon as the
-    objective sinks under a threshold. A result that is not optimal says in
-    ``message`` why the iteration stopped.
+    ``stop_below`` lets phase I stop as soon as its slack, the last variable
+    and its whole objective, sinks under a threshold. A result that is not
+    optimal says in ``message`` why the iteration stopped.
     """
     z = z0.copy()
     f = program.constraint_values(z)
@@ -267,7 +274,7 @@ def _solve_ipm(
     status = STATUS_MAX_ITERATIONS
     message = ""
     iterations = 0
-    kkt = math.inf
+    dual_inf, lam_k, f_k = math.inf, lam, f
     for it in range(max_iters):
         iterations = it + 1
         eta = -float(f @ lam)
@@ -275,12 +282,12 @@ def _solve_ipm(
         r_cent = -lam * f - 1.0 / t_bar
         res_norm = math.sqrt(float(r_dual @ r_dual) + float(r_cent @ r_cent))
 
-        dual_inf = float(np.abs(r_dual).max())
-        kkt = max(dual_inf, float(np.abs(lam * f).max()))
+        # The KKT residual of the last iterate examined is formed after the loop.
+        dual_inf, lam_k, f_k = float(np.abs(r_dual).max()), lam, f
         if dual_inf <= tol and eta <= tol:
             status = STATUS_OPTIMAL
             break
-        if stop_below is not None and program.objective(z)[0] < stop_below:
+        if stop_below is not None and z[-1] < stop_below:
             status = STATUS_OPTIMAL
             break
 
@@ -293,17 +300,15 @@ def _solve_ipm(
             break
         dlam = (r_cent - lam * program.jac_dot(jac, dz)) / f
 
-        step = 1.0
         neg = dlam < 0.0
-        if neg.any():
-            step = min(1.0, 0.99 * float((-lam[neg] / dlam[neg]).min()))
+        step = min(1.0, 0.99 * float(np.where(neg, lam / np.where(neg, -dlam, 1.0), np.inf).min()))
         # Stay strictly inside the constraint set. Both searches below refuse
         # a cut step that is too short to move z: it would count as progress.
         feasible = False
         for trial in range(80):
             z_new = z + step * dz
             f_new = program.constraint_values(z_new)
-            if (f_new < 0.0).all():
+            if f_new.max() < 0.0:
                 feasible = trial == 0 or not (z_new == z).all()
                 break
             step *= _LS_BETA
@@ -311,14 +316,14 @@ def _solve_ipm(
             message = f"line search found no strictly feasible step at iteration {iterations}"
             break
         # Backtrack on the combined residual; the first trial is the point
-        # the feasibility search just evaluated.
+        # the feasibility search just found strictly feasible.
         accepted = False
         for trial in range(80):
             if trial:
                 z_new = z + step * dz
                 f_new = program.constraint_values(z_new)
             lam_new = lam + step * dlam
-            if (f_new < 0.0).all() and (lam_new > 0.0).all():
+            if (trial == 0 or f_new.max() < 0.0) and lam_new.min() > 0.0:
                 jac_new = program.jacobian(z_new)
                 rd_new = program.objective_grad(z_new) + program.jac_t_dot(jac_new, lam_new)
                 rc_new = -lam_new * f_new - 1.0 / t_bar
@@ -334,6 +339,7 @@ def _solve_ipm(
     else:
         message = f"no convergence within {max_iters} iterations"
 
+    kkt = max(dual_inf, float(np.abs(lam_k * f_k).max()))
     return _IpmResult(
         z=z, lam=lam, status=status, iterations=iterations, kkt_residual=kkt, message=message
     )
@@ -396,7 +402,7 @@ def _solve_ipm_stack(
         kkt = np.where(live, np.where(comp > dual_inf, comp, dual_inf), kkt)
         done = live & (dual_inf <= tol) & (eta <= tol)
         if stop_below is not None:
-            done |= live & (stack.objective(z.ravel()) < stop_below)
+            done |= live & (z[:, -1] < stop_below)
         stop(done, STATUS_OPTIMAL, "")
         if not live.any():
             break
@@ -534,13 +540,6 @@ def _phase1_program(program: _Program) -> _Program:
         G_col=np.concatenate([program.G_col, np.full(m, n)]),
         G_val=np.concatenate([program.G_val, -np.ones(m)]),
     )
-
-
-def _phase1_start(program: _Program, z0: np.ndarray) -> np.ndarray:
-    # Keep the worst-violated row's slack comparable to the others; starting
-    # with max(f) + 1 leaves it absurdly uncentered and the iteration crawls.
-    s0 = 2.0 * float(np.max(program.constraint_values(z0))) + 1.0
-    return np.concatenate([z0, [s0]])
 
 
 def _phase1_point(program: _Program, result: _IpmResult) -> np.ndarray | None:
@@ -859,12 +858,14 @@ def solve_schedules(
         programs[i] = program
         starts[i] = _straight_start(scenario, len(order))
 
-    hard = [
-        i for i in programs if np.max(programs[i].constraint_values(starts[i])) >= -_STRICT_MARGIN
-    ]
+    worst = {i: float(np.max(programs[i].constraint_values(starts[i]))) for i in programs}
+    hard = [i for i in programs if worst[i] >= -_STRICT_MARGIN]
+    # Phase I starts its slack at 2 max(f) + 1, which keeps the worst row's
+    # slack comparable to the others; max(f) + 1 leaves it absurdly
+    # uncentered and the iteration crawls.
     phase1 = _solve_many(
         [_phase1_program(programs[i]) for i in hard],
-        [_phase1_start(programs[i], starts[i]) for i in hard],
+        [np.append(starts[i], 2.0 * worst[i] + 1.0) for i in hard],
         tol, max_iters, stop_below=-_STRICT_MARGIN,
     )
     phase1_iters = {}

@@ -38,6 +38,7 @@ from aoiplan.agents import (
     write_learning_curve_csv,
 )
 from aoiplan.cli import main
+from aoiplan.mdp import build_state_matrix, initial_state
 from aoiplan.nnet import DenseNet, LstmCell, gradient_check, load_checkpoint, save_checkpoint
 from conftest import build_scenario
 
@@ -791,3 +792,53 @@ def test_train_dqn_matches_reference_task(tmp_path, capsys, mode):
     while not terminal:
         obs, _, terminal = task.step(int(np.argmax(net.forward(obs))))
     assert greedy_evaluate(agent, scenario) == (task.env.order, task.env.metric)
+
+
+def _curve_rows(curve):
+    return [(s.episode, s.steps, s.episode_return, s.metric, s.epsilon, s.loss) for s in curve]
+
+
+@pytest.mark.parametrize("mode", ["last_column", "autoencoder"])
+def test_observation_memo_trains_like_encoding_every_step(mode):
+    scenario = build_scenario([2, 2])
+    encoder = None
+    if mode == "autoencoder":
+        encoder = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(9)).encoder
+    config = DqnConfig(hidden_sizes=(6,), grad_steps_per_episode=2)
+    agent, curve = dqn_train(scenario, config, episodes=60, seed=3, encoder=encoder)
+    net, want = dqn_train_task(_ReferenceTask(scenario, encoder), config, 60, 3)
+    assert _curve_rows(curve) == _curve_rows(want)
+    for (name, got), (_, ref) in zip(agent.net.to_arrays(), net.to_arrays()):
+        assert np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("mode", ["last_column", "autoencoder"])
+def test_memoized_observations_are_fresh_encodings_and_read_only(mode):
+    scenario = build_scenario([2, 2])
+    encoder = None
+    if mode == "autoencoder":
+        encoder = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(2)).encoder
+    repr_ = StateRepr(scenario, encoder)
+    task = agents.ScheduleTask(ScheduleEnv(scenario), repr_)
+    rng = np.random.default_rng(0)
+    returned = []
+    for _ in range(30):
+        returned.append(task.reset())
+        terminal = False
+        while not terminal:
+            obs, _, terminal = task.step(int(rng.integers(0, task.num_actions)))
+            returned.append(obs)
+    memo = task._obs
+    assert len(memo) > 5 and () in memo
+    assert all(any(obs is kept for kept in memo.values()) for obs in returned)
+    for order, obs in memo.items():
+        if order:
+            state = build_state_matrix(scenario, solve_schedule(scenario, order))
+        else:
+            state = initial_state(scenario)
+        assert np.array_equal(obs, repr_.encode(state)), order
+        assert not obs.flags.writeable
+        with pytest.raises(ValueError):
+            obs[0] = 0.0
+        kept = task.env._states[order].columns
+        assert np.array_equal(kept, state.columns) and not kept.flags.writeable

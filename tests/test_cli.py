@@ -580,6 +580,70 @@ def test_sweep_nodes_axis_validation(tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train-dqn", "--episodes", "-1"], "--episodes"),
+        (["train-dqn", "--batch-size", "0"], "--batch-size"),
+        (["train-dqn", "--batch-size", "-3"], "--batch-size"),
+        (["train-dqn", "--grad-steps", "0"], "--grad-steps"),
+        (["train-dqn", "--hidden", "0"], "--hidden"),
+        (["train-dqn", "--hidden", "4,0"], "--hidden"),
+        (["train-autoencoder", "--sizes", "0"], "--sizes"),
+        (["train-autoencoder", "--sizes", ""], "--sizes"),
+        (["train-autoencoder", "--sizes", "4", "--hidden-sizes", "4,-1"], "--hidden-sizes"),
+        (["train-autoencoder", "--epochs", "0"], "--epochs"),
+        (["train-autoencoder", "--corpus-episodes", "0"], "--corpus-episodes"),
+        (["eval", "--policy", "weight", "--episodes", "0"], "--episodes"),
+        (["sweep", "--axis", "energy", "--values", "1", "--episodes", "0"], "--episodes"),
+        (["sweep", "--axis", "energy", "--values", "1", "--grad-steps", "-1"], "--grad-steps"),
+        (["sweep", "--axis", "energy", "--values", "1", "--corpus-episodes", "0"], "--corpus-episodes"),
+        (["sweep", "--axis", "energy", "--values", "1", "--state-size", "0"], "--state-size"),
+        (["sweep", "--axis", "energy", "--values", "1", "--ae-epochs", "0"], "--ae-epochs"),
+        (["sweep", "--axis", "energy", "--values", "1", "--workers", "0"], "--workers"),
+        (["sweep", "--axis", "energy", "--values", "1", "--workers", "two"], "--workers"),
+    ],
+)
+def test_sizes_below_one_exit_1(tmp_path, capsys, argv, flag):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    assert main(argv[:1] + ["--scenario", path] + argv[1:] + ["--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+def test_malformed_workers_variable_exit_1(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("AOIPLAN_WORKERS", value)
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    # Only the sweep reads the variable.
+    assert main(["bounds", "--scenario", path]) == 0
+    capsys.readouterr()
+    base = ["sweep", "--scenario", path, "--axis", "energy", "--values", "1.0",
+            "--policies", "enumerate", "--out", str(out)]
+    assert main(base) == 1
+    assert "AOIPLAN_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(base + ["--workers", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_workers_variable_sets_the_default(tmp_path, capsys, monkeypatch):
+    path = save(tmp_path, build_scenario([1, 1]))
+    base = ["sweep", "--scenario", path, "--axis", "energy", "--values", "1.0",
+            "--policies", "enumerate"]
+    for env, flag, want in (("2", [], 2), ("2", ["--workers", "1"], 1), (None, [], 1)):
+        if env is None:
+            monkeypatch.delenv("AOIPLAN_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("AOIPLAN_WORKERS", env)
+        out = tmp_path / f"run{want}{len(flag)}"
+        assert main(base + flag + ["--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["arguments"]["workers"] == want
+    capsys.readouterr()
+
+
 def test_sweep_usage_errors(tmp_path, capsys):
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"

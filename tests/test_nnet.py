@@ -188,6 +188,93 @@ def test_lstm_input_gradient_finite_difference():
             assert numeric == pytest.approx(dxs[t, j], abs=1e-6)
 
 
+def _reference_lstm_seq_forward(wg, bg, xs, h0, c0):
+    """The per-gate forward kernel the fused one replaced: one activation
+    call and one slice write per gate."""
+    t_len = xs.shape[0]
+    k = h0.size
+    hs = np.empty((t_len + 1, k))
+    cs = np.empty((t_len + 1, k))
+    gates = np.empty((t_len, 4 * k))
+    hs[0] = h0
+    cs[0] = c0
+    for t in range(t_len):
+        pre = wg @ np.concatenate([hs[t], xs[t]]) + bg
+        f = kernels._sigmoid(pre[:k])
+        r = kernels._sigmoid(pre[k : 2 * k])
+        cbar = np.tanh(pre[2 * k : 3 * k])
+        o = kernels._sigmoid(pre[3 * k :])
+        c_new = f * cs[t] + r * cbar
+        hs[t + 1] = o * np.tanh(c_new)
+        cs[t + 1] = c_new
+        gates[t, :k] = f
+        gates[t, k : 2 * k] = r
+        gates[t, 2 * k : 3 * k] = cbar
+        gates[t, 3 * k :] = o
+    return hs, cs, gates
+
+
+def _reference_lstm_seq_backward(wg, xs, hs, cs, gates, dhs, dh_last, dc_last):
+    """The per-gate backward kernel the fused one replaced."""
+    t_len = xs.shape[0]
+    k = dh_last.size
+    dwg = np.zeros_like(wg)
+    dbg = np.zeros(4 * k)
+    dxs = np.zeros_like(xs)
+    dh = dh_last.copy()
+    dc = dc_last.copy()
+    for t in range(t_len - 1, -1, -1):
+        if dhs is not None:
+            dh = dh + dhs[t]
+        f = gates[t, :k]
+        r = gates[t, k : 2 * k]
+        cbar = gates[t, 2 * k : 3 * k]
+        o = gates[t, 3 * k :]
+        tanh_c = np.tanh(cs[t + 1])
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        df = dc * cs[t]
+        dr = dc * cbar
+        dcbar = dc * r
+        dc_prev = dc * f
+        da = np.concatenate(
+            [df * f * (1.0 - f), dr * r * (1.0 - r), dcbar * (1.0 - cbar * cbar), do * o * (1.0 - o)]
+        )
+        z = np.concatenate([hs[t], xs[t]])
+        dwg += np.outer(da, z)
+        dbg += da
+        dz = wg.T @ da
+        dh = dz[:k]
+        dc = dc_prev
+        dxs[t] = dz[k:]
+    return dwg, dbg, dh, dc, dxs
+
+
+@pytest.mark.parametrize(
+    "t_len, k, d_in, scale",
+    [(1, 1, 1, 1.0), (1, 4, 3, 1.0), (5, 3, 2, 1.0), (9, 8, 4, 1.0), (6, 16, 7, 0.5), (4, 3, 2, 60.0)],
+)
+def test_fused_lstm_kernels_equal_per_gate_reference(t_len, k, d_in, scale):
+    # scale 60 saturates most gates at 0 or 1 exactly.
+    rng = np.random.default_rng(t_len * 100 + k)
+    wg = scale * rng.normal(size=(4 * k, k + d_in))
+    bg = scale * rng.normal(size=4 * k)
+    xs = rng.normal(size=(t_len, d_in))
+    h0, c0 = rng.normal(size=k), rng.normal(size=k)
+    got = kernels.lstm_seq_forward(wg, bg, xs, h0, c0)
+    want = _reference_lstm_seq_forward(wg, bg, xs, h0, c0)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    if scale > 1.0:
+        assert np.mean((want[2] == 0.0) | (want[2] == 1.0) | (np.abs(want[2]) == 1.0)) > 0.5
+    for dhs in (None, rng.normal(size=(t_len, k))):
+        dh_last, dc_last = rng.normal(size=k), rng.normal(size=k)
+        got = kernels.lstm_seq_backward(wg, xs, *want, dhs, dh_last, dc_last)
+        ref = _reference_lstm_seq_backward(wg, xs, *want, dhs, dh_last, dc_last)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
 def test_sigmoid_stable_at_extremes():
     with np.errstate(over="raise", invalid="raise"):
         values = kernels.act_forward(2, np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))

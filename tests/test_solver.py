@@ -748,6 +748,130 @@ def test_round_robins_follow_reference_iterates():
         assert abs(solution.objective - objective) <= 1e-12, (seed, n)
 
 
+def _reference_solve_ipm(program, z0, tol, max_iters, stop_below=None):
+    """The scalar interior-point loop before it was trimmed: the phase-I stop
+    test on the objective, the ratio test over boolean gathers, both checks
+    on every backtracking trial and the KKT residual formed every iteration."""
+    z = z0.copy()
+    f = program.constraint_values(z)
+    if np.any(f >= 0.0):
+        raise ValueError("interior-point start must be strictly feasible")
+    lam = 1.0 / np.maximum(-f, 1e-8)
+    m = program.num_cons
+    jac = program.jacobian(z)
+    r_dual = program.objective_grad(z) + program.jac_t_dot(jac, lam)
+    status = STATUS_MAX_ITERATIONS
+    message = ""
+    iterations = 0
+    kkt = np.inf
+    for it in range(max_iters):
+        iterations = it + 1
+        eta = -float(f @ lam)
+        t_bar = solver._MU * m / max(eta, 1e-300)
+        r_cent = -lam * f - 1.0 / t_bar
+        res_norm = np.sqrt(float(r_dual @ r_dual) + float(r_cent @ r_cent))
+        dual_inf = float(np.abs(r_dual).max())
+        kkt = max(dual_inf, float(np.abs(lam * f).max()))
+        if dual_inf <= tol and eta <= tol:
+            status = STATUS_OPTIMAL
+            break
+        if stop_below is not None and program.objective(z)[0] < stop_below:
+            status = STATUS_OPTIMAL
+            break
+        weights = lam / (-f)
+        m_red = program.newton_matrix(jac, lam, weights)[0]
+        rhs = -(r_dual + program.jac_t_dot(jac, r_cent / f))
+        dz = solver._newton_step(m_red, rhs)
+        if dz is None:
+            message = f"Newton step not finite after ridge retries at iteration {iterations}"
+            break
+        dlam = (r_cent - lam * program.jac_dot(jac, dz)) / f
+        step = 1.0
+        neg = dlam < 0.0
+        if neg.any():
+            step = min(1.0, 0.99 * float((-lam[neg] / dlam[neg]).min()))
+        feasible = False
+        for trial in range(80):
+            z_new = z + step * dz
+            f_new = program.constraint_values(z_new)
+            if (f_new < 0.0).all():
+                feasible = trial == 0 or not (z_new == z).all()
+                break
+            step *= solver._LS_BETA
+        if not feasible:
+            message = f"line search found no strictly feasible step at iteration {iterations}"
+            break
+        accepted = False
+        for trial in range(80):
+            if trial:
+                z_new = z + step * dz
+                f_new = program.constraint_values(z_new)
+            lam_new = lam + step * dlam
+            if (f_new < 0.0).all() and (lam_new > 0.0).all():
+                jac_new = program.jacobian(z_new)
+                rd_new = program.objective_grad(z_new) + program.jac_t_dot(jac_new, lam_new)
+                rc_new = -lam_new * f_new - 1.0 / t_bar
+                new_norm = np.sqrt(float(rd_new @ rd_new) + float(rc_new @ rc_new))
+                if new_norm <= (1.0 - solver._LS_ALPHA * step) * res_norm + 1e-14:
+                    accepted = trial == 0 or not (z_new == z).all()
+                    break
+            step *= solver._LS_BETA
+        if not accepted:
+            message = f"line search found no residual decrease at iteration {iterations}"
+            break
+        z, lam, f, jac, r_dual = z_new, lam_new, f_new, jac_new, rd_new
+    else:
+        message = f"no convergence within {max_iters} iterations"
+    return solver._IpmResult(
+        z=z, lam=lam, status=status, iterations=iterations, kkt_residual=kkt, message=message
+    )
+
+
+def test_scalar_loop_equals_reference_loop(monkeypatch):
+    seen = []
+
+    def capture(program, z0, *args):
+        result = _solve_ipm(program, z0, *args)
+        seen.append((program, z0, args, result))
+        return result
+
+    monkeypatch.setattr(solver, "_solve_ipm", capture)
+    scenario = build_scenario([2, 2, 2])
+    for combo in count_grid(all_max_updates(scenario)):
+        for order in multiset_permutations(combo):
+            solve_schedule(scenario, order)
+    solve_schedule(generate_scenario(3, 3, horizon_s=3600.0), [1, 2, 3] * 10)
+    solve_min_speed(
+        build_scenario([1, 2], positions=[(0.0, 0.0), (300.0, 0.0)], initial=(0.0, 0.0), final=(300.0, 0.0))
+    )
+    solve_min_speed(build_scenario([2, 1], positions=[(200.0, 700.0), (650.0, 150.0)]))
+    monkeypatch.undo()
+    kinds = [(_kind(program), len(args) > 2 and args[2] is not None) for program, _, args, _ in seen]
+    assert {("schedule", False), ("phase1", True), ("min_speed", False)} == set(kinds)
+    assert kinds.count(("phase1", True)) >= 100
+    # Stops at the iteration limit, and the failures of the stop-reason tests.
+    cases = [(program, z0, (args[0], 3) + args[2:]) for program, z0, args, _ in seen[::10]]
+    programs, starts, patched = _mixed_programs()
+    for i, (program, z0) in enumerate(zip(programs, starts)):
+        if i in patched:
+            program = replace(program)
+            setattr(program, *patched[i])
+        cases += [(program, z0, (1e-6, max_iters)) for max_iters in (3, 200)]
+    messages = set()
+    for program, z0, args in cases:
+        seen.append((program, z0, args, _solve_ipm(program, z0, *args)))
+    for program, z0, args, got in seen:
+        want = _reference_solve_ipm(program, z0, *args)
+        assert (got.status, got.iterations, got.message) == (want.status, want.iterations, want.message)
+        for a, b in ((got.z, want.z), (got.lam, want.lam), (got.kkt_residual, want.kkt_residual)):
+            assert np.array_equal(a, b, equal_nan=True)
+        messages.add(got.message.split(" at ")[0].split(" within ")[0])
+    assert messages == {
+        "", "no convergence", "Newton step not finite after ridge retries",
+        "line search found no strictly feasible step", "line search found no residual decrease",
+    }
+
+
 # ---------------------------------------------------------------------------
 # Stop reasons
 # ---------------------------------------------------------------------------
@@ -761,6 +885,17 @@ def _feasible_program():
     z0 = np.concatenate([[1.0 / 3.0, 2.0 / 3.0], xy[:, 0], xy[:, 1]])
     assert np.all(program.constraint_values(z0) < 0.0)
     return program, z0
+
+
+def test_jacobian_reuses_ball_offsets_only_at_the_same_point():
+    program, z0 = _feasible_program()
+    z1 = z0 + 0.01
+    fresh = program.jacobian(z1.copy())
+    program.constraint_values(z0)
+    assert np.array_equal(program.jacobian(z1), fresh)
+    program.constraint_values(z1)
+    assert np.array_equal(program.jacobian(z1), fresh)
+    assert not np.array_equal(program.jacobian(z0), fresh)
 
 
 def test_nan_objective_stops_with_reason():

@@ -108,6 +108,14 @@ class StateRepr:
     scenario: Scenario
     encoder: LstmCell | None = None
 
+    def __post_init__(self) -> None:
+        width = self.scenario.num_nodes + 1
+        if self.encoder is not None and self.encoder.input_size != width:
+            raise CheckpointError(
+                f"encoder reads {self.encoder.input_size} entries per column, "
+                f"a {self.scenario.num_nodes}-node scenario gives {width}"
+            )
+
     @property
     def mode(self) -> str:
         return "last_column" if self.encoder is None else "autoencoder"
@@ -689,11 +697,6 @@ def load_agent(path: str | Path, scenario: Scenario) -> QAgent:
             _meta_size(meta, "encoder_input_size"),
             _meta_size(meta, "encoder_hidden_size"),
         )
-        if encoder.input_size != num_nodes + 1:
-            raise CheckpointError(
-                f"checkpoint encoder reads {encoder.input_size} entries per column, "
-                f"{num_nodes} nodes give {num_nodes + 1}"
-            )
     elif mode != "last_column":
         raise CheckpointError(f"checkpoint state mode {mode!r} is unknown")
     repr_ = StateRepr(scenario, encoder)

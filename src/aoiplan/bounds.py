@@ -22,11 +22,7 @@ from .scenario import Scenario
 
 def max_updates(scenario: Scenario, node_index: int) -> int:
     """Largest update count a node's battery can pay for, hovering overhead."""
-    ch = scenario.channel
-    node = scenario.nodes[node_index]
-    snr_gap = 2.0 ** (ch.packet_bits / ch.bandwidth_hz) - 1.0
-    ratio = node.battery_j * ch.beta0 / (ch.noise_power_w * snr_gap * scenario.uav.altitude_m**2)
-    n = int(math.floor(ratio))
+    n = int(math.floor(energy_budget_constant(scenario, node_index, 0) / scenario.uav.altitude_m**2))
     # Pin the count to the budget function itself so float rounding in the
     # ratio cannot disagree with it.
     while energy_budget_constant(scenario, node_index, n + 1) >= 0.0:

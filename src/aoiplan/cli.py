@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -110,6 +111,22 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """Argument type of a learning rate: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """Argument type of an exploration setting: a number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
     return value
 
 
@@ -268,11 +285,6 @@ def cmd_train_dqn(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"encoder checkpoint not found: {args.encoder}")
         model, _ = load_autoencoder(args.encoder)
         encoder = model.encoder
-        if encoder.input_size != scenario.num_nodes + 1:
-            raise CheckpointError(
-                f"encoder reads {encoder.input_size} entries per column, "
-                f"a {scenario.num_nodes}-node scenario gives {scenario.num_nodes + 1}"
-            )
     agent, curve = dqn_train(scenario, config, episodes=args.episodes, seed=args.seed, encoder=encoder)
     order, metric = greedy_evaluate(agent, scenario)
     out = _ensure_out(args.out)
@@ -430,30 +442,26 @@ def _apply_axis(doc: dict[str, Any], axis: str, value: float) -> Scenario:
 
 
 def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float]:
-    doc, axis, value, policy, seed, knobs = payload
-    scenario = _apply_axis(doc, axis, value)
+    doc, value, policy, seed, args = payload
+    scenario = _apply_axis(doc, args.axis, value)
     bound = lower_bound(scenario)
     if policy == "enumerate":
-        metric = enumerate_optimal(scenario, budget=knobs["budget"], keep_rows=False).objective
+        metric = enumerate_optimal(scenario, budget=args.budget, keep_rows=False).objective
     elif policy == "weight":
         _, metric, _ = weight_based_rollout(scenario, seed)
     elif policy in {"dqn", "dqn-lstm"}:
         encoder = None
         if policy == "dqn-lstm":
-            corpus = collect_states(scenario, episodes=knobs["corpus_episodes"], seed=seed)
+            corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed)
             ae = autoencoder_train(
                 scenario,
                 corpus,
-                AutoencoderConfig(state_size=knobs["state_size"], epochs=knobs["ae_epochs"]),
+                AutoencoderConfig(state_size=args.state_size, epochs=args.ae_epochs),
                 seed=seed,
             )
             encoder = ae.model.encoder
-        config = DqnConfig(
-            lr=knobs["lr"],
-            optimizer=knobs["optimizer"],
-            grad_steps_per_episode=knobs["grad_steps"],
-        )
-        agent, _ = dqn_train(scenario, config, episodes=knobs["episodes"], seed=seed, encoder=encoder)
+        config = DqnConfig(lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
+        agent, _ = dqn_train(scenario, config, episodes=args.episodes, seed=seed, encoder=encoder)
         _, metric = greedy_evaluate(agent, scenario)
     else:
         raise _UsageError(f"unknown policy {policy!r}")
@@ -471,19 +479,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values or not seeds or not policies:
         raise _UsageError("--values, --seeds, and --policies must be non-empty")
 
-    knobs = {
-        "budget": args.budget,
-        "episodes": args.episodes,
-        "lr": args.lr,
-        "optimizer": args.optimizer,
-        "grad_steps": args.grad_steps,
-        "corpus_episodes": args.corpus_episodes,
-        "state_size": args.state_size,
-        "ae_epochs": args.ae_epochs,
-    }
     doc = template.to_document()
     cells = [
-        (doc, args.axis, value, policy, seed, knobs)
+        (doc, value, policy, seed, args)
         for value in values
         for policy in policies
         for seed in seeds
@@ -575,10 +573,10 @@ def build_parser() -> _Parser:
     p.add_argument("--episodes", type=_count, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", default="64")
-    p.add_argument("--lr", type=float, default=0.005)
+    p.add_argument("--lr", type=_rate, default=0.005)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
-    p.add_argument("--epsilon-end", type=float, default=0.02)
-    p.add_argument("--epsilon-decay-frac", type=float, default=0.6)
+    p.add_argument("--epsilon-end", type=_fraction, default=0.02)
+    p.add_argument("--epsilon-decay-frac", type=_fraction, default=0.6)
     p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--grad-steps", type=_count, default=4)
     p.add_argument("--penalty", type=float, default=0.0)
@@ -594,7 +592,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", default="4,8,16", help="candidate state sizes, comma list")
     p.add_argument("--hidden-sizes", default=None, help="optional second range; must intersect --sizes")
     p.add_argument("--epochs", type=_count, default=40)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--lr", type=_rate, default=0.01)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
     p.add_argument("--batch", default="stochastic", choices=["stochastic", "full"])
     p.add_argument("--out", required=True)
@@ -618,7 +616,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", default="0")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--episodes", type=_count, default=300, help="training episodes per dqn cell")
-    p.add_argument("--lr", type=float, default=0.005)
+    p.add_argument("--lr", type=_rate, default=0.005)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
     p.add_argument("--grad-steps", type=_count, default=4)
     p.add_argument("--corpus-episodes", type=_count, default=40)

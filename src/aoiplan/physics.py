@@ -66,6 +66,12 @@ def channel_gain(scenario: Scenario, node_index: int, uav_xy: tuple[float, float
     return scenario.channel.beta0 / d2
 
 
+def _snr_gap(scenario: Scenario) -> float:
+    """The SNR one packet per unit time needs, 2^(S/B) - 1."""
+    ch = scenario.channel
+    return 2.0 ** (ch.packet_bits / ch.bandwidth_hz) - 1.0
+
+
 def update_energy(scenario: Scenario, node_index: int, uav_xy: tuple[float, float]) -> float:
     """Transmit energy one update costs the node when the UAV sits at uav_xy.
 
@@ -73,10 +79,8 @@ def update_energy(scenario: Scenario, node_index: int, uav_xy: tuple[float, floa
     packet in unit time, so the energy grows linearly with squared
     distance.
     """
-    ch = scenario.channel
     gain = channel_gain(scenario, node_index, uav_xy)
-    snr_gap = 2.0 ** (ch.packet_bits / ch.bandwidth_hz) - 1.0
-    return ch.noise_power_w * snr_gap / gain
+    return scenario.channel.noise_power_w * _snr_gap(scenario) / gain
 
 
 def energy_budget_constant(scenario: Scenario, node_index: int, num_updates: int) -> float:
@@ -89,8 +93,7 @@ def energy_budget_constant(scenario: Scenario, node_index: int, num_updates: int
     """
     ch = scenario.channel
     node = scenario.nodes[node_index]
-    snr_gap = 2.0 ** (ch.packet_bits / ch.bandwidth_hz) - 1.0
-    total = node.battery_j * ch.beta0 / (ch.noise_power_w * snr_gap)
+    total = node.battery_j * ch.beta0 / (ch.noise_power_w * _snr_gap(scenario))
     return total - num_updates * scenario.uav.altitude_m**2
 
 

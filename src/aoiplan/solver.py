@@ -110,7 +110,6 @@ class _Program:
     ball_var: np.ndarray
     ball_center: np.ndarray
     ball_coef: np.ndarray
-    labels: list[str]
     num_problems: int = 1
     _jac_row: np.ndarray = field(init=False, repr=False)
     _jac_col: np.ndarray = field(init=False, repr=False)
@@ -218,7 +217,7 @@ def _stack(programs: Sequence[_Program]) -> _Program:
                  "ball_row", "ball_var", "ball_center", "ball_coef"):
         arr = np.stack([getattr(p, name) for p in programs])
         arrays[name] = (arr + offsets[name] if name in offsets else arr).ravel()
-    return _Program(**arrays, r0=programs[0].r0, labels=[], num_problems=num)
+    return _Program(**arrays, r0=programs[0].r0, num_problems=num)
 
 
 @dataclass
@@ -543,7 +542,7 @@ def _phase1_program(program: _Program) -> _Program:
 
 
 def _phase1_point(program: _Program, result: _IpmResult) -> np.ndarray | None:
-    """The strictly interior point phase I found, or None: then there is none."""
+    """The strictly interior point phase I found, or None when it found none."""
     z_final = result.z[:-1]
     if result.z[-1] < -_STRICT_MARGIN and np.all(program.constraint_values(z_final) < 0.0):
         return z_final
@@ -557,21 +556,29 @@ def _phase1_point(program: _Program, result: _IpmResult) -> np.ndarray | None:
 
 @dataclass
 class TrajectorySolution:
-    """Result of optimizing update instants and hover points for one order."""
+    """Result of optimizing update instants and hover points for one order.
+
+    The defaults describe a solution without a trajectory.
+    """
 
     status: str
     order: tuple[int, ...]
-    times_s: np.ndarray
-    waypoints_xy: np.ndarray
-    objective: float
-    solver_objective: float
-    kkt_residual: float
-    iterations: int
-    duals: np.ndarray
-    constraint_labels: list[str]
-    coincident_pairs: list[tuple[int, int]]
-    used_phase1: bool
+    times_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    waypoints_xy: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    objective: float = math.inf
+    solver_objective: float = math.inf
+    kkt_residual: float = math.inf
+    iterations: int = 0
+    duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    coincident_pairs: list[tuple[int, int]] = field(default_factory=list)
+    used_phase1: bool = False
     message: str = ""
+
+    @property
+    def constraint_labels(self) -> list[str]:
+        """The name of each constraint row ``duals`` belongs to; empty
+        when there are no duals."""
+        return _row_labels(self.order) if self.duals.size else []
 
     def update_times(self, num_nodes: int) -> UpdateTimes:
         return UpdateTimes(split_by_node(list(self.order), self.times_s, num_nodes))
@@ -586,7 +593,9 @@ class TrajectorySolution:
             "solver_objective": None
             if math.isinf(self.solver_objective)
             else float(self.solver_objective),
-            "kkt_residual": float(self.kkt_residual),
+            "kkt_residual": None
+            if math.isinf(self.kkt_residual)
+            else float(self.kkt_residual),
             "iterations": int(self.iterations),
             "coincident_pairs": [[int(a), int(b)] for a, b in self.coincident_pairs],
             "used_phase1": bool(self.used_phase1),
@@ -620,24 +629,6 @@ class TrajectorySolution:
             )
 
 
-def _infeasible_solution(order: tuple[int, ...], message: str) -> TrajectorySolution:
-    return TrajectorySolution(
-        status=STATUS_INFEASIBLE,
-        order=order,
-        times_s=np.zeros(0),
-        waypoints_xy=np.zeros((0, 2)),
-        objective=math.inf,
-        solver_objective=math.inf,
-        kkt_residual=math.inf,
-        iterations=0,
-        duals=np.zeros(0),
-        constraint_labels=[],
-        coincident_pairs=[],
-        used_phase1=False,
-        message=message,
-    )
-
-
 def _ball_and_leg_rows(
     order: Sequence[int],
     xy: np.ndarray,
@@ -648,7 +639,7 @@ def _ball_and_leg_rows(
     leg_scale: tuple[float, float],
     x_col: int,
     num_rows: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...], list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Energy-ball and speed-leg rows of the schedule and minimum-speed
     programs, the first rows of both; the caller adds its own speed
     allowance to the leg rows and its further rows.
@@ -659,8 +650,7 @@ def _ball_and_leg_rows(
     legs 0..n for x then y, the positive sign before the negative, each
     divided by its axis's ``leg_scale``; start and end points sit in g.
     Returns the nonzeros (rows, cols, vals) of G in these rows, g with
-    ``num_rows`` entries, (ball_row, ball_var, ball_center, ball_coef) and
-    the labels.
+    ``num_rows`` entries and (ball_row, ball_var, ball_center, ball_coef).
     """
     n = len(order)
     nodes = sorted(budgets)
@@ -697,20 +687,12 @@ def _ball_and_leg_rows(
     g_vec[first] = -sign * start[axis] / scale
     g_vec[first + n] = sign * end[axis] / scale
 
-    labels = [f"energy_node_{m + 1}" for m in nodes]
-    labels += [
-        f"speed_{axis}_{tag}_leg_{leg}"
-        for axis in "xy"
-        for tag in ("pos", "neg")
-        for leg in range(n + 1)
-    ]
     return (
         np.concatenate([far, far + 1]),
         np.concatenate([cols, cols]),
         np.concatenate([vals, -vals]),
         g_vec,
         (ball_row, ball_var, ball_center, ball_coef),
-        labels,
     )
 
 
@@ -759,7 +741,7 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
     k = len(budgets)
     legs = n + 1
     row = k + 4 * legs
-    rows, cols, vals, g_vec, balls, labels = _ball_and_leg_rows(
+    rows, cols, vals, g_vec, balls = _ball_and_leg_rows(
         order, xy, start, end, budgets, ball_floor=1e-12, leg_scale=(max(vx, 1.0), max(vy, 1.0)),
         x_col=n, num_rows=row + 3 * n - 1,
     )
@@ -779,10 +761,6 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
     g_vec[time_hi] = -1.0
     ones = np.ones(n)
 
-    labels += [f"order_{i}" for i in range(1, n)]
-    labels += [f"time_lo_{i}" for i in range(1, n + 1)]
-    labels += [f"time_hi_{i}" for i in range(1, n + 1)]
-
     return _Program(
         np.concatenate([t_idx, a, b]),
         np.concatenate([t_idx, b, a]),
@@ -794,7 +772,6 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
         np.concatenate([vals, -allowance, allowance, ones[1:], -ones[1:], -ones, ones]),
         g_vec,
         *balls,
-        labels,
     )
 
 
@@ -837,23 +814,12 @@ def solve_schedules(
     for i, order in enumerate(orders_t):
         if not order:
             solutions[i] = TrajectorySolution(
-                status=STATUS_OPTIMAL,
-                order=order,
-                times_s=np.zeros(0),
-                waypoints_xy=np.zeros((0, 2)),
-                objective=1.0,
-                solver_objective=1.0,
-                kkt_residual=0.0,
-                iterations=0,
-                duals=np.zeros(0),
-                constraint_labels=[],
-                coincident_pairs=[],
-                used_phase1=False,
+                STATUS_OPTIMAL, order, objective=1.0, solver_objective=1.0, kkt_residual=0.0
             )
             continue
         program = _schedule_program(scenario, order)
         if isinstance(program, str):
-            solutions[i] = _infeasible_solution(order, program)
+            solutions[i] = TrajectorySolution(STATUS_INFEASIBLE, order, message=program)
             continue
         programs[i] = program
         starts[i] = _straight_start(scenario, len(order))
@@ -871,16 +837,26 @@ def solve_schedules(
     phase1_iters = {}
     for i, result in zip(hard, phase1):
         z_feas = _phase1_point(programs[i], result)
-        if z_feas is None:
-            del programs[i]
-            solutions[i] = _infeasible_solution(
-                orders_t[i],
-                "no strictly interior trajectory exists "
-                f"(best scaled violation {result.z[-1]:.3g})",
-            )
-        else:
+        if z_feas is not None:
             starts[i] = z_feas
             phase1_iters[i] = result.iterations
+            continue
+        del programs[i]
+        if result.status == STATUS_OPTIMAL:
+            solutions[i] = TrajectorySolution(
+                STATUS_INFEASIBLE,
+                orders_t[i],
+                message="no strictly interior trajectory exists "
+                f"(best scaled violation {result.z[-1]:.3g})",
+            )
+        else:  # Phase I stopped short, so an interior point may still exist.
+            solutions[i] = TrajectorySolution(
+                STATUS_MAX_ITERATIONS,
+                orders_t[i],
+                iterations=result.iterations,
+                used_phase1=True,
+                message=result.message,
+            )
 
     main = _solve_many(list(programs.values()), [starts[i] for i in programs], tol, max_iters)
     for (i, program), result in zip(programs.items(), main):
@@ -934,7 +910,6 @@ def _trajectory_solution(
         kkt_residual=result.kkt_residual,
         iterations=result.iterations + (phase1_iters or 0),
         duals=result.lam,
-        constraint_labels=list(program.labels),
         coincident_pairs=coincident,
         used_phase1=phase1_iters is not None,
         message=result.message,
@@ -1019,7 +994,7 @@ def solve_min_speed(
     k = len(budgets)
     nv = 2 * n + 1
     num_rows = k + 4 * (n + 1) + 1
-    rows, cols, vals, g_vec, balls, labels = _ball_and_leg_rows(
+    rows, cols, vals, g_vec, balls = _ball_and_leg_rows(
         order, xy, start, end, budgets, ball_floor=0.0, leg_scale=(1.0, 1.0),
         x_col=0, num_rows=num_rows,
     )
@@ -1028,7 +1003,6 @@ def solve_min_speed(
     rows = np.concatenate([rows, np.arange(k, num_rows)])
     cols = np.concatenate([cols, np.full(num_rows - k, nv - 1)])
     vals = np.concatenate([vals, np.tile(-dt, 4), [-1.0]])
-    labels.append("speed_nonneg")
 
     # Start over the nodes, faster than the bound; pinned waypoints keep
     # that position and their entries move into g.
@@ -1058,7 +1032,6 @@ def solve_min_speed(
         ball_var=column[ball_var],
         ball_center=ball_center,
         ball_coef=ball_coef,
-        labels=labels,
     )
 
     result = _solve_ipm(program, z_full[free], tol, max_iters)
@@ -1083,16 +1056,19 @@ def solve_min_speed(
 
 @dataclass
 class CheckReport:
-    """Outcome of re-verifying a returned trajectory from first principles."""
+    """Outcome of re-verifying a returned trajectory from first principles.
 
-    ok: bool
-    feasibility: float
-    stationarity: float
-    complementarity: float
-    dual_feasibility: float
-    objective_gap: float
-    energy_rel_violation: float
-    speed_abs_violation: float
+    The defaults describe a check that could not be made.
+    """
+
+    ok: bool = False
+    feasibility: float = math.inf
+    stationarity: float = math.inf
+    complementarity: float = math.inf
+    dual_feasibility: float = math.inf
+    objective_gap: float = math.inf
+    energy_rel_violation: float = math.inf
+    speed_abs_violation: float = math.inf
     messages: list[str] = field(default_factory=list)
 
     def to_document(self) -> dict[str, Any]:
@@ -1119,11 +1095,9 @@ def _check_lagrangian(
     when duals are given, the gradient of objective + lam'(constraints).
 
     Deliberately rebuilt from the scenario here rather than reusing the
-    solver's matrices, so checker and solver can disagree. Rows follow the
-    solver's label order: one energy ball per scheduled node (ascending),
-    speed legs 0..n for x then y with the positive sign before the
-    negative, ordering, time_lo, time_hi. The gradient is the exact
-    derivative of these formulas.
+    solver's matrices, so checker and solver can disagree. Rows come in the
+    order `_row_labels` names them, which the solver's programs follow. The
+    gradient is the exact derivative of these formulas.
     """
     n = len(order)
     horizon = scenario.uav.horizon_s
@@ -1196,22 +1170,23 @@ def _check_lagrangian(
     return values, obj, np.concatenate([grad_t, grad_x, grad_y])
 
 
-def _check_row_label(row: int, order: tuple[int, ...]) -> str:
-    """Name of a checker constraint row, as the solver labels it."""
-    scheduled = sorted(set(order))
+def _row_labels(order: tuple[int, ...]) -> list[str]:
+    """Names of the constraint rows of ``order``'s schedule program: one
+    energy ball per scheduled node (ascending), speed legs 0..n for x then
+    y with the positive sign before the negative, ordering, time_lo,
+    time_hi."""
     n = len(order)
-    if row < len(scheduled):
-        return f"energy_node_{scheduled[row]}"
-    row -= len(scheduled)
-    if row < 4 * (n + 1):
-        block, leg = divmod(row, n + 1)
-        return f"speed_{'xy'[block // 2]}_{('pos', 'neg')[block % 2]}_leg_{leg}"
-    row -= 4 * (n + 1)
-    for name, size in (("order", n - 1), ("time_lo", n), ("time_hi", n)):
-        if row < size:
-            return f"{name}_{row + 1}"
-        row -= size
-    raise IndexError("constraint row out of range")
+    labels = [f"energy_node_{m}" for m in sorted(set(order))]
+    labels += [
+        f"speed_{axis}_{tag}_leg_{leg}"
+        for axis in "xy"
+        for tag in ("pos", "neg")
+        for leg in range(n + 1)
+    ]
+    labels += [f"order_{i}" for i in range(1, n)]
+    labels += [f"time_lo_{i}" for i in range(1, n + 1)]
+    labels += [f"time_hi_{i}" for i in range(1, n + 1)]
+    return labels
 
 
 def check_solution(
@@ -1234,18 +1209,8 @@ def check_solution(
     horizon = scenario.uav.horizon_s
     r_scale = scenario.coordinate_scale()
 
-    if solution.status == STATUS_INFEASIBLE:
-        return CheckReport(
-            ok=False,
-            feasibility=math.inf,
-            stationarity=math.inf,
-            complementarity=math.inf,
-            dual_feasibility=math.inf,
-            objective_gap=math.inf,
-            energy_rel_violation=math.inf,
-            speed_abs_violation=math.inf,
-            messages=["solution is infeasible; nothing to verify"],
-        )
+    if solution.times_s.size != n:
+        return CheckReport(messages=[f"solution is {solution.status}; nothing to verify"])
     if n == 0:
         gap = abs(solution.objective - 1.0)
         return CheckReport(
@@ -1270,22 +1235,13 @@ def check_solution(
     feasibility = float(np.max(values))
     if feasibility > tol:
         worst = np.argsort(-values, kind="stable")[: min(3, int(np.sum(values > tol)))]
-        names = ", ".join(_check_row_label(int(row), order) for row in worst)
+        labels = _row_labels(order)
+        names = ", ".join(labels[row] for row in worst)
         msgs.append(f"scaled constraint violation {feasibility:.3g} (worst rows: {names})")
 
     lam = solution.duals
     if lam.size != values.size:
-        return CheckReport(
-            ok=False,
-            feasibility=feasibility,
-            stationarity=math.inf,
-            complementarity=math.inf,
-            dual_feasibility=math.inf,
-            objective_gap=math.inf,
-            energy_rel_violation=math.inf,
-            speed_abs_violation=math.inf,
-            messages=["dual vector length mismatch"],
-        )
+        return CheckReport(feasibility=feasibility, messages=["dual vector length mismatch"])
 
     _, obj_scaled, lagr_grad = _check_lagrangian(scenario, order, z, lam)
     stationarity = float(np.max(np.abs(lagr_grad)))
@@ -1298,7 +1254,7 @@ def check_solution(
 
     dual_feasibility = max(0.0, -float(np.min(lam)))
     if dual_feasibility > tol:
-        worst = _check_row_label(int(np.argmin(lam)), order)
+        worst = _row_labels(order)[int(np.argmin(lam))]
         msgs.append(f"dual feasibility violation {dual_feasibility:.3g} at {worst}")
 
     recomputed = nwaoi(scenario, solution.update_times(scenario.num_nodes))

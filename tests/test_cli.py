@@ -113,6 +113,20 @@ def test_solve_infeasible_exit_2(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_solve_infeasible_result_is_strict_json(tmp_path, capsys):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", path, "--schedule", "1,1,1", "--out", str(out)]) == 2
+    capsys.readouterr()
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads((out / "result.json").read_text(encoding="utf-8"), parse_constant=refuse)
+    assert doc["status"] == "infeasible"
+    assert doc["objective"] is None and doc["kkt_residual"] is None
+
+
 def test_solve_missing_scenario_exit_3(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["solve", "--scenario", str(tmp_path / "nope.yaml"), "--out", str(out)])
@@ -560,6 +574,27 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()
 
 
+def test_sweep_learned_policies_over_horizon(tmp_path, capsys):
+    path = save(tmp_path, build_scenario([1, 1]))
+    base = [
+        "sweep", "--scenario", path, "--axis", "horizon", "--values", "900,1200",
+        "--policies", "dqn,dqn-lstm", "--seeds", "0", "--episodes", "2",
+        "--corpus-episodes", "2", "--ae-epochs", "1", "--state-size", "2",
+    ]
+    assert main(base + ["--workers", "1", "--out", str(tmp_path / "serial")]) == 0
+    assert main(base + ["--workers", "2", "--out", str(tmp_path / "parallel")]) == 0
+    capsys.readouterr()
+    cells = read_lines(tmp_path / "serial" / "cells.csv")[1:]
+    assert sorted(line.split(",")[1:3] for line in cells) == [
+        ["1200", "dqn"], ["1200", "dqn-lstm"], ["900", "dqn"], ["900", "dqn-lstm"],
+    ]
+    for line in cells:
+        metric, bound = map(float, line.split(",")[4:])
+        assert bound - 1e-9 <= metric <= 1.0
+    serial = (tmp_path / "serial" / "sweep.csv").read_text()
+    assert serial == (tmp_path / "parallel" / "sweep.csv").read_text()
+
+
 def test_sweep_nodes_axis_validation(tmp_path, capsys):
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
@@ -605,6 +640,28 @@ def test_sweep_nodes_axis_validation(tmp_path, capsys):
     ],
 )
 def test_sizes_below_one_exit_1(tmp_path, capsys, argv, flag):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    assert main(argv[:1] + ["--scenario", path] + argv[1:] + ["--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train-dqn", "--lr", "0"], "--lr"),
+        (["train-dqn", "--lr", "-0.5"], "--lr"),
+        (["train-dqn", "--lr", "inf"], "--lr"),
+        (["train-dqn", "--epsilon-end", "1.5"], "--epsilon-end"),
+        (["train-dqn", "--epsilon-end", "-0.01"], "--epsilon-end"),
+        (["train-dqn", "--epsilon-decay-frac", "-2"], "--epsilon-decay-frac"),
+        (["train-dqn", "--epsilon-decay-frac", "nan"], "--epsilon-decay-frac"),
+        (["train-autoencoder", "--lr", "-1"], "--lr"),
+        (["sweep", "--axis", "energy", "--values", "1", "--lr", "nan"], "--lr"),
+    ],
+)
+def test_learning_settings_out_of_range_exit_1(tmp_path, capsys, argv, flag):
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
     assert main(argv[:1] + ["--scenario", path] + argv[1:] + ["--out", str(out)]) == 1

@@ -209,6 +209,23 @@ def test_min_speed_colocated_is_zero():
     assert result.speed <= 1e-6
 
 
+def test_min_speed_of_empty_schedule_and_its_document():
+    # No battery pays for one update, so the full-budget schedule is empty.
+    empty = solve_min_speed(build_scenario([0, 0]))
+    assert empty.to_document() == {
+        "status": "optimal", "speed": 0.0, "times_s": [], "order": [],
+        "waypoints_xy": [], "kkt_residual": 0.0, "iterations": 0,
+    }
+    result = solve_min_speed(
+        build_scenario([1, 2], positions=[(0.0, 0.0), (300.0, 0.0)], initial=(0.0, 0.0), final=(300.0, 0.0))
+    )
+    doc = result.to_document()
+    assert doc["order"] == [2, 1, 2] and doc["speed"] == result.speed
+    assert doc["times_s"] == result.times_s.tolist()
+    assert doc["waypoints_xy"] == result.waypoints_xy.tolist()
+    assert (doc["status"], doc["iterations"]) == (result.status, result.iterations)
+
+
 def test_min_speed_rejects_coincident_schedule():
     with pytest.raises(CoincidentTimesError):
         solve_min_speed(build_scenario([1, 3]))
@@ -440,6 +457,22 @@ def test_checker_rejects_tampered_solution(tamper, expected):
         assert fragment in text, text
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_phase1_stopped_short_is_not_infeasible(stacked):
+    # Phase I needs more than three iterations to reach the interior here.
+    scenario = build_scenario([1, 1, 1])
+    if stacked:
+        solution = solver.solve_schedules(scenario, [(1, 2, 3), (3, 2, 1)], max_iters=3)[0]
+    else:
+        solution = solve_schedule(scenario, (1, 2, 3), max_iters=3)
+    assert solution.status == STATUS_MAX_ITERATIONS
+    assert (solution.iterations, solution.used_phase1) == (3, True)
+    assert solution.message == "no convergence within 3 iterations"
+    assert solution.times_s.size == 0 and solution.constraint_labels == []
+    assert not check_solution(scenario, solution).ok
+    assert solve_schedule(scenario, (1, 2, 3)).status == STATUS_OPTIMAL
+
+
 def test_negative_duals_alone_fail_the_check():
     # Lowering the time_lo and time_hi duals of one update by the same amount
     # leaves the Lagrangian gradient unchanged and raises complementarity by
@@ -601,7 +634,7 @@ def test_schedule_builder_matches_rowwise_reference():
         g_mat, g_vec, labels, balls = _rowwise_constraints(scenario, order)
         assert np.array_equal(_dense_g(program), g_mat)
         assert np.array_equal(program.g, g_vec)
-        assert program.labels == labels
+        assert solver._row_labels(tuple(order)) == labels
         new_balls = _balls(program)
         assert len(new_balls) == len(balls)
         for (row, idx, center, coef), (row_r, idx_r, center_r, coef_r) in zip(new_balls, balls):
@@ -632,9 +665,9 @@ def _points(program, z0, result):
 
 
 def _kind(program):
-    if program.labels[-1] == "speed_nonneg":
-        return "min_speed"
-    return "phase1" if np.all(_dense_g(program)[:, -1] == -1.0) else "schedule"
+    if program.r0 == 1.0:
+        return "schedule"
+    return "phase1" if np.all(_dense_g(program)[:, -1] == -1.0) else "min_speed"
 
 
 def _newton_programs(monkeypatch):

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
-from typing import Any, Iterator, Protocol
+from typing import Any, Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -262,10 +263,24 @@ class QAgent:
         return int(np.argmax(self.net.forward(obs)))
 
 
-def _build_qnet(input_size: int, num_actions: int, config: DqnConfig, rng) -> DenseNet:
-    sizes = (input_size, *config.hidden_sizes, num_actions)
-    acts = tuple([ACTIVATION] * len(config.hidden_sizes) + ["identity"])
-    return DenseNet.init(sizes, acts, rng)
+def _check_loss(loss: float) -> None:
+    """Raise DivergenceError unless loss is finite and at most DIVERGENCE_LIMIT."""
+    if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"training loss {loss:.3g} exceeded limit {DIVERGENCE_LIMIT:.3g}")
+
+
+def _episode(task: VectorTask, choose: Callable[[np.ndarray], int]) -> Iterator[tuple]:
+    """Run one episode of task, for at most MAX_EPISODE_STEPS steps, choosing
+    each action from the observation; yields (obs, action, reward, next_obs,
+    terminal) per step."""
+    obs = task.reset()
+    for _ in range(MAX_EPISODE_STEPS):
+        action = choose(obs)
+        next_obs, reward, terminal = task.step(action)
+        yield obs, action, reward, next_obs, terminal
+        if terminal:
+            return
+        obs = next_obs
 
 
 def dqn_train_task(
@@ -273,7 +288,6 @@ def dqn_train_task(
     config: DqnConfig,
     episodes: int,
     seed: int,
-    net: DenseNet | None = None,
 ) -> tuple[DenseNet, list[EpisodeStats]]:
     """Train an action-value network on any vector-observation task.
 
@@ -283,28 +297,26 @@ def dqn_train_task(
     trained net and per-episode statistics.
     """
     rng = np.random.default_rng(seed)
-    obs0 = task.reset()
-    if net is None:
-        net = _build_qnet(obs0.size, task.num_actions, config, rng)
+    sizes = (task.reset().size, *config.hidden_sizes, task.num_actions)
+    acts = (ACTIVATION,) * len(config.hidden_sizes) + ("identity",)
+    net = DenseNet.init(sizes, acts, rng)
     optimizer = make_optimizer(config.optimizer, config.lr)
     replay = ReplayMemory(REPLAY_CAPACITY)
     curve: list[EpisodeStats] = []
 
+    def explore(obs: np.ndarray) -> int:
+        # Epsilon-greedy at the current episode's eps, set by the loop below.
+        if rng.uniform() < eps:
+            return int(rng.integers(0, task.num_actions))
+        return int(np.argmax(net.forward(obs)))
+
     for episode in range(episodes):
         eps = epsilon_at(episode, episodes, config)
-        obs = task.reset()
-        terminal = False
         ep_return = 0.0
         steps = 0
-        while not terminal and steps < MAX_EPISODE_STEPS:
-            if rng.uniform() < eps:
-                action = int(rng.integers(0, task.num_actions))
-            else:
-                action = int(np.argmax(net.forward(obs)))
-            next_obs, reward, terminal = task.step(action)
-            replay.push((obs, action, reward, next_obs, terminal))
-            ep_return += reward
-            obs = next_obs
+        for transition in _episode(task, explore):
+            replay.push(transition)
+            ep_return += transition[2]
             steps += 1
 
         target_net = net.clone()
@@ -323,10 +335,7 @@ def dqn_train_task(
             picked = out[np.arange(len(batch)), actions]
             errors = picked - targets
             loss = float(np.mean(errors * errors))
-            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"training loss {loss:.3g} exceeded limit {DIVERGENCE_LIMIT:.3g}"
-                )
+            _check_loss(loss)
             dy = np.zeros_like(out)
             dy[np.arange(len(batch)), actions] = 2.0 * errors / len(batch)
             dws, dbs, _ = net.backward(acts_cache, dy)
@@ -369,13 +378,8 @@ def greedy_evaluate(agent: QAgent, scenario: Scenario) -> tuple[tuple[int, ...],
     """Roll the greedy policy out once, for at most MAX_EPISODE_STEPS steps;
     returns (visit order, metric)."""
     task = ScheduleTask(ScheduleEnv(scenario), agent.repr)
-    obs = task.reset()
-    steps = 0
-    terminal = False
-    while not terminal and steps < MAX_EPISODE_STEPS:
-        action = agent.greedy_action(obs)
-        obs, _, terminal = task.step(action)
-        steps += 1
+    for _ in _episode(task, agent.greedy_action):
+        pass
     return task.env.order, task.env.metric
 
 
@@ -539,9 +543,10 @@ def autoencoder_train(
 ) -> AutoencoderResult:
     """Train the autoencoder on a 70/30 split of the state corpus.
 
-    batch='stochastic' steps per sequence; batch='full' averages the
-    gradient over the whole training split per epoch (slower but the
-    epoch losses descend monotonically at small learning rates).
+    Each step follows one batch's mean loss and gradient: batch='stochastic'
+    takes each sequence alone, in a fresh order per epoch; batch='full' the
+    whole training split (slower but the epoch losses descend monotonically
+    at small learning rates).
     """
     if not corpus:
         raise ValueError("corpus must contain at least one state")
@@ -563,30 +568,17 @@ def autoencoder_train(
     history: list[float] = []
     for _ in range(config.epochs):
         if config.batch == "full":
-            total = 0.0
-            grad_sum = None
-            for seq in train:
-                mse, grad = model.loss_and_grad(seq)
-                total += mse
-                grad_sum = grad if grad_sum is None else grad_sum + grad
-            assert grad_sum is not None
-            epoch_loss = total / len(train)
-            if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LIMIT:
-                raise DivergenceError(f"autoencoder loss diverged: {epoch_loss:.3g}")
-            flat = optimizer.step(model.params_flat(), grad_sum / len(train))
-            model.set_flat(flat)
+            batches = [train]
         else:
-            order = rng.permutation(len(train))
-            total = 0.0
-            for i in order:
-                mse, grad = model.loss_and_grad(train[i])
-                total += mse
-                if not np.isfinite(mse) or mse > DIVERGENCE_LIMIT:
-                    raise DivergenceError(f"autoencoder loss diverged: {mse:.3g}")
-                flat = optimizer.step(model.params_flat(), grad)
-                model.set_flat(flat)
-            epoch_loss = total / len(train)
-        history.append(epoch_loss)
+            batches = [[train[i]] for i in rng.permutation(len(train))]
+        total = 0.0
+        for batch in batches:
+            mses, grads = zip(*[model.loss_and_grad(seq) for seq in batch])
+            batch_sum = sum(mses)
+            _check_loss(batch_sum / len(batch))
+            model.set_flat(optimizer.step(model.params_flat(), reduce(np.add, grads) / len(batch)))
+            total += batch_sum
+        history.append(total / len(train))
 
     test_mse = float(np.mean([model.reconstruction_mse(seq) for seq in test]))
     return AutoencoderResult(
@@ -739,26 +731,16 @@ def load_autoencoder(path: str | Path) -> tuple[Seq2SeqAutoencoder, dict[str, An
 def autoencoder_search(
     scenario: Scenario,
     corpus: list[StateMatrix],
-    cell_sizes: list[int],
-    hidden_sizes: list[int] | None = None,
+    sizes: list[int],
     config: AutoencoderConfig | None = None,
     seed: int = 0,
 ) -> SearchResult:
     """Grid-search the compressed state size by held-out reconstruction MSE.
 
-    The cell and hidden sizes of the recurrent state are one and the same
-    in this cell design, so the two ranges must agree on their candidates;
-    passing disjoint ranges is an error. Ties prefer the smaller size.
+    The cell and hidden state of the recurrent encoder share one size, so
+    one list of candidates covers both. Ties prefer the smaller size.
     """
-    if hidden_sizes is None:
-        candidates = sorted(set(int(v) for v in cell_sizes))
-    else:
-        candidates = sorted(set(int(v) for v in cell_sizes) & set(int(v) for v in hidden_sizes))
-        if not candidates:
-            raise ValueError(
-                "cell and hidden sizes are coupled in this design; "
-                "the candidate ranges must share at least one size"
-            )
+    candidates = sorted(set(int(v) for v in sizes))
     base = config or AutoencoderConfig()
     results: dict[int, float] = {}
     best: AutoencoderResult | None = None

@@ -115,7 +115,7 @@ def _count(text: str) -> int:
 
 
 def _rate(text: str) -> float:
-    """Argument type of a learning rate: a finite number above 0."""
+    """Argument type of a learning rate or tolerance: a finite number above 0."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
@@ -310,18 +310,12 @@ def cmd_train_autoencoder(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
     if not sizes:
         raise _UsageError("--sizes must list at least one state size")
-    hidden = _parse_sizes(args.hidden_sizes, "--hidden-sizes") if args.hidden_sizes else None
     scenario = _load(args.scenario)
     corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=args.seed)
     config = AutoencoderConfig(
         lr=args.lr, optimizer=args.optimizer, epochs=args.epochs, batch=args.batch
     )
-    try:
-        search = autoencoder_search(
-            scenario, corpus, cell_sizes=sizes, hidden_sizes=hidden, config=config, seed=args.seed
-        )
-    except ValueError as exc:  # disjoint candidate ranges are a flag-level mistake
-        raise _UsageError(str(exc)) from exc
+    search = autoencoder_search(scenario, corpus, sizes, config=config, seed=args.seed)
     out = _ensure_out(args.out)
     save_autoencoder(
         out / "autoencoder.ckpt",
@@ -425,13 +419,13 @@ def _apply_axis(doc: dict[str, Any], axis: str, value: float) -> Scenario:
         for node in doc["nodes"]:
             node["battery_j"] = node["battery_j"] * float(value)
     elif axis == "nodes":
-        count = int(value)
-        if count < 1 or count > len(doc["nodes"]):
+        available = len(doc["nodes"])
+        if not (1 <= value <= available and value == int(value)):
             raise ScenarioError(
-                f"nodes axis value {count} outside 1..{len(doc['nodes'])} "
+                f"nodes axis value {value:g} is not a node count in 1..{available} "
                 "(template must carry at least max(values) nodes)"
             )
-        kept = doc["nodes"][:count]
+        kept = doc["nodes"][: int(value)]
         total = sum(node["weight"] for node in kept)
         for node in kept:
             node["weight"] = node["weight"] / total
@@ -478,6 +472,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(f"unknown policy {policy!r}; choose from {EVAL_POLICIES}")
     if not values or not seeds or not policies:
         raise _UsageError("--values, --seeds, and --policies must be non-empty")
+    for flag, entries in (("--values", values), ("--seeds", seeds), ("--policies", policies)):
+        if len(set(entries)) < len(entries):
+            raise _UsageError(f"{flag} lists an entry more than once")
 
     doc = template.to_document()
     cells = [
@@ -539,7 +536,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a random scenario file")
-    p.add_argument("--nodes", type=int, required=True)
+    p.add_argument("--nodes", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--region", type=float, default=1000.0)
     p.add_argument("--altitude", type=float, default=80.0)
@@ -551,8 +548,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve the trajectory for a fixed visit order")
     p.add_argument("--scenario", required=True)
     p.add_argument("--schedule", default="", help="comma list of node indices, e.g. 1,2,1")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--tol", type=_rate, default=DEFAULT_TOL)
+    p.add_argument("--max-iters", type=_count, default=DEFAULT_MAX_ITERS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -564,7 +561,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="exhaustive search over visit orders")
     p.add_argument("--scenario", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_rate, default=DEFAULT_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
 
@@ -590,7 +587,6 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus-episodes", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", default="4,8,16", help="candidate state sizes, comma list")
-    p.add_argument("--hidden-sizes", default=None, help="optional second range; must intersect --sizes")
     p.add_argument("--epochs", type=_count, default=40)
     p.add_argument("--lr", type=_rate, default=0.01)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])

@@ -10,11 +10,14 @@ class ScheduleError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the allotted solve budget."""
+    """Raised when an enumeration would exceed the allotted solve budget.
+
+    ``required`` is a lower bound: the candidate count reached when the
+    guard stopped counting, the first one above ``budget``."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"enumeration needs {required} trajectory solves, budget is {budget}"
+            f"enumeration needs at least {required} trajectory solves, budget is {budget}"
         )
         self.required = required
         self.budget = budget

@@ -54,32 +54,14 @@ def schedule_count(counts: Sequence[int]) -> int:
     return result
 
 
-def count_grid(
-    max_counts: Sequence[int],
-    include_zero: bool = True,
-    max_total: int | None = None,
-) -> Iterator[tuple[int, ...]]:
+def count_grid(max_counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All per-node count vectors within the budget, ascending lexicographic."""
-    ranges = [range(int(c) + 1) for c in max_counts]
-    for combo in itertools.product(*ranges):
-        total = sum(combo)
-        if total == 0 and not include_zero:
-            continue
-        if max_total is not None and total > max_total:
-            continue
-        yield combo
+    return itertools.product(*[range(int(c) + 1) for c in max_counts])
 
 
-def total_candidates(
-    max_counts: Sequence[int],
-    include_zero: bool = True,
-    max_total: int | None = None,
-) -> int:
+def total_candidates(max_counts: Sequence[int]) -> int:
     """Exact number of candidate orders the enumeration would score."""
-    return sum(
-        schedule_count(combo)
-        for combo in count_grid(max_counts, include_zero, max_total)
-    )
+    return sum(schedule_count(combo) for combo in count_grid(max_counts))
 
 
 def multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -163,21 +145,23 @@ def _order_str(order: tuple[int, ...]) -> str:
 def _search(
     scenario: Scenario,
     budget: int,
-    max_total: int | None,
     tol: float,
     keep_rows: bool,
     prune: bool,
 ) -> EnumerationResult:
     """Score the candidates of every count vector; with ``prune``, visit the
     vectors by ascending floor and skip those whose floor exceeds the
-    incumbent's objective."""
+    incumbent's objective. The budget guard stops counting at the first
+    vector that takes the running total above the budget."""
     scenario.validate()
-    max_counts = all_max_updates(scenario)
-    required = total_candidates(max_counts, max_total=max_total)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+    combos: list[tuple[int, ...]] = []
+    required = 0
+    for combo in count_grid(all_max_updates(scenario)):
+        required += schedule_count(combo)
+        if required > budget:
+            raise BudgetExceededError(required, budget)
+        combos.append(combo)
 
-    combos = list(count_grid(max_counts, max_total=max_total))
     floor = {combo: per_count_floor(scenario, combo) for combo in combos}
     visit = sorted(combos, key=lambda combo: (floor[combo], combo)) if prune else combos
     best_key: tuple[float, tuple[int, ...]] | None = None
@@ -249,7 +233,6 @@ def _search(
 def enumerate_optimal(
     scenario: Scenario,
     budget: int = DEFAULT_BUDGET,
-    max_total: int | None = None,
     tol: float = DEFAULT_TOL,
     keep_rows: bool = True,
 ) -> EnumerationResult:
@@ -264,18 +247,18 @@ def enumerate_optimal(
     solved candidate's real status, in count-grid order. Ties on the
     objective break toward the lexicographically smallest order. Raises
     BudgetExceededError up front when the candidate count, pruned ones
-    included, exceeds ``budget``; nothing is solved in that case.
+    included, exceeds ``budget``; nothing is solved in that case, and the
+    error reports the count reached when the guard stopped.
     """
-    return _search(scenario, budget, max_total, tol, keep_rows, prune=True)
+    return _search(scenario, budget, tol, keep_rows, prune=True)
 
 
 def per_count_best(
     scenario: Scenario,
     budget: int = DEFAULT_BUDGET,
-    max_total: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> dict[tuple[int, ...], tuple[tuple[int, ...], float, str]]:
     """Best order and objective for each per-node update allocation.
 
     Scores every candidate: no vector is pruned."""
-    return _search(scenario, budget, max_total, tol, keep_rows=False, prune=False).per_count
+    return _search(scenario, budget, tol, keep_rows=False, prune=False).per_count

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from . import kernels
+from .kernels import ACTIVATIONS
 from .layers import (
-    ACTIVATIONS,
     AdamOptimizer,
     DenseNet,
     LstmCell,

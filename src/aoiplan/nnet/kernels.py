@@ -8,44 +8,33 @@ from __future__ import annotations
 
 import numpy as np
 
-ACT_IDENTITY = 0
-ACT_RELU = 1
-ACT_SIGMOID = 2
-ACT_TANH = 3
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-log(1 + e^-x)): no overflow, full relative precision for x << 0.
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def act_forward(kind: int, z: np.ndarray) -> np.ndarray:
-    if kind == ACT_IDENTITY:
-        return z.copy()
-    if kind == ACT_RELU:
-        return np.maximum(z, 0.0)
-    if kind == ACT_SIGMOID:
-        return _sigmoid(z)
-    if kind == ACT_TANH:
-        return np.tanh(z)
-    raise ValueError(f"unknown activation kind {kind}")
+# Each activation by name: its output given the pre-activation z, and the
+# gradient through it given its output a and the upstream gradient da.
+ACTIVATIONS = {
+    "identity": (lambda z: z.copy(), lambda a, da: da.copy()),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a, da: da * (a > 0.0)),
+    "sigmoid": (_sigmoid, lambda a, da: da * a * (1.0 - a)),
+    "tanh": (np.tanh, lambda a, da: da * (1.0 - a * a)),
+}
 
 
-def act_backward(kind: int, a: np.ndarray, da: np.ndarray) -> np.ndarray:
+def act_forward(name: str, z: np.ndarray) -> np.ndarray:
+    return ACTIVATIONS[name][0](z)
+
+
+def act_backward(name: str, a: np.ndarray, da: np.ndarray) -> np.ndarray:
     """Gradient through an activation given its output a and upstream da."""
-    if kind == ACT_IDENTITY:
-        return da.copy()
-    if kind == ACT_RELU:
-        return da * (a > 0.0)
-    if kind == ACT_SIGMOID:
-        return da * a * (1.0 - a)
-    if kind == ACT_TANH:
-        return da * (1.0 - a * a)
-    raise ValueError(f"unknown activation kind {kind}")
+    return ACTIVATIONS[name][1](a, da)
 
 
 def dense_forward(
-    x: np.ndarray, ws: list[np.ndarray], bs: list[np.ndarray], kinds: list[int]
+    x: np.ndarray, ws: list[np.ndarray], bs: list[np.ndarray], activations: tuple[str, ...]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass through a fully connected stack.
 
@@ -54,16 +43,16 @@ def dense_forward(
     """
     acts = [np.asarray(x, dtype=np.float64)]
     a = acts[0]
-    for w, b, kind in zip(ws, bs, kinds):
+    for w, b, name in zip(ws, bs, activations):
         z = a @ w.T + b
-        a = act_forward(kind, z)
+        a = act_forward(name, z)
         acts.append(a)
     return a, acts
 
 
 def dense_backward(
     ws: list[np.ndarray],
-    kinds: list[int],
+    activations: tuple[str, ...],
     acts: list[np.ndarray],
     dy: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
@@ -73,7 +62,7 @@ def dense_backward(
     dbs: list[np.ndarray] = [None] * num_layers  # type: ignore[list-item]
     da = np.asarray(dy, dtype=np.float64)
     for layer in range(num_layers - 1, -1, -1):
-        dz = act_backward(kinds[layer], acts[layer + 1], da)
+        dz = act_backward(activations[layer], acts[layer + 1], da)
         dws[layer] = dz.T @ acts[layer]
         dbs[layer] = dz.sum(axis=0)
         da = dz @ ws[layer]

@@ -19,8 +19,6 @@ import numpy as np
 from ..errors import CheckpointError, NonFiniteGradientError
 from . import kernels
 
-ACTIVATIONS = {"identity": 0, "relu": 1, "sigmoid": 2, "tanh": 3}
-
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -50,7 +48,7 @@ class DenseNet:
         if len(activations) != len(sizes) - 1:
             raise ValueError("need one activation per layer")
         for name in activations:
-            if name not in ACTIVATIONS:
+            if name not in kernels.ACTIVATIONS:
                 raise ValueError(f"unknown activation {name!r}")
         ws = [
             glorot_uniform(rng, sizes[i + 1], sizes[i])
@@ -59,23 +57,19 @@ class DenseNet:
         bs = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
         return cls(sizes=sizes, activations=activations, ws=ws, bs=bs)
 
-    @property
-    def kinds(self) -> list[int]:
-        return [ACTIVATIONS[name] for name in self.activations]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         single = x.ndim == 1
         batch = x[None, :] if single else x
-        y, _ = kernels.dense_forward(batch, self.ws, self.bs, self.kinds)
+        y, _ = kernels.dense_forward(batch, self.ws, self.bs, self.activations)
         return y[0] if single else y
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        return kernels.dense_forward(x, self.ws, self.bs, self.kinds)
+        return kernels.dense_forward(x, self.ws, self.bs, self.activations)
 
     def backward(
         self, acts: list[np.ndarray], dy: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        return kernels.dense_backward(self.ws, self.kinds, acts, dy)
+        return kernels.dense_backward(self.ws, self.activations, acts, dy)
 
     def params_flat(self) -> np.ndarray:
         parts = []
@@ -180,14 +174,6 @@ class LstmCell:
             raise ValueError("flat parameter vector has the wrong length")
         self.wg = flat[: self.wg.size].reshape(self.wg.shape).copy()
         self.bg = flat[self.wg.size :].copy()
-
-    def clone(self) -> "LstmCell":
-        return LstmCell(
-            input_size=self.input_size,
-            hidden_size=self.hidden_size,
-            wg=self.wg.copy(),
-            bg=self.bg.copy(),
-        )
 
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [("wg", self.wg), ("bg", self.bg)]

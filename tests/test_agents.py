@@ -39,7 +39,14 @@ from aoiplan.agents import (
 )
 from aoiplan.cli import main
 from aoiplan.mdp import build_state_matrix, initial_state
-from aoiplan.nnet import DenseNet, LstmCell, gradient_check, load_checkpoint, save_checkpoint
+from aoiplan.nnet import (
+    DenseNet,
+    LstmCell,
+    gradient_check,
+    load_checkpoint,
+    make_optimizer,
+    save_checkpoint,
+)
 from conftest import build_scenario
 
 
@@ -429,18 +436,21 @@ def test_autoencoder_empty_corpus_rejected():
         autoencoder_train(scenario, [], AutoencoderConfig(), seed=0)
 
 
-def test_search_requires_overlapping_ranges():
+@pytest.mark.parametrize("batch", ["stochastic", "full"])
+def test_autoencoder_divergence_guard(batch):
+    # Both batch modes stop on the rule and message the value trainer uses.
     scenario = build_scenario([1, 1])
     corpus = collect_states(scenario, episodes=2, seed=0)
-    with pytest.raises(ValueError, match="coupled"):
-        autoencoder_search(scenario, corpus, [2, 4], hidden_sizes=[8, 16])
+    config = AutoencoderConfig(state_size=2, lr=1e8, optimizer="sgd", epochs=5, batch=batch)
+    with pytest.raises(DivergenceError, match="training loss .* exceeded limit"):
+        autoencoder_train(scenario, corpus, config, seed=0)
 
 
 def test_search_singleton_range():
     scenario = build_scenario([1, 1])
     corpus = collect_states(scenario, episodes=2, seed=0)
     config = AutoencoderConfig(epochs=3)
-    result = autoencoder_search(scenario, corpus, [6], hidden_sizes=[6], config=config)
+    result = autoencoder_search(scenario, corpus, [6], config=config)
     assert result.best_size == 6
     assert set(result.results) == {6}
 
@@ -842,3 +852,144 @@ def test_memoized_observations_are_fresh_encodings_and_read_only(mode):
             obs[0] = 0.0
         kept = task.env._states[order].columns
         assert np.array_equal(kept, state.columns) and not kept.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Reference training loops: the action-value rollout-and-update loop, the
+# greedy rollout and both autoencoder batch loops written out on their own.
+# The package runs every episode through one runner and every autoencoder
+# step through one batch loop; these pin its outputs bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_dqn_train_task(task, config, episodes, seed):
+    rng = np.random.default_rng(seed)
+    obs0 = task.reset()
+    sizes = (obs0.size, *config.hidden_sizes, task.num_actions)
+    acts = tuple(["relu"] * len(config.hidden_sizes) + ["identity"])
+    net = DenseNet.init(sizes, acts, rng)
+    optimizer = make_optimizer(config.optimizer, config.lr)
+    replay = ReplayMemory(agents.REPLAY_CAPACITY)
+    curve = []
+    for episode in range(episodes):
+        eps = epsilon_at(episode, episodes, config)
+        obs = task.reset()
+        terminal = False
+        ep_return = 0.0
+        steps = 0
+        while not terminal and steps < agents.MAX_EPISODE_STEPS:
+            if rng.uniform() < eps:
+                action = int(rng.integers(0, task.num_actions))
+            else:
+                action = int(np.argmax(net.forward(obs)))
+            next_obs, reward, terminal = task.step(action)
+            replay.push((obs, action, reward, next_obs, terminal))
+            ep_return += reward
+            obs = next_obs
+            steps += 1
+        target_net = net.clone()
+        loss = float("nan")
+        for _ in range(config.grad_steps_per_episode):
+            batch = replay.sample(rng, config.batch_size)
+            xs = np.stack([item[0] for item in batch])
+            next_xs = np.stack([item[3] for item in batch])
+            actions = np.array([item[1] for item in batch], dtype=int)
+            rewards = np.array([item[2] for item in batch])
+            terminals = np.array([item[4] for item in batch], dtype=bool)
+            next_q = target_net.forward(next_xs)
+            targets = rewards + np.where(terminals, 0.0, next_q.max(axis=1))
+            out, acts_cache = net.forward_cached(xs)
+            picked = out[np.arange(len(batch)), actions]
+            errors = picked - targets
+            loss = float(np.mean(errors * errors))
+            dy = np.zeros_like(out)
+            dy[np.arange(len(batch)), actions] = 2.0 * errors / len(batch)
+            dws, dbs, _ = net.backward(acts_cache, dy)
+            net.set_flat(optimizer.step(net.params_flat(), net.grads_flat(dws, dbs)))
+        metric = getattr(task, "metric", float("nan"))
+        curve.append((episode, steps, ep_return, float(metric), eps, loss))
+    return net, curve
+
+
+def _reference_greedy(agent, scenario):
+    task = agents.ScheduleTask(ScheduleEnv(scenario), agent.repr)
+    obs = task.reset()
+    steps = 0
+    terminal = False
+    while not terminal and steps < agents.MAX_EPISODE_STEPS:
+        obs, _, terminal = task.step(agent.greedy_action(obs))
+        steps += 1
+    return task.env.order, task.env.metric
+
+
+def _reference_autoencoder_train(scenario, corpus, config, seed):
+    rng = np.random.default_rng(seed)
+    sequences = [normalize_state_columns(scenario, state) for state in corpus]
+    perm = rng.permutation(len(sequences))
+    n_train = max(1, int(round(0.7 * len(sequences))))
+    if n_train == len(sequences):
+        n_train -= 1
+    train = [sequences[i] for i in perm[:n_train]]
+    test = [sequences[i] for i in perm[n_train:]]
+    model = Seq2SeqAutoencoder.init(scenario.num_nodes + 1, config.state_size, rng)
+    optimizer = make_optimizer(config.optimizer, config.lr)
+    history = []
+    for _ in range(config.epochs):
+        total = 0.0
+        if config.batch == "full":
+            grad_sum = None
+            for seq in train:
+                mse, grad = model.loss_and_grad(seq)
+                total += mse
+                grad_sum = grad if grad_sum is None else grad_sum + grad
+            model.set_flat(optimizer.step(model.params_flat(), grad_sum / len(train)))
+        else:
+            for i in rng.permutation(len(train)):
+                mse, grad = model.loss_and_grad(train[i])
+                total += mse
+                model.set_flat(optimizer.step(model.params_flat(), grad))
+        history.append(total / len(train))
+    test_mse = float(np.mean([model.reconstruction_mse(seq) for seq in test]))
+    return model, history, test_mse
+
+
+def _schedule_task(scenario, mode):
+    encoder = None
+    if mode == "autoencoder":
+        encoder = Seq2SeqAutoencoder.init(3, 3, np.random.default_rng(7)).encoder
+    return agents.ScheduleTask(ScheduleEnv(scenario), StateRepr(scenario, encoder))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("task_kind", ["chain", "last_column", "autoencoder"])
+def test_dqn_training_matches_reference_loop(task_kind, optimizer, seed):
+    scenario = build_scenario([2, 1])
+    config = DqnConfig(hidden_sizes=(5,), lr=0.01, optimizer=optimizer, batch_size=8,
+                       grad_steps_per_episode=2)
+    if task_kind == "chain":
+        tasks = ChainTask(), ChainTask()
+    else:
+        tasks = _schedule_task(scenario, task_kind), _schedule_task(scenario, task_kind)
+    net, curve = dqn_train_task(tasks[0], config, 20, seed)
+    want_net, want_curve = _reference_dqn_train_task(tasks[1], config, 20, seed)
+    for (name, got), (_, ref) in zip(net.to_arrays(), want_net.to_arrays()):
+        assert np.array_equal(got, ref), name
+    np.testing.assert_array_equal(np.array(_curve_rows(curve)), np.array(want_curve))
+    if task_kind != "chain":
+        agent = QAgent(net=net, repr=tasks[0].repr)
+        assert greedy_evaluate(agent, scenario) == _reference_greedy(agent, scenario)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("batch", ["stochastic", "full"])
+def test_autoencoder_training_matches_reference_loops(batch, optimizer, seed):
+    scenario = build_scenario([2, 1])
+    corpus = collect_states(scenario, episodes=2, seed=seed)
+    config = AutoencoderConfig(state_size=3, lr=0.02, optimizer=optimizer, epochs=3, batch=batch)
+    result = autoencoder_train(scenario, corpus, config, seed)
+    model, history, test_mse = _reference_autoencoder_train(scenario, corpus, config, seed)
+    assert np.array_equal(result.model.params_flat(), model.params_flat())
+    assert result.train_mse == history
+    assert result.test_mse == test_mse

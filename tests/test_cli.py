@@ -52,6 +52,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("nodes", ["0", "-2"])
+def test_generate_node_count_below_one_exit_1(tmp_path, capsys, nodes):
+    out = tmp_path / "gen.yaml"
+    assert main(["generate", "--nodes", nodes, "--out", str(out)]) == 1
+    assert "--nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -405,21 +413,6 @@ def test_train_autoencoder_artifacts(tmp_path, capsys):
     assert len(rows) == 3
 
 
-def test_train_autoencoder_disjoint_ranges_exit_1(tmp_path, capsys):
-    path = save(tmp_path, build_scenario([1, 1]))
-    out = tmp_path / "run"
-    code = main([
-        "train-autoencoder",
-        "--scenario", path,
-        "--corpus-episodes", "1",
-        "--sizes", "2",
-        "--hidden-sizes", "4",
-        "--out", str(out),
-    ])
-    assert code == 1
-    assert "coupled" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -598,12 +591,13 @@ def test_sweep_learned_policies_over_horizon(tmp_path, capsys):
 def test_sweep_nodes_axis_validation(tmp_path, capsys):
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
-    code = main([
-        "sweep", "--scenario", path, "--axis", "nodes",
-        "--values", "3", "--out", str(out),
-    ])
-    assert code == 2
-    assert "template" in capsys.readouterr().err
+    for values in ("3", "1.5", "nan"):
+        code = main([
+            "sweep", "--scenario", path, "--axis", "nodes",
+            "--values", values, "--out", str(out),
+        ])
+        assert code == 2
+        assert "template" in capsys.readouterr().err
 
     ok = main([
         "sweep", "--scenario", path, "--axis", "nodes",
@@ -626,7 +620,7 @@ def test_sweep_nodes_axis_validation(tmp_path, capsys):
         (["train-dqn", "--hidden", "4,0"], "--hidden"),
         (["train-autoencoder", "--sizes", "0"], "--sizes"),
         (["train-autoencoder", "--sizes", ""], "--sizes"),
-        (["train-autoencoder", "--sizes", "4", "--hidden-sizes", "4,-1"], "--hidden-sizes"),
+        (["solve", "--max-iters", "0"], "--max-iters"),
         (["train-autoencoder", "--epochs", "0"], "--epochs"),
         (["train-autoencoder", "--corpus-episodes", "0"], "--corpus-episodes"),
         (["eval", "--policy", "weight", "--episodes", "0"], "--episodes"),
@@ -637,6 +631,8 @@ def test_sweep_nodes_axis_validation(tmp_path, capsys):
         (["sweep", "--axis", "energy", "--values", "1", "--ae-epochs", "0"], "--ae-epochs"),
         (["sweep", "--axis", "energy", "--values", "1", "--workers", "0"], "--workers"),
         (["sweep", "--axis", "energy", "--values", "1", "--workers", "two"], "--workers"),
+        (["solve", "--max-iters", "-3"], "--max-iters"),
+        (["train-autoencoder", "--hidden-sizes", "4"], "--hidden-sizes"),
     ],
 )
 def test_sizes_below_one_exit_1(tmp_path, capsys, argv, flag):
@@ -659,6 +655,11 @@ def test_sizes_below_one_exit_1(tmp_path, capsys, argv, flag):
         (["train-dqn", "--epsilon-decay-frac", "nan"], "--epsilon-decay-frac"),
         (["train-autoencoder", "--lr", "-1"], "--lr"),
         (["sweep", "--axis", "energy", "--values", "1", "--lr", "nan"], "--lr"),
+        (["solve", "--tol", "inf"], "--tol"),
+        (["solve", "--tol", "-1"], "--tol"),
+        (["solve", "--tol", "0"], "--tol"),
+        (["solve", "--tol", "nan"], "--tol"),
+        (["enumerate", "--tol", "0"], "--tol"),
     ],
 )
 def test_learning_settings_out_of_range_exit_1(tmp_path, capsys, argv, flag):
@@ -716,3 +717,17 @@ def test_sweep_usage_errors(tmp_path, capsys):
     ])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, entries",
+    [("--values", "1,1"), ("--values", "1,1.0"), ("--seeds", "0,0"), ("--policies", "weight,weight")],
+)
+def test_sweep_repeated_entries_exit_1(tmp_path, capsys, flag, entries):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    argv = ["sweep", "--scenario", path, "--axis", "energy", "--values", "1",
+            "--policies", "weight", flag, entries, "--out", str(out)]
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

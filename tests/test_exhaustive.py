@@ -7,7 +7,9 @@ import pytest
 
 from aoiplan import (
     BudgetExceededError,
+    all_max_updates,
     enumerate_optimal,
+    generate_scenario,
     lower_bound,
     per_count_floor,
     per_count_best,
@@ -27,9 +29,7 @@ def test_schedule_count_multinomial():
 
 
 def test_total_candidates_small_grid():
-    assert total_candidates(np.array([1, 1]), include_zero=True, max_total=None) == 5
-    assert total_candidates(np.array([1, 1]), include_zero=False, max_total=None) == 4
-    assert total_candidates(np.array([1, 1]), include_zero=True, max_total=1) == 3
+    assert total_candidates(np.array([1, 1])) == 5
 
 
 def test_multiset_permutations_enumeration():
@@ -39,7 +39,7 @@ def test_multiset_permutations_enumeration():
 
 
 def test_count_grid_covers_box():
-    combos = list(count_grid(np.array([1, 2]), include_zero=True, max_total=None))
+    combos = list(count_grid(np.array([1, 2])))
     assert len(combos) == 6
     assert (0, 0) in combos and (1, 2) in combos
 
@@ -49,6 +49,24 @@ def test_budget_guard_raises_before_solving():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_optimal(scenario, budget=3)
     assert "5" in str(exc.value) and "3" in str(exc.value)
+
+
+def test_budget_guard_stops_at_first_excess(monkeypatch):
+    # Budgets [1270, 1407] span 1.8 million count vectors; the guard must
+    # refuse after the first running total above the budget, not walk them.
+    scenario = generate_scenario(2, seed=0)
+    assert list(all_max_updates(scenario)) == [1270, 1407]
+    calls = []
+
+    def counted(counts):
+        calls.append(counts)
+        if len(calls) > 10_000:
+            raise AssertionError("budget guard kept counting past the budget")
+        return schedule_count(counts)
+
+    monkeypatch.setattr("aoiplan.exhaustive.schedule_count", counted)
+    with pytest.raises(BudgetExceededError, match="at least 1001 .* budget is 1000"):
+        enumerate_optimal(scenario, budget=1000)
 
 
 def test_enumeration_matches_direct_solves():
@@ -107,14 +125,6 @@ def test_enumeration_is_deterministic():
     assert a.best_order == b.best_order
     assert a.objective == b.objective
     assert a.rows == b.rows
-
-
-def test_max_total_prunes_candidates():
-    scenario = build_scenario([2, 2])
-    full = enumerate_optimal(scenario)
-    pruned = enumerate_optimal(scenario, max_total=2)
-    assert pruned.num_candidates < full.num_candidates
-    assert pruned.objective >= full.objective - 1e-12
 
 
 def test_nonconverged_solve_never_wins(monkeypatch):

@@ -103,19 +103,29 @@ def _parse_sizes(text: str, flag: str) -> list[int]:
     return sizes
 
 
-def _count(text: str) -> int:
-    """Argument type of a size or count flag: an integer of at least 1."""
+def _integer(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
 
 
-def _rate(text: str) -> float:
-    """Argument type of a learning rate or tolerance: a finite number above 0."""
+def _count(text: str) -> int:
+    """Argument type of a size or count flag: an integer of at least 1."""
+    return _integer(text, 1)
+
+
+def _seed(text: str) -> int:
+    """Argument type of a seed: an integer of at least 0."""
+    return _integer(text, 0)
+
+
+def _positive(text: str) -> float:
+    """Argument type of a learning rate, tolerance or scenario geometry
+    value: a finite number above 0."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
@@ -466,6 +476,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     template = _load(args.scenario)
     values = _parse_floats(args.values, "--values")
     seeds = _parse_ints(args.seeds, "--seeds")
+    if any(seed < 0 for seed in seeds):
+        raise _UsageError(f"--seeds entries must be at least 0, got {args.seeds!r}")
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for policy in policies:
         if policy not in EVAL_POLICIES:
@@ -537,18 +549,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a random scenario file")
     p.add_argument("--nodes", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--region", type=float, default=1000.0)
-    p.add_argument("--altitude", type=float, default=80.0)
-    p.add_argument("--vmax", type=float, default=25.0)
-    p.add_argument("--horizon", type=float, default=900.0)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--region", type=_positive, default=1000.0)
+    p.add_argument("--altitude", type=_positive, default=80.0)
+    p.add_argument("--vmax", type=_positive, default=25.0)
+    p.add_argument("--horizon", type=_positive, default=900.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="solve the trajectory for a fixed visit order")
     p.add_argument("--scenario", required=True)
     p.add_argument("--schedule", default="", help="comma list of node indices, e.g. 1,2,1")
-    p.add_argument("--tol", type=_rate, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     p.add_argument("--max-iters", type=_count, default=DEFAULT_MAX_ITERS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
@@ -561,16 +573,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="exhaustive search over visit orders")
     p.add_argument("--scenario", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--tol", type=_rate, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("train-dqn", help="train the action-value planner")
     p.add_argument("--scenario", required=True)
     p.add_argument("--episodes", type=_count, default=300)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--hidden", default="64")
-    p.add_argument("--lr", type=_rate, default=0.005)
+    p.add_argument("--lr", type=_positive, default=0.005)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
     p.add_argument("--epsilon-end", type=_fraction, default=0.02)
     p.add_argument("--epsilon-decay-frac", type=_fraction, default=0.6)
@@ -585,10 +597,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-autoencoder", help="train the recurrent state encoder")
     p.add_argument("--scenario", required=True)
     p.add_argument("--corpus-episodes", type=_count, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sizes", default="4,8,16", help="candidate state sizes, comma list")
     p.add_argument("--epochs", type=_count, default=40)
-    p.add_argument("--lr", type=_rate, default=0.01)
+    p.add_argument("--lr", type=_positive, default=0.01)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
     p.add_argument("--batch", default="stochastic", choices=["stochastic", "full"])
     p.add_argument("--out", required=True)
@@ -598,7 +610,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--policy", required=True, choices=list(EVAL_POLICIES))
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--episodes", type=_count, default=100, help="rollouts for the weight policy")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
@@ -612,7 +624,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", default="0")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--episodes", type=_count, default=300, help="training episodes per dqn cell")
-    p.add_argument("--lr", type=_rate, default=0.005)
+    p.add_argument("--lr", type=_positive, default=0.005)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
     p.add_argument("--grad-steps", type=_count, default=4)
     p.add_argument("--corpus-episodes", type=_count, default=40)

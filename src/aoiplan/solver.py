@@ -13,8 +13,10 @@ variable).
 
 A program keeps its objective's P and its linear constraint rows only as
 (row, column, value) nonzeros. Constraint values, Jacobian products and the
-Newton matrix are each a gather over those nonzeros and one `np.bincount`;
-the nv x nv Newton system is then solved dense.
+Newton matrix are each a gather over those nonzeros and one `np.bincount`.
+A long schedule's Newton system is solved by its structure, a block band
+plus one rank-1 term per energy ball (see `_block_step`); any other is
+assembled nv x nv and solved dense.
 
 There are two loops. `_solve_ipm` solves one program. `_solve_ipm_stack`
 solves programs of equal shape, such as the orders of one count vector, as
@@ -94,7 +96,8 @@ class _Program:
     A program may hold ``num_problems`` problems of equal shape, stacked
     block-diagonally (see `_stack`): the vectors hold the problems one after
     another, `objective` gives one value per problem and `newton_matrix` one
-    matrix per problem.
+    matrix per problem. A single long program carries a ``layout``, and
+    `_solve_ipm` then takes its Newton steps by `_block_step`.
     """
 
     P_row: np.ndarray
@@ -111,6 +114,7 @@ class _Program:
     ball_center: np.ndarray
     ball_coef: np.ndarray
     num_problems: int = 1
+    layout: _BlockLayout | None = field(default=None, repr=False, compare=False)
     _jac_row: np.ndarray = field(init=False, repr=False)
     _jac_col: np.ndarray = field(init=False, repr=False)
     _two_coef: np.ndarray = field(init=False, repr=False)
@@ -125,19 +129,13 @@ class _Program:
     @cached_property
     def _newton_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # Every ordered pair (a, b) of Jacobian nonzeros that share a row r
-        # adds w_r * J_a * J_b to entry (col_a, col_b) of J'WJ. Sorted by row,
-        # a row's nonzeros are contiguous, and partner b runs over them. The
-        # pairs are followed by the diagonal entries that carry the ball
-        # curvature and then by P. Indices are into the stack of nv x nv
-        # matrices; a row's nonzeros all belong to one problem.
+        # adds w_r * J_a * J_b to entry (col_a, col_b) of J'WJ. The pairs are
+        # followed by the diagonal entries that carry the ball curvature and
+        # then by P. Indices are into the stack of nv x nv matrices; a row's
+        # nonzeros all belong to one problem.
         nv = self.num_vars
         rows, cols = self._jac_row, self._jac_col
-        by_row = np.argsort(rows, kind="stable")
-        per_row = np.bincount(rows, minlength=self.g.size)
-        reps = per_row[rows[by_row]]
-        a = np.repeat(by_row, reps)
-        first = np.cumsum(per_row) - per_row
-        b = by_row[first[rows[a]] + np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)]
+        a, b = _row_pairs(rows, self.g.size)
         flat = np.concatenate(
             [cols[a] * nv + cols[b] % nv, self.ball_var * nv + self.ball_var % nv,
              self.P_row * nv + self.P_col % nv]
@@ -176,9 +174,11 @@ class _Program:
         """J dz for the Jacobian values ``jac``."""
         return np.bincount(self._jac_row, weights=jac * dz[self._jac_col], minlength=self.g.size)
 
+    def p_dot(self, z: np.ndarray) -> np.ndarray:
+        return np.bincount(self.P_row, weights=self.P_val * z[self.P_col], minlength=self.q.size)
+
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
-        pz = np.bincount(self.P_row, weights=self.P_val * z[self.P_col], minlength=self.q.size)
-        return pz + self.q
+        return self.p_dot(z) + self.q
 
     def objective(self, z: np.ndarray) -> np.ndarray:
         """The objective of each problem: z'(0.5 Pz + q) + r0."""
@@ -200,6 +200,19 @@ class _Program:
         )
         mat = np.bincount(flat, weights=scaled, minlength=self.num_problems * nv * nv)
         return mat.reshape(self.num_problems, nv, nv)
+
+
+def _row_pairs(rows: np.ndarray, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (a, b) of entries that share their row, itself
+    included: sorted by row, a row's entries are contiguous, and partner b
+    runs over them."""
+    by_row = np.argsort(rows, kind="stable")
+    per_row = np.bincount(rows, minlength=num_rows)
+    reps = per_row[rows[by_row]]
+    a = np.repeat(by_row, reps)
+    first = np.cumsum(per_row) - per_row
+    b = by_row[first[rows[a]] + np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)]
+    return a, b
 
 
 def _stack(programs: Sequence[_Program]) -> _Program:
@@ -244,6 +257,262 @@ def _newton_step(m_red: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
             return dz
         ridge = max(ridge * 100.0, 1e-10 * max(1.0, float(np.max(np.abs(m_red)))))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Block-banded Newton steps for long programs
+# ---------------------------------------------------------------------------
+#
+# Ordered by update, the variables of a long schedule couple only near
+# neighbours: a leg ties update i to update i + 1, and P ties consecutive
+# visits of one node. Without its energy-ball rows the Newton matrix is then
+# block tridiagonal. Each ball row adds a rank-1 term over its node's
+# waypoints, and a column outside the band (phase I's slack, the speed of the
+# minimum-speed program) borders the matrix. Block elimination with the
+# right-hand side, the ball gradients and the border columns as extra columns,
+# then a Woodbury solve of k + border unknowns, gives the Newton step with no
+# nv x nv array.
+
+# Fewest variables in one diagonal block, and fewest blocks for which the
+# block solve is faster than the dense one.
+_BLOCK_VARS = 9
+_MIN_BLOCKS = 19
+# Cyclic reduction stops at a system this small and solves it dense.
+_DENSE_VARS = 48
+# A block solution is accepted when its residual is at most this fraction of
+# the right-hand side, after at most _REFINE_PASSES correction passes that
+# each at least halve it; otherwise the dense solve takes the step.
+_RESIDUAL_TOL = 1e-10
+_REFINE_PASSES = 6
+
+
+@dataclass(frozen=True)
+class _BlockLayout:
+    """Where a program's Newton matrix goes in block-tridiagonal storage.
+
+    Columns below ``num_banded`` are banded; column c sits at position
+    ``pos[c]`` of the band, which is cut into ``num_blocks`` blocks of
+    ``block`` positions, the last padded with an identity. The storage is
+    (num_blocks, 3, block, block): the coupling of each block to the one
+    before it, the block itself and its coupling to the one after it.
+    ``flat`` sends there, in this order, the products of the pairs
+    (``pair_a``, ``pair_b``) of G entries on banded columns that share a
+    row, ``pair_row``, the ball curvature and P's entries; P comes last so
+    that a program without P, phase I, uses the prefix. The layout holds
+    positions only, no values. The ball rows are the first rows, their
+    variables are banded and they hold no G entry on a banded column. Phase
+    I shares the layout of its program: its G entries start with the
+    program's, and its slack column borders the band.
+    """
+
+    num_banded: int
+    pos: np.ndarray
+    block: int
+    num_blocks: int
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    pair_row: np.ndarray
+    flat: np.ndarray
+    ball_pos: np.ndarray
+
+
+def _block_layout(program: _Program, key: np.ndarray) -> _BlockLayout | None:
+    """The layout of ``program`` whose first key.size columns form the band
+    in ascending ``key``; None when it has fewer than _MIN_BLOCKS blocks, and
+    the dense solve is the faster one."""
+    nb = key.size
+    if nb < _MIN_BLOCKS * _BLOCK_VARS:
+        return None
+    pos = np.empty(nb, dtype=np.intp)
+    pos[np.argsort(key, kind="stable")] = np.arange(nb)
+    banded = np.flatnonzero(program.G_col < nb)
+    rows = program.G_row[banded]
+    a, b = _row_pairs(rows, program.num_cons)
+    p, q = pos[program.G_col[banded[a]]], pos[program.G_col[banded[b]]]
+    p_p, p_q = pos[program.P_row], pos[program.P_col]
+    bw = max(int(np.abs(p - q).max()), int(np.abs(p_p - p_q).max(initial=0)))
+    bs = max(_BLOCK_VARS, bw)
+    num_blocks = -(-nb // bs)
+    if num_blocks < _MIN_BLOCKS:
+        return None
+    ball_pos = pos[program.ball_var]
+    ends = np.concatenate([p, ball_pos, p_p]), np.concatenate([q, ball_pos, p_q])
+    i, j = ends[0] // bs, ends[1] // bs
+    flat = ((i * 3 + j - i + 1) * bs + ends[0] % bs) * bs + ends[1] % bs
+    return _BlockLayout(nb, pos, bs, num_blocks, banded[a], banded[b], rows[a], flat, ball_pos)
+
+
+def _block_step(
+    program: _Program, jac: np.ndarray, lam: np.ndarray, weights: np.ndarray, rhs: np.ndarray
+) -> np.ndarray | None:
+    """The Newton step of ``program`` by its layout's structure; None when a
+    block is singular or the residual stays above its tolerance, as it does
+    for a step that is not finite."""
+    lay = program.layout
+    nb, bs, nblk = lay.num_banded, lay.block, lay.num_blocks
+    nv = program.num_vars
+    k = int(program.ball_row.max(initial=-1)) + 1
+    g_val = program.G_val
+    vals = np.concatenate(
+        [g_val[lay.pair_a] * g_val[lay.pair_b] * weights[lay.pair_row],
+         program._two_coef * lam[program.ball_row], program.P_val]
+    )
+    mat = np.bincount(lay.flat[: vals.size], weights=vals, minlength=nblk * 3 * bs * bs)
+    mat = mat.reshape(nblk, 3, bs, bs)
+    pad = np.arange(nb - (nblk - 1) * bs, bs)
+    mat[-1, 1, pad, pad] = 1.0
+
+    # Columns: the right-hand side, the ball gradients, the border columns.
+    nbord = nv - nb
+    cols = np.zeros((nblk * bs, 1 + k + nbord))
+    cols[lay.pos, 0] = rhs[:nb]
+    cols[lay.ball_pos, 1 + program.ball_row] = jac[program.G_val.size :]
+    corner = np.empty((nbord, nbord))
+    for j in range(nbord):
+        unit = np.zeros(nv)
+        unit[nb + j] = 1.0
+        col = program.p_dot(unit) + program.jac_t_dot(jac, weights * program.jac_dot(jac, unit))
+        cols[lay.pos, 1 + k + j] = col[:nb]
+        corner[:, j] = col[nb:]
+
+    try:
+        with np.errstate(all="ignore"):
+            solved, s = _block_solve(mat, cols, weights[:k], corner, rhs[nb:])
+    except np.linalg.LinAlgError:
+        return None
+    dz = np.empty(nv)
+    dz[:nb] = solved[lay.pos]
+    dz[nb:] = s
+    return dz
+
+
+def _block_solve(
+    mat: np.ndarray, cols: np.ndarray, weights: np.ndarray, corner: np.ndarray, rhs_border: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve [[A + U diag(weights) U', C], [C', corner]] [x; s] = [r; rhs_border]
+    for A block tridiagonal in ``mat`` (see `_BlockLayout`) and ``cols`` =
+    [r | U | C]. Raises LinAlgError when a block is singular or the residual
+    stays above _RESIDUAL_TOL of the right-hand side.
+
+    A is factored by block cyclic reduction. The k ball unknowns W U'x and
+    the border unknowns s then make a small system (Woodbury). Residual
+    correction passes with the same factors follow while the residual is
+    above tolerance."""
+    nblk, _, bs, _ = mat.shape
+    k = weights.size
+    # Scaled to a unit diagonal, D A D, which keeps the elimination without
+    # pivoting accurate when the barrier weights differ by many orders.
+    scale = 1.0 / np.sqrt(np.diagonal(mat[:, 1], axis1=1, axis2=2))
+    beside = np.ones((nblk, 3, bs))
+    beside[1:, 0] = scale[:-1]
+    beside[:, 1] = scale
+    beside[:-1, 2] = scale[1:]
+    scaled = mat * scale[:, None, :, None] * beside[:, :, None, :]
+    factors = _cyclic_factor(scaled[:, 0], scaled[:, 1], scaled[:, 2])
+    scale = scale[:, :, None]
+
+    def band_solve(rhs: np.ndarray) -> np.ndarray:
+        return (_cyclic_solve(factors, rhs.reshape(nblk, bs, -1) * scale) * scale).reshape(rhs.shape)
+
+    low = cols[:, 1:]
+    solved = band_solve(cols)
+    x, x_low = solved[:, 0], solved[:, 1:]
+    small = low.T @ x_low
+    small[:k, :k] += np.diag(1.0 / weights)
+    small[k:, k:] -= corner
+    small = np.linalg.inv(small)
+
+    def woodbury(x_r: np.ndarray, r_border: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = low.T @ x_r
+        t[k:] -= r_border
+        s = small @ t
+        return x_r - x_low @ s, s[k:]
+
+    x, s = woodbury(x, rhs_border)
+    rhs = np.concatenate([cols[:, 0], rhs_border])
+    tol = _RESIDUAL_TOL * np.abs(rhs).max()
+    last = np.inf
+    for _ in range(_REFINE_PASSES + 1):
+        xb = x.reshape(nblk, bs, 1)
+        ax = mat[:, 1] @ xb
+        ax[1:] += mat[1:, 0] @ xb[:-1]
+        ax[:-1] += mat[:-1, 2] @ xb[1:]
+        t = low.T @ x
+        res = rhs - np.concatenate(
+            [ax.ravel() + low @ np.concatenate([weights * t[:k], s]), t[k:] + corner @ s]
+        )
+        size = np.abs(res).max()
+        if size <= tol:
+            return x, s
+        # A pass that does not halve the residual has met rounding level.
+        if not size < 0.5 * last:
+            break
+        last = size
+        dx, ds = woodbury(band_solve(res[: x.size]), res[x.size :])
+        x, s = x + dx, s + ds
+    raise np.linalg.LinAlgError("block solve residual stays above its tolerance")
+
+
+def _cyclic_factor(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
+) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+    """Block cyclic reduction of the block-tridiagonal matrix with rows
+    lower[i], diag[i], upper[i] at block columns i - 1, i, i + 1.
+
+    The odd blocks are eliminated in one batch, which leaves a
+    block-tridiagonal matrix of the even ones, and so on until it is small
+    enough to solve dense. For a positive definite matrix each reduced
+    matrix is a Schur complement, so no pivoting between blocks is needed.
+    Each level keeps (inv, alpha, beta, left, right) for `_cyclic_solve`."""
+    levels = []
+    num, bs, _ = diag.shape
+    while num * bs > _DENSE_VARS:
+        n_odd = num // 2
+        n_left = num - n_odd - 1
+        # Odd block i: X[i] = inv B[i] - alpha X[i-1] - beta X[i+1].
+        inv = np.linalg.inv(diag[1::2])
+        alpha, beta = inv @ lower[1::2], inv @ upper[1::2]
+        # Even block j: the even blocks j - 2 and j + 2 become its neighbours.
+        left, right = lower[2::2], upper[0 : 2 * n_odd : 2]
+        red_diag = diag[0::2].copy()
+        red_diag[:n_odd] -= right @ alpha
+        red_diag[1:] -= left @ beta[:n_left]
+        red_lower = np.zeros_like(red_diag)
+        red_lower[1:] = -(left @ alpha[:n_left])
+        red_upper = np.zeros_like(red_diag)
+        red_upper[:n_odd] = -(right @ beta)
+        levels.append((inv, alpha, beta[:n_left], left, right))
+        lower, diag, upper = red_lower, red_diag, red_upper
+        num = diag.shape[0]
+    # Row i's blocks sit at block columns i - 1, i, i + 1 of a matrix with one
+    # block of padding on either side.
+    full = np.zeros((num, bs, num + 2, bs))
+    at = np.arange(num)[:, None]
+    full[at, :, at + np.arange(3)] = np.stack([lower, diag, upper], axis=1)
+    return levels, full.reshape(num * bs, -1)[:, bs:-bs]
+
+
+def _cyclic_solve(factors: tuple[list[tuple[np.ndarray, ...]], np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """X with A X = rhs for the factors of A from `_cyclic_factor`; rhs and
+    X are (blocks, block size, columns)."""
+    levels, base = factors
+    gammas = []
+    for inv, _, _, left, right in levels:
+        gamma = inv @ rhs[1::2]
+        red = rhs[0::2].copy()
+        red[: gamma.shape[0]] -= right @ gamma
+        red[1:] -= left @ gamma[: left.shape[0]]
+        gammas.append(gamma)
+        rhs = red
+    x = np.linalg.solve(base, rhs.reshape(base.shape[0], -1)).reshape(rhs.shape)
+    for (_, alpha, beta, _, _), gamma in zip(reversed(levels), reversed(gammas)):
+        odd = gamma - alpha @ x[: gamma.shape[0]]
+        odd[: beta.shape[0]] -= beta @ x[1:]
+        out = np.empty((x.shape[0] + odd.shape[0],) + x.shape[1:])
+        out[0::2] = x
+        out[1::2] = odd
+        x = out
+    return x
 
 
 def _solve_ipm(
@@ -291,9 +560,10 @@ def _solve_ipm(
             break
 
         weights = lam / (-f)
-        m_red = program.newton_matrix(jac, lam, weights)[0]
         rhs = -(r_dual + program.jac_t_dot(jac, r_cent / f))
-        dz = _newton_step(m_red, rhs)
+        dz = None if program.layout is None else _block_step(program, jac, lam, weights, rhs)
+        if dz is None:
+            dz = _newton_step(program.newton_matrix(jac, lam, weights)[0], rhs)
         if dz is None:
             message = f"Newton step not finite after ridge retries at iteration {iterations}"
             break
@@ -761,7 +1031,7 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
     g_vec[time_hi] = -1.0
     ones = np.ones(n)
 
-    return _Program(
+    program = _Program(
         np.concatenate([t_idx, a, b]),
         np.concatenate([t_idx, b, a]),
         np.concatenate([4.0 * w, -2.0 * w[a], -2.0 * w[a]]),
@@ -773,6 +1043,9 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
         g_vec,
         *balls,
     )
+    # The band runs t_i, x_i, y_i update by update.
+    program.layout = _block_layout(program, np.tile(3 * t_idx, 3) + np.repeat(np.arange(3), n))
+    return program
 
 
 def solve_schedule(
@@ -1033,6 +1306,9 @@ def solve_min_speed(
         ball_center=ball_center,
         ball_coef=ball_coef,
     )
+    # The band runs x_i, y_i update by update; v borders it.
+    key = np.arange(2 * n) % n * 2 + np.arange(2 * n) // n
+    program.layout = _block_layout(program, key[free[:-1]])
 
     result = _solve_ipm(program, z_full[free], tol, max_iters)
 

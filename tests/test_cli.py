@@ -60,6 +60,46 @@ def test_generate_node_count_below_one_exit_1(tmp_path, capsys, nodes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--region", "-5"),
+        ("--region", "0"),
+        ("--region", "nan"),
+        ("--altitude", "0"),
+        ("--altitude", "-80"),
+        ("--vmax", "nan"),
+        ("--vmax", "inf"),
+        ("--horizon", "-1"),
+        ("--horizon", "abc"),
+        ("--seed", "-1"),
+        ("--seed", "1.5"),
+    ],
+)
+def test_generate_bad_geometry_or_seed_exit_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "gen.yaml"
+    assert main(["generate", "--nodes", "2", flag, value, "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train-dqn", "--seed", "-1"], "--seed"),
+        (["train-autoencoder", "--seed", "-1"], "--seed"),
+        (["eval", "--policy", "weight", "--seed", "-1"], "--seed"),
+        (["sweep", "--axis", "energy", "--values", "1", "--seeds", "0,-1"], "--seeds"),
+    ],
+)
+def test_negative_seeds_exit_1(tmp_path, capsys, argv, flag):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    assert main(argv[:1] + ["--scenario", path] + argv[1:] + ["--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .nnet import (
     make_optimizer,
     save_checkpoint,
 )
+from .nnet.layers import FlatModel, flatten, prefixed
 from .scenario import Scenario
 from .solver import TrajectorySolution
 
@@ -412,19 +413,14 @@ def weight_based_rollout(
     return env.order, env.metric, state
 
 
-def collect_states(
-    scenario: Scenario,
-    episodes: int,
-    seed: int,
-    solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
-) -> list[StateMatrix]:
+def collect_states(scenario: Scenario, episodes: int, seed: int) -> list[StateMatrix]:
     """Gather a state corpus from weight-proportional episodes.
 
     Every state visited is kept, including each episode's initial state,
     so the encoder sees single-column matrices too.
     """
     rng = np.random.default_rng(seed)
-    env = ScheduleEnv(scenario, solve_cache=solve_cache)
+    env = ScheduleEnv(scenario)
     return [state for _ in range(episodes) for state in _weight_episode(env, rng)]
 
 
@@ -443,7 +439,7 @@ class AutoencoderConfig:
 
 
 @dataclass
-class Seq2SeqAutoencoder:
+class Seq2SeqAutoencoder(FlatModel):
     """Sequence autoencoder over normalized state-matrix columns.
 
     The encoder consumes the columns in reverse order, so its final input
@@ -469,18 +465,6 @@ class Seq2SeqAutoencoder:
     def state_size(self) -> int:
         return self.encoder.hidden_size
 
-    def params_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.encoder.params_flat(), self.decoder.params_flat(), self.head.params_flat()]
-        )
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        n_enc = self.encoder.params_flat().size
-        n_dec = self.decoder.params_flat().size
-        self.encoder.set_flat(flat[:n_enc])
-        self.decoder.set_flat(flat[n_enc : n_enc + n_dec])
-        self.head.set_flat(flat[n_enc + n_dec :])
-
     def encode_columns(self, normalized: np.ndarray) -> np.ndarray:
         return _final_state(self.encoder, normalized)
 
@@ -502,14 +486,11 @@ class Seq2SeqAutoencoder:
         xs, dec_in, enc, dec, head_cache, err = self._reconstruct(normalized)
         k = self.state_size
         dws, dbs, dhidden = self.head.backward(head_cache, 2.0 * err / err.size)
-        head_grad = self.head.grads_flat(dws, dbs)
         dwg_d, dbg_d, dh0_d, dc0_d, _ = self.decoder.seq_backward(
             dec_in, *dec, dhidden, np.zeros(k), np.zeros(k)
         )
         dwg_e, dbg_e, _, _, _ = self.encoder.seq_backward(xs, *enc, None, dh0_d, dc0_d)
-        grad = np.concatenate(
-            [dwg_e.ravel(), dbg_e.ravel(), dwg_d.ravel(), dbg_d.ravel(), head_grad]
-        )
+        grad = flatten([dwg_e, dbg_e, dwg_d, dbg_d, self.head.grads_flat(dws, dbs)])
         return float(np.mean(err * err)), grad
 
     def reconstruction_mse(self, normalized: np.ndarray) -> float:
@@ -517,13 +498,11 @@ class Seq2SeqAutoencoder:
         return float(np.mean(err * err))
 
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for prefix, module in (("enc", self.encoder), ("dec", self.decoder)):
-            for name, arr in module.to_arrays():
-                out.append((f"{prefix}_{name}", arr))
-        for name, arr in self.head.to_arrays():
-            out.append((f"head_{name}", arr))
-        return out
+        return (
+            prefixed("enc", self.encoder.to_arrays())
+            + prefixed("dec", self.decoder.to_arrays())
+            + prefixed("head", self.head.to_arrays())
+        )
 
 
 @dataclass
@@ -558,8 +537,6 @@ def autoencoder_train(
     else:
         perm = rng.permutation(len(sequences))
         n_train = max(1, int(round(0.7 * len(sequences))))
-        if n_train == len(sequences):
-            n_train -= 1
         train = [sequences[i] for i in perm[:n_train]]
         test = [sequences[i] for i in perm[n_train:]]
 
@@ -604,7 +581,7 @@ class SearchResult:
 
 def save_agent(path: str | Path, agent: QAgent) -> None:
     """Persist a trained planner, including its encoder when it has one."""
-    arrays = [(f"net_{name}", arr) for name, arr in agent.net.to_arrays()]
+    arrays = prefixed("net", agent.net.to_arrays())
     meta: dict[str, Any] = {
         "net_sizes": list(agent.net.sizes),
         "net_activations": list(agent.net.activations),
@@ -613,8 +590,7 @@ def save_agent(path: str | Path, agent: QAgent) -> None:
         "num_nodes": agent.repr.scenario.num_nodes,
     }
     if agent.repr.encoder is not None:
-        for name, arr in agent.repr.encoder.to_arrays():
-            arrays.append((f"enc_{name}", arr))
+        arrays += prefixed("enc", agent.repr.encoder.to_arrays())
         meta["encoder_input_size"] = agent.repr.encoder.input_size
         meta["encoder_hidden_size"] = agent.repr.encoder.hidden_size
     save_checkpoint(path, "qnet", arrays, meta)
@@ -653,6 +629,18 @@ def _lstm(arrays: dict[str, np.ndarray], prefix: str, input_size: int, hidden_si
     )
 
 
+def _dense(
+    arrays: dict[str, np.ndarray], prefix: str, sizes: list[int], activations: list[str]
+) -> DenseNet:
+    layers = range(len(sizes) - 1)
+    return DenseNet(
+        sizes=tuple(sizes),
+        activations=tuple(activations),
+        ws=[_array(arrays, f"{prefix}_w{i}", (sizes[i + 1], sizes[i])) for i in layers],
+        bs=[_array(arrays, f"{prefix}_b{i}", (sizes[i + 1],)) for i in layers],
+    )
+
+
 def load_agent(path: str | Path, scenario: Scenario) -> QAgent:
     """Rebuild a planner from a checkpoint against a compatible scenario."""
     kind, arrays, meta = load_checkpoint(path)
@@ -673,13 +661,7 @@ def load_agent(path: str | Path, scenario: Scenario) -> QAgent:
         or not set(activations) <= ACTIVATIONS.keys()
     ):
         raise CheckpointError(f"checkpoint network layout {sizes} {activations} is not valid")
-    layers = range(len(activations))
-    net = DenseNet(
-        sizes=tuple(sizes),
-        activations=tuple(activations),
-        ws=[_array(arrays, f"net_w{i}", (sizes[i + 1], sizes[i])) for i in layers],
-        bs=[_array(arrays, f"net_b{i}", (sizes[i + 1],)) for i in layers],
-    )
+    net = _dense(arrays, "net", sizes, activations)
     encoder = None
     mode = meta.get("state_mode")
     if mode == "autoencoder":
@@ -718,12 +700,7 @@ def load_autoencoder(path: str | Path) -> tuple[Seq2SeqAutoencoder, dict[str, An
     model = Seq2SeqAutoencoder(
         encoder=_lstm(arrays, "enc", d_in, k),
         decoder=_lstm(arrays, "dec", d_in, k),
-        head=DenseNet(
-            sizes=(k, d_in),
-            activations=("identity",),
-            ws=[_array(arrays, "head_w0", (d_in, k))],
-            bs=[_array(arrays, "head_b0", (d_in,))],
-        ),
+        head=_dense(arrays, "head", [k, d_in], ["identity"]),
     )
     return model, meta
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoincidentTimesError
 from .physics import energy_budget_constant
-from .scenario import Scenario
+from .scenario import Scenario, result_document
 
 
 def max_updates(scenario: Scenario, node_index: int) -> int:
@@ -156,19 +156,7 @@ class BoundReport:
     uniform_order: list[int] = field(default_factory=list)
 
     def to_document(self) -> dict[str, Any]:
-        return {
-            "max_updates": [int(v) for v in self.max_updates],
-            "metric_floor": float(self.metric_floor),
-            "divisor_ok": bool(self.divisor_ok),
-            "offending_pairs": [[int(a), int(b)] for a, b in self.offending_pairs],
-            "sufficient_speed": None
-            if self.sufficient_speed is None
-            else float(self.sufficient_speed),
-            "sufficient_speed_reason": self.sufficient_speed_reason,
-            "weight_guidance": [float(v) for v in self.weight_guidance],
-            "uniform_times": [float(v) for v in self.uniform_times],
-            "uniform_order": [int(v) for v in self.uniform_order],
-        }
+        return result_document(self)
 
 
 def bound_report(scenario: Scenario) -> BoundReport:

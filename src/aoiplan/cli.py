@@ -132,6 +132,14 @@ def _positive(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> float:
+    """Argument type of a penalty: a finite number of at least 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text!r}")
+    return value
+
+
 def _fraction(text: str) -> float:
     """Argument type of an exploration setting: a number in [0, 1]."""
     value = float(text)
@@ -428,7 +436,7 @@ def _apply_axis(doc: dict[str, Any], axis: str, value: float) -> Scenario:
     elif axis == "energy":
         for node in doc["nodes"]:
             node["battery_j"] = node["battery_j"] * float(value)
-    elif axis == "nodes":
+    else:  # nodes
         available = len(doc["nodes"])
         if not (1 <= value <= available and value == int(value)):
             raise ScenarioError(
@@ -440,8 +448,6 @@ def _apply_axis(doc: dict[str, Any], axis: str, value: float) -> Scenario:
         for node in kept:
             node["weight"] = node["weight"] / total
         doc["nodes"] = kept
-    else:
-        raise _UsageError(f"unknown sweep axis {axis!r}")
     return from_document(doc)
 
 
@@ -453,7 +459,7 @@ def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float]:
         metric = enumerate_optimal(scenario, budget=args.budget, keep_rows=False).objective
     elif policy == "weight":
         _, metric, _ = weight_based_rollout(scenario, seed)
-    elif policy in {"dqn", "dqn-lstm"}:
+    else:  # dqn or dqn-lstm
         encoder = None
         if policy == "dqn-lstm":
             corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed)
@@ -467,8 +473,6 @@ def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float]:
         config = DqnConfig(lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
         agent, _ = dqn_train(scenario, config, episodes=args.episodes, seed=seed, encoder=encoder)
         _, metric = greedy_evaluate(agent, scenario)
-    else:
-        raise _UsageError(f"unknown policy {policy!r}")
     return float(value), policy, seed, float(metric), bound
 
 
@@ -572,7 +576,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="exhaustive search over visit orders")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
@@ -588,7 +592,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon-decay-frac", type=_fraction, default=0.6)
     p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--grad-steps", type=_count, default=4)
-    p.add_argument("--penalty", type=float, default=0.0)
+    p.add_argument("--penalty", type=_nonnegative, default=0.0)
     p.add_argument("--state-mode", default="last_column", choices=["last_column", "autoencoder"])
     p.add_argument("--encoder", default=None, help="autoencoder checkpoint for --state-mode autoencoder")
     p.add_argument("--out", required=True)
@@ -612,7 +616,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--episodes", type=_count, default=100, help="rollouts for the weight policy")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -622,7 +626,7 @@ def build_parser() -> _Parser:
     p.add_argument("--values", required=True, help="comma list of axis values")
     p.add_argument("--policies", default="enumerate,weight")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p.add_argument("--episodes", type=_count, default=300, help="training episodes per dqn cell")
     p.add_argument("--lr", type=_positive, default=0.005)
     p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])

@@ -44,7 +44,8 @@ class NonFiniteGradientError(FloatingPointError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a training loss exceeds the configured divergence limit."""
+    """Raised when a training loss is not finite or exceeds
+    ``agents.DIVERGENCE_LIMIT``."""
 
 
 class CheckpointError(ValueError):

@@ -24,7 +24,7 @@ from typing import Any, Iterator, Sequence
 
 from .bounds import all_max_updates, per_count_floor
 from .errors import BudgetExceededError
-from .scenario import Scenario
+from .scenario import Scenario, result_document
 from .solver import (
     DEFAULT_TOL,
     STATUS_INFEASIBLE,
@@ -114,14 +114,7 @@ class EnumerationResult:
     rows: list[tuple[str, float, str, float]] = field(default_factory=list)
 
     def to_document(self) -> dict[str, Any]:
-        return {
-            "best_order": [int(v) for v in self.best_order],
-            "objective": float(self.objective),
-            "num_candidates": int(self.num_candidates),
-            "num_solves": int(self.num_solves),
-            "num_pruned": int(self.num_pruned),
-            "best_solution": self.best_solution.to_document(),
-        }
+        return result_document(self, omit=("num_nonconverged", "per_count", "rows"))
 
     def write_table_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -25,8 +25,39 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
     return rng.uniform(-limit, limit, (fan_out, fan_in))
 
 
+def flatten(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """One vector of the arrays' entries, in order."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def prefixed(prefix: str, arrays: list[tuple[str, np.ndarray]]) -> list[tuple[str, np.ndarray]]:
+    """A part's named arrays under ``prefix_``, as checkpoints name them."""
+    return [(f"{prefix}_{name}", arr) for name, arr in arrays]
+
+
+class FlatModel:
+    """A model whose flat parameter vector is its ``to_arrays()`` in order."""
+
+    def to_arrays(self) -> list[tuple[str, np.ndarray]]:
+        raise NotImplementedError
+
+    def params_flat(self) -> np.ndarray:
+        return flatten(arr for _, arr in self.to_arrays())
+
+    def set_flat(self, flat: np.ndarray) -> None:
+        """Write flat into the parameters in place; a vector of the wrong
+        length raises before anything is written."""
+        arrays = [arr for _, arr in self.to_arrays()]
+        if flat.size != sum(arr.size for arr in arrays):
+            raise ValueError("flat parameter vector has the wrong length")
+        offset = 0
+        for arr in arrays:
+            arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+
+
 @dataclass
-class DenseNet:
+class DenseNet(FlatModel):
     """Fully connected stack; activations are named per layer."""
 
     sizes: tuple[int, ...]
@@ -71,29 +102,9 @@ class DenseNet:
     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
         return kernels.dense_backward(self.ws, self.activations, acts, dy)
 
-    def params_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.ws, self.bs):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for i, (w, b) in enumerate(zip(self.ws, self.bs)):
-            self.ws[i] = flat[offset : offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            self.bs[i] = flat[offset : offset + b.size].copy()
-            offset += b.size
-        if offset != flat.size:
-            raise ValueError("flat parameter vector has the wrong length")
-
     def grads_flat(self, dws: list[np.ndarray], dbs: list[np.ndarray]) -> np.ndarray:
-        parts = []
-        for dw, db in zip(dws, dbs):
-            parts.append(dw.ravel())
-            parts.append(db.ravel())
-        return np.concatenate(parts)
+        """Gradients packed in the order of to_arrays."""
+        return flatten(g for pair in zip(dws, dbs) for g in pair)
 
     def clone(self) -> "DenseNet":
         return DenseNet(
@@ -112,7 +123,7 @@ class DenseNet:
 
 
 @dataclass
-class LstmCell:
+class LstmCell(FlatModel):
     """Single recurrent cell with forget, input, candidate, and output gates.
 
     The cell state and hidden state share one size; the four gate blocks
@@ -165,15 +176,6 @@ class LstmCell:
             self.wg, self.bg, x[None, :], h, c
         )
         return hs[1], cs[1]
-
-    def params_flat(self) -> np.ndarray:
-        return np.concatenate([self.wg.ravel(), self.bg.ravel()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        if flat.size != self.wg.size + self.bg.size:
-            raise ValueError("flat parameter vector has the wrong length")
-        self.wg = flat[: self.wg.size].reshape(self.wg.shape).copy()
-        self.bg = flat[self.wg.size :].copy()
 
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [("wg", self.wg), ("bg", self.bg)]

@@ -34,9 +34,6 @@ class UpdateTimes:
             if arr.size > 1 and np.any(np.diff(arr) < -1e-9):
                 raise ScheduleError(f"node {m + 1}: update times must be nondecreasing")
 
-    def counts(self) -> np.ndarray:
-        return np.array([len(t) for t in self.per_node], dtype=int)
-
 
 def split_by_node(order: list[int] | np.ndarray, values: np.ndarray, num_nodes: int) -> list[np.ndarray]:
     """Split merged per-update values into per-node sequences.

@@ -3,13 +3,13 @@
 A scenario is the root input for every planner in this package. It is
 stored as a small YAML document (``format_version: 1``) so runs can be
 reproduced and diffed. Numeric fields round-trip bit-identically through
-save/load.
+save/load. Result dataclasses become JSON by one rule, `result_document`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -185,6 +185,31 @@ class Scenario:
                 for n in self.nodes
             ],
         }
+
+
+def result_document(result: Any, omit: tuple[str, ...] = ()) -> dict[str, Any]:
+    """The JSON document of a result dataclass: one entry per field not in
+    ``omit``. Arrays, tuples and lists become lists, numpy numbers Python
+    numbers, an infinite float ``None``, a nested result its own document."""
+    return {
+        f.name: _document_value(getattr(result, f.name))
+        for f in fields(result)
+        if f.name not in omit
+    }
+
+
+def _document_value(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_document_value(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    if hasattr(value, "to_document"):
+        return value.to_document()
+    return value
 
 
 def _require(mapping: dict, key: str, where: str) -> Any:

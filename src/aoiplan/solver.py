@@ -48,7 +48,7 @@ import numpy as np
 from .bounds import all_max_updates, min_speed_upper_bound, uniform_schedule
 from .errors import ScheduleError
 from .physics import UpdateTimes, energy_budget_constant, nwaoi, split_by_node
-from .scenario import Scenario
+from .scenario import Scenario, result_document
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -854,23 +854,7 @@ class TrajectorySolution:
         return UpdateTimes(split_by_node(list(self.order), self.times_s, num_nodes))
 
     def to_document(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "order": [int(v) for v in self.order],
-            "times_s": [float(v) for v in self.times_s],
-            "waypoints_xy": [[float(a), float(b)] for a, b in self.waypoints_xy],
-            "objective": None if math.isinf(self.objective) else float(self.objective),
-            "solver_objective": None
-            if math.isinf(self.solver_objective)
-            else float(self.solver_objective),
-            "kkt_residual": None
-            if math.isinf(self.kkt_residual)
-            else float(self.kkt_residual),
-            "iterations": int(self.iterations),
-            "coincident_pairs": [[int(a), int(b)] for a, b in self.coincident_pairs],
-            "used_phase1": bool(self.used_phase1),
-            "message": self.message,
-        }
+        return result_document(self, omit=("duals",))
 
     def write_trajectory_csv(self, path: str | Path, scenario: Scenario) -> None:
         """Waypoint table including both mission endpoints."""
@@ -1208,15 +1192,7 @@ class MinSpeedSolution:
     iterations: int
 
     def to_document(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "speed": float(self.speed),
-            "times_s": [float(v) for v in self.times_s],
-            "order": [int(v) for v in self.order],
-            "waypoints_xy": [[float(a), float(b)] for a, b in self.waypoints_xy],
-            "kkt_residual": float(self.kkt_residual),
-            "iterations": int(self.iterations),
-        }
+        return result_document(self)
 
 
 def solve_min_speed(
@@ -1348,17 +1324,7 @@ class CheckReport:
     messages: list[str] = field(default_factory=list)
 
     def to_document(self) -> dict[str, Any]:
-        return {
-            "ok": bool(self.ok),
-            "feasibility": float(self.feasibility),
-            "stationarity": float(self.stationarity),
-            "complementarity": float(self.complementarity),
-            "dual_feasibility": float(self.dual_feasibility),
-            "objective_gap": float(self.objective_gap),
-            "energy_rel_violation": float(self.energy_rel_violation),
-            "speed_abs_violation": float(self.speed_abs_violation),
-            "messages": list(self.messages),
-        }
+        return result_document(self)
 
 
 def _check_lagrangian(

@@ -673,6 +673,12 @@ def test_sweep_nodes_axis_validation(tmp_path, capsys):
         (["sweep", "--axis", "energy", "--values", "1", "--workers", "two"], "--workers"),
         (["solve", "--max-iters", "-3"], "--max-iters"),
         (["train-autoencoder", "--hidden-sizes", "4"], "--hidden-sizes"),
+        (["enumerate", "--budget", "0"], "--budget"),
+        (["enumerate", "--budget", "-5"], "--budget"),
+        (["eval", "--policy", "enumerate", "--budget", "0"], "--budget"),
+        (["eval", "--policy", "enumerate", "--budget", "-5"], "--budget"),
+        (["sweep", "--axis", "energy", "--values", "1", "--budget", "0"], "--budget"),
+        (["sweep", "--axis", "energy", "--values", "1", "--budget", "-5"], "--budget"),
     ],
 )
 def test_sizes_below_one_exit_1(tmp_path, capsys, argv, flag):
@@ -700,6 +706,9 @@ def test_sizes_below_one_exit_1(tmp_path, capsys, argv, flag):
         (["solve", "--tol", "0"], "--tol"),
         (["solve", "--tol", "nan"], "--tol"),
         (["enumerate", "--tol", "0"], "--tol"),
+        (["train-dqn", "--penalty", "nan"], "--penalty"),
+        (["train-dqn", "--penalty", "inf"], "--penalty"),
+        (["train-dqn", "--penalty", "-1"], "--penalty"),
     ],
 )
 def test_learning_settings_out_of_range_exit_1(tmp_path, capsys, argv, flag):
@@ -708,6 +717,28 @@ def test_learning_settings_out_of_range_exit_1(tmp_path, capsys, argv, flag):
     assert main(argv[:1] + ["--scenario", path] + argv[1:] + ["--out", str(out)]) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_in_range_settings_are_used(tmp_path, capsys):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "solve"
+    assert main(["solve", "--scenario", path, "--schedule", "1,2", "--tol", "1e-7", "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["arguments"]["tol"] == 1e-7
+    out = tmp_path / "dqn"
+    argv = ["train-dqn", "--scenario", path, "--episodes", "3", "--lr", "0.02",
+            "--epsilon-end", "0", "--epsilon-decay-frac", "1", "--penalty", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    arguments = read_json(out / "manifest.json")["arguments"]
+    assert (arguments["lr"], arguments["epsilon_end"], arguments["epsilon_decay_frac"]) == (0.02, 0.0, 1.0)
+    assert arguments["penalty"] == 0.5
+    gen = tmp_path / "gen.yaml"
+    argv = ["generate", "--nodes", "2", "--region", "500", "--altitude", "60",
+            "--vmax", "20", "--horizon", "600", "--out", str(gen)]
+    assert main(argv) == 0
+    uav = load_scenario(gen).uav
+    assert (uav.altitude_m, uav.vmax_x, uav.vmax_y, uav.horizon_s) == (60.0, 20.0, 20.0, 600.0)
+    assert load_scenario(gen).region == (500.0, 500.0)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aoiplan import CheckpointError, NonFiniteGradientError
+from aoiplan import CheckpointError, NonFiniteGradientError, Seq2SeqAutoencoder
 from aoiplan.nnet import (
     AdamOptimizer,
     DenseNet,
@@ -103,6 +103,36 @@ def test_dense_flat_round_trip():
     assert np.allclose(net.params_flat(), flat, atol=0)
     with pytest.raises(ValueError):
         net.set_flat(flat[:-1])
+
+
+def _model(kind):
+    rng = np.random.default_rng(6)
+    if kind == "dense":
+        return DenseNet.init([3, 5, 2], ["relu", "identity"], rng)
+    if kind == "lstm":
+        return LstmCell.init(3, 4, rng)
+    return Seq2SeqAutoencoder.init(3, 4, rng)
+
+
+@pytest.mark.parametrize("kind", ["dense", "lstm", "autoencoder"])
+def test_flat_vector_is_the_checkpoint_arrays_in_order(kind):
+    model = _model(kind)
+    want = np.concatenate([arr.ravel() for _, arr in model.to_arrays()])
+    assert np.array_equal(model.params_flat(), want)
+    flat = np.arange(want.size, dtype=float)
+    model.set_flat(flat)
+    assert np.array_equal(model.params_flat(), flat)
+
+
+@pytest.mark.parametrize("kind", ["dense", "lstm", "autoencoder"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_wrong_length_flat_vector_changes_nothing(kind, extra):
+    model = _model(kind)
+    before = [(name, arr.copy()) for name, arr in model.to_arrays()]
+    with pytest.raises(ValueError):
+        model.set_flat(np.zeros(model.params_flat().size + extra))
+    for (name, arr), (_, old) in zip(model.to_arrays(), before):
+        assert arr.shape == old.shape and np.array_equal(arr, old), name
 
 
 def test_zero_lstm_is_silent():

@@ -1,6 +1,7 @@
 """Fixed-order trajectory optimization and the independent solution checker."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from aoiplan.solver import (
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
+    CheckReport,
     _check_lagrangian,
     _schedule_program,
     _solve_ipm,
@@ -316,6 +318,12 @@ def test_check_report_document_keys():
     doc = report.to_document()
     for key in ("ok", "feasibility", "stationarity", "complementarity", "dual_feasibility"):
         assert key in doc
+
+
+def test_unverified_check_report_document_is_strict_json():
+    doc = CheckReport(messages=["x"]).to_document()
+    json.dumps(doc, allow_nan=False)
+    assert doc["ok"] is False and doc["feasibility"] is None and doc["messages"] == ["x"]
 
 
 # Reference for the checker: the per-row loop evaluation of the scaled

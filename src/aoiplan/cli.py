@@ -24,6 +24,7 @@ from . import __version__
 from .agents import (
     AutoencoderConfig,
     DqnConfig,
+    QAgent,
     autoencoder_search,
     autoencoder_train,
     collect_states,
@@ -173,7 +174,7 @@ def _write_json(path: Path, doc: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
+def _write_manifest(out: Path, args: argparse.Namespace) -> None:
     skip = {"func", "out"}
     arguments = {
         key: (str(value) if isinstance(value, Path) else value)
@@ -183,7 +184,7 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
     _write_json(
         out / "manifest.json",
         {
-            "command": command,
+            "command": args.command,
             "version": __version__,
             "seed": getattr(args, "seed", None),
             "arguments": arguments,
@@ -225,7 +226,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         doc["check"] = report.to_document()
     out = _ensure_out(args.out)
     _write_json(out / "result.json", doc)
-    _write_manifest(out, "solve", args)
+    _write_manifest(out, args)
     if solution.status == STATUS_OPTIMAL:
         solution.write_trajectory_csv(out / "trajectory.csv", scenario)
         write_aoi_trace_csv(
@@ -245,7 +246,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.out:
         out = _ensure_out(args.out)
         _write_json(out / "bounds.json", doc)
-        _write_manifest(out, "bounds", args)
+        _write_manifest(out, args)
     _print_doc(doc)
     return EXIT_OK
 
@@ -258,7 +259,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     out = _ensure_out(args.out)
     _write_json(out / "result.json", doc)
     result.write_table_csv(out / "enumeration.csv")
-    _write_manifest(out, "enumerate", args)
+    _write_manifest(out, args)
     print(
         f"best order {'-'.join(map(str, result.best_order)) or '(none)'} "
         f"objective={result.objective:.10g} solves={result.num_solves} "
@@ -268,8 +269,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _unsettled_exit(unsettled: int) -> int:
-    """Exit code after an enumeration: EXIT_SOLVER, with the count on
-    stderr, when some candidate solve ended neither optimal nor infeasible."""
+    """Exit code of a command that enumerated: EXIT_SOLVER, with the count
+    on stderr, when some candidate solve ended neither optimal nor infeasible."""
     if unsettled:
         print(f"{unsettled} candidate solves ended neither optimal nor infeasible", file=sys.stderr)
         return EXIT_SOLVER
@@ -319,7 +320,7 @@ def cmd_train_dqn(args: argparse.Namespace) -> int:
             "final_loss": curve[-1].loss if curve else None,
         },
     )
-    _write_manifest(out, "train-dqn", args)
+    _write_manifest(out, args)
     print(f"greedy order {'-'.join(map(str, order)) or '(none)'} nwaoi={metric:.10g}")
     return EXIT_OK
 
@@ -355,68 +356,77 @@ def cmd_train_autoencoder(args: argparse.Namespace) -> int:
             "seed": args.seed,
         },
     )
-    _write_manifest(out, "train-autoencoder", args)
+    _write_manifest(out, args)
     print(f"best state size {search.best_size} test_mse={search.best.test_mse:.6g}")
     return EXIT_OK
+
+
+def _stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of values; 0 for a single value."""
+    return float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+
+
+def _evaluate(
+    scenario: Scenario, policy: str, budget: int, seeds: list[int], agent: QAgent | None
+) -> tuple[dict[str, Any], float, int]:
+    """Score one policy: (its document fields, its NWAoI, its unsettled solve count).
+    weight scores the mean of one rollout per seed; dqn rolls agent out greedily."""
+    if policy == "enumerate":
+        result = enumerate_optimal(scenario, budget=budget, keep_rows=False)
+        fields = {
+            "order": list(result.best_order),
+            "nwaoi": result.objective,
+            "num_candidates": result.num_candidates,
+            "num_solves": result.num_solves,
+            "num_pruned": result.num_pruned,
+        }
+        return fields, result.objective, result.num_nonconverged
+    if policy == "weight":
+        cache: dict = {}
+        rollouts = [weight_based_rollout(scenario, s, solve_cache=cache)[:2] for s in seeds]
+        metrics = np.asarray([metric for _, metric in rollouts])
+        best_metric, best_order = min((metric, order) for order, metric in rollouts)
+        fields = {
+            "episodes": len(seeds),
+            "mean_nwaoi": float(metrics.mean()),
+            "stderr_nwaoi": _stderr(metrics),
+            "best_order": list(best_order),
+            "best_nwaoi": best_metric,
+        }
+        return fields, fields["mean_nwaoi"], 0
+    order, metric = greedy_evaluate(agent, scenario)
+    return {"order": list(order), "nwaoi": metric}, metric, 0
+
+
+def _checkpoint_agent(args: argparse.Namespace, scenario: Scenario) -> QAgent:
+    """The agent saved at --checkpoint, checked against the policy's state mode."""
+    if not args.checkpoint:
+        raise _UsageError(f"--policy {args.policy} requires --checkpoint")
+    if not Path(args.checkpoint).is_file():
+        raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
+    agent = load_agent(args.checkpoint, scenario)
+    wanted = "autoencoder" if args.policy == "dqn-lstm" else "last_column"
+    if agent.repr.mode != wanted:
+        raise CheckpointError(
+            f"policy {args.policy} needs a checkpoint with state mode "
+            f"{wanted!r}, found {agent.repr.mode!r}"
+        )
+    return agent
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     doc: dict[str, Any] = {"policy": args.policy, "lower_bound": lower_bound(scenario)}
-    unsettled = 0
-    if args.policy == "enumerate":
-        result = enumerate_optimal(scenario, budget=args.budget, keep_rows=False)
-        unsettled = result.num_nonconverged
-        doc.update(
-            {
-                "order": list(result.best_order),
-                "nwaoi": result.objective,
-                "num_candidates": result.num_candidates,
-                "num_solves": result.num_solves,
-                "num_pruned": result.num_pruned,
-            }
-        )
-    elif args.policy == "weight":
-        master = np.random.default_rng(args.seed)
-        seeds = master.integers(0, 2**63 - 1, size=args.episodes)
-        cache: dict = {}
-        metrics = []
-        best: tuple[float, tuple[int, ...]] | None = None
-        for s in seeds:
-            order, metric, _ = weight_based_rollout(scenario, int(s), solve_cache=cache)
-            metrics.append(metric)
-            if best is None or (metric, order) < best:
-                best = (metric, order)
-        arr = np.asarray(metrics)
-        stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-        assert best is not None
-        doc.update(
-            {
-                "episodes": args.episodes,
-                "mean_nwaoi": float(arr.mean()),
-                "stderr_nwaoi": stderr,
-                "best_order": list(best[1]),
-                "best_nwaoi": best[0],
-            }
-        )
-    else:  # dqn or dqn-lstm
-        if not args.checkpoint:
-            raise _UsageError(f"--policy {args.policy} requires --checkpoint")
-        if not Path(args.checkpoint).is_file():
-            raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
-        agent = load_agent(args.checkpoint, scenario)
-        wanted = "autoencoder" if args.policy == "dqn-lstm" else "last_column"
-        if agent.repr.mode != wanted:
-            raise CheckpointError(
-                f"policy {args.policy} needs a checkpoint with state mode "
-                f"{wanted!r}, found {agent.repr.mode!r}"
-            )
-        order, metric = greedy_evaluate(agent, scenario)
-        doc.update({"order": list(order), "nwaoi": metric})
+    seeds = []
+    if args.policy == "weight":
+        seeds = np.random.default_rng(args.seed).integers(0, 2**63 - 1, size=args.episodes).tolist()
+    agent = _checkpoint_agent(args, scenario) if args.policy.startswith("dqn") else None
+    fields, _, unsettled = _evaluate(scenario, args.policy, args.budget, seeds, agent)
+    doc.update(fields)
     if args.out:
         out = _ensure_out(args.out)
         _write_json(out / "eval.json", doc)
-        _write_manifest(out, "eval", args)
+        _write_manifest(out, args)
     _print_doc(doc)
     return _unsettled_exit(unsettled)
 
@@ -451,29 +461,31 @@ def _apply_axis(doc: dict[str, Any], axis: str, value: float) -> Scenario:
     return from_document(doc)
 
 
-def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float]:
+def _trained_agent(scenario: Scenario, policy: str, seed: int, args: argparse.Namespace) -> QAgent:
+    """A sweep cell's agent: for dqn-lstm an autoencoder is trained first and
+    its encoder gives the agent's state."""
+    encoder = None
+    if policy == "dqn-lstm":
+        corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed)
+        ae = autoencoder_train(
+            scenario,
+            corpus,
+            AutoencoderConfig(state_size=args.state_size, epochs=args.ae_epochs),
+            seed=seed,
+        )
+        encoder = ae.model.encoder
+    config = DqnConfig(lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
+    agent, _ = dqn_train(scenario, config, episodes=args.episodes, seed=seed, encoder=encoder)
+    return agent
+
+
+def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float, int]:
     doc, value, policy, seed, args = payload
     scenario = _apply_axis(doc, args.axis, value)
     bound = lower_bound(scenario)
-    if policy == "enumerate":
-        metric = enumerate_optimal(scenario, budget=args.budget, keep_rows=False).objective
-    elif policy == "weight":
-        _, metric, _ = weight_based_rollout(scenario, seed)
-    else:  # dqn or dqn-lstm
-        encoder = None
-        if policy == "dqn-lstm":
-            corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed)
-            ae = autoencoder_train(
-                scenario,
-                corpus,
-                AutoencoderConfig(state_size=args.state_size, epochs=args.ae_epochs),
-                seed=seed,
-            )
-            encoder = ae.model.encoder
-        config = DqnConfig(lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
-        agent, _ = dqn_train(scenario, config, episodes=args.episodes, seed=seed, encoder=encoder)
-        _, metric = greedy_evaluate(agent, scenario)
-    return float(value), policy, seed, float(metric), bound
+    agent = _trained_agent(scenario, policy, seed, args) if policy.startswith("dqn") else None
+    _, metric, unsettled = _evaluate(scenario, policy, args.budget, [seed], agent)
+    return float(value), policy, seed, float(metric), bound, unsettled
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -516,30 +528,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _ensure_out(args.out)
     with open(out / "cells.csv", "w", encoding="utf-8") as fh:
         fh.write("axis,value,policy,seed,nwaoi,lower_bound\n")
-        for value, policy, seed, metric, bound in raw:
+        for value, policy, seed, metric, bound, _ in raw:
             fh.write(f"{args.axis},{value:.10g},{policy},{seed},{metric:.10g},{bound:.10g}\n")
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("axis,value,policy,mean_nwaoi,stderr_nwaoi,lower_bound,num_seeds\n")
         for value in values:
             for policy in policies:
-                metrics = np.array(
-                    [m for v, p, _, m, _ in raw if v == float(value) and p == policy]
-                )
-                bounds = np.array(
-                    [b for v, p, _, _, b in raw if v == float(value) and p == policy]
-                )
-                stderr = (
-                    float(metrics.std(ddof=1) / np.sqrt(metrics.size))
-                    if metrics.size > 1
-                    else 0.0
-                )
+                cell = [row[3:5] for row in raw if row[:2] == (value, policy)]
+                metrics, bounds = np.array(cell).T
                 fh.write(
                     f"{args.axis},{value:.10g},{policy},{metrics.mean():.10g},"
-                    f"{stderr:.10g},{bounds.mean():.10g},{metrics.size}\n"
+                    f"{_stderr(metrics):.10g},{bounds.mean():.10g},{metrics.size}\n"
                 )
-    _write_manifest(out, "sweep", args)
+    _write_manifest(out, args)
     print(f"wrote {len(raw)} cells across {len(values)} values to {out / 'sweep.csv'}")
-    return EXIT_OK
+    return _unsettled_exit(sum(row[5] for row in raw))
 
 
 # ---------------------------------------------------------------------------

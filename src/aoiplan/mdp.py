@@ -169,48 +169,30 @@ class ScheduleEnv:
         if action < 0 or action >= self.num_actions:
             raise ScheduleError(f"action {action} outside [0, {self.num_actions - 1}]")
         state = self._state
-
+        reward = 0.0
+        rejection: dict[str, Any] = {}
         if action == TERMINATE:
             self._done = True
-            return Transition(
-                state=state,
-                action=action,
-                reward=0.0,
-                next_state=state,
-                terminal=True,
-                info={"metric": self._metric, "order": self._order},
-            )
-
-        candidate = self._order + (action,)
-        solution = self.solve_order(candidate)
-        if solution.status != STATUS_OPTIMAL:
-            self._done = True
-            return Transition(
-                state=state,
-                action=action,
-                reward=-self.infeasible_penalty,
-                next_state=state,
-                terminal=True,
-                info={
-                    "metric": self._metric,
-                    "order": self._order,
-                    "rejected": candidate,
-                    "reason": f"{solution.status}: {solution.message}",
-                },
-            )
-        next_state = self._states.get(candidate)
-        if next_state is None:
-            next_state = self._states[candidate] = build_state_matrix(self.scenario, solution)
-            next_state.columns.flags.writeable = False
-        reward = self._metric - solution.objective
-        self._order = candidate
-        self._state = next_state
-        self._metric = solution.objective
+        else:
+            candidate = self._order + (action,)
+            solution = self.solve_order(candidate)
+            if solution.status != STATUS_OPTIMAL:
+                self._done = True
+                reward = -self.infeasible_penalty
+                reason = f"{solution.status}: {solution.message}"
+                rejection = {"rejected": candidate, "reason": reason}
+            else:
+                if candidate not in self._states:
+                    self._states[candidate] = build_state_matrix(self.scenario, solution)
+                    self._states[candidate].columns.flags.writeable = False
+                reward = self._metric - solution.objective
+                self._order, self._metric = candidate, solution.objective
+                self._state = self._states[candidate]
         return Transition(
             state=state,
             action=action,
             reward=reward,
-            next_state=next_state,
-            terminal=False,
-            info={"metric": self._metric, "order": self._order},
+            next_state=self._state,
+            terminal=self._done,
+            info={"metric": self._metric, "order": self._order, **rejection},
         )

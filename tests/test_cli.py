@@ -628,6 +628,21 @@ def test_sweep_learned_policies_over_horizon(tmp_path, capsys):
     assert serial == (tmp_path / "parallel" / "sweep.csv").read_text()
 
 
+def test_sweep_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    code = main([
+        "sweep", "--scenario", path, "--axis", "energy", "--values", "1.0",
+        "--policies", "enumerate", "--out", str(out),
+    ])
+    assert code == 2
+    assert "1 candidate solves ended neither optimal nor infeasible" in capsys.readouterr().err
+    assert len(read_lines(out / "cells.csv")) == 2
+    assert len(read_lines(out / "sweep.csv")) == 2
+    assert read_json(out / "manifest.json")["command"] == "sweep"
+
+
 def test_sweep_nodes_axis_validation(tmp_path, capsys):
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
@@ -788,6 +803,17 @@ def test_sweep_usage_errors(tmp_path, capsys):
     ])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, entries", [("--seeds", ""), ("--policies", ",")])
+def test_sweep_empty_list_exit_1(tmp_path, capsys, flag, entries):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    argv = ["sweep", "--scenario", path, "--axis", "energy", "--values", "1",
+            flag, entries, "--out", str(out)]
+    assert main(argv) == 1
+    assert "--values, --seeds, and --policies must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

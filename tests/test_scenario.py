@@ -104,6 +104,38 @@ def test_malformed_field_raises_scenario_error(path, value):
         from_document(_with(doc, path, value))
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("nodes", 0, "x"), float("nan"), r"node 1: x must be a finite number"),
+        (("nodes", 0, "aoi_floor_s"), -1.0, r"node 1: aoi_floor_s must be nonnegative"),
+        (("channel", "beta0"), 0.0, r"channel: beta0 must be a positive finite number"),
+        (("uav", "vmax_x"), -1.0, r"uav: vmax_x must be a positive finite number"),
+        (("uav", "initial"), [0.0, float("inf")], r"uav: initial must be a finite \(x, y\) pair"),
+        (("region",), [0.0, 1000.0], r"region must be a pair of positive extents"),
+    ],
+    ids=["x-nan", "aoi-floor-negative", "beta0-zero", "vmax-negative", "initial-inf", "region-zero"],
+)
+def test_out_of_range_field_raises_its_own_scenario_error(path, value, message):
+    doc = build_scenario([1, 2]).to_document()
+    with pytest.raises(ScenarioError, match=message):
+        from_document(_with(doc, path, value))
+
+
+def test_all_zero_weights_raise_scenario_error():
+    doc = build_scenario([1, 2]).to_document()
+    for node in doc["nodes"]:
+        node["weight"] = 0.0
+    with pytest.raises(ScenarioError, match="node weights must not all be zero"):
+        from_document(doc)
+
+
+def test_list_document_raises_scenario_error():
+    doc = build_scenario([1, 2]).to_document()
+    with pytest.raises(ScenarioError, match="scenario document must be a mapping"):
+        from_document([doc])
+
+
 def test_non_utf8_file_raises_scenario_error(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_bytes(b"\xff\xfeformat_version: 1\n")

@@ -384,20 +384,12 @@ def greedy_evaluate(agent: QAgent, scenario: Scenario) -> tuple[tuple[int, ...],
     return task.env.order, task.env.metric
 
 
-def _weight_episode(env: ScheduleEnv, rng: np.random.Generator) -> Iterator[StateMatrix]:
-    """Run one weight-proportional episode on env, drawing nodes from rng.
-
-    Yields the initial state and every state reached. The policy never
-    terminates voluntarily; the episode ends when an append fails.
-    """
-    weights = env.scenario.weights()
-    yield env.reset()
-    while True:
-        action = int(rng.choice(env.scenario.num_nodes, p=weights)) + 1
-        transition = env.step(action)
-        if transition.terminal:
-            return
-        yield transition.next_state
+def _weight_choice(scenario: Scenario, rng: np.random.Generator) -> Callable[[np.ndarray], int]:
+    """The weight baseline as an action rule: a node drawn from rng in
+    proportion to its weight, whatever the observation. It never terminates
+    voluntarily; an episode ends when an append fails."""
+    weights = scenario.weights()
+    return lambda obs: int(rng.choice(scenario.num_nodes, p=weights)) + 1
 
 
 def weight_based_rollout(
@@ -406,11 +398,13 @@ def weight_based_rollout(
     solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
 ) -> tuple[tuple[int, ...], float, StateMatrix]:
     """Baseline policy: sample nodes in proportion to their weights until an
-    append fails; returns (visit order, metric, final state)."""
+    append fails, for at most MAX_EPISODE_STEPS steps; returns (visit order,
+    metric, final state)."""
     env = ScheduleEnv(scenario, solve_cache=solve_cache)
-    for state in _weight_episode(env, np.random.default_rng(seed)):
+    choose = _weight_choice(scenario, np.random.default_rng(seed))
+    for _ in _episode(ScheduleTask(env, StateRepr(scenario)), choose):
         pass
-    return env.order, env.metric, state
+    return env.order, env.metric, env.state
 
 
 def collect_states(scenario: Scenario, episodes: int, seed: int) -> list[StateMatrix]:
@@ -419,9 +413,14 @@ def collect_states(scenario: Scenario, episodes: int, seed: int) -> list[StateMa
     Every state visited is kept, including each episode's initial state,
     so the encoder sees single-column matrices too.
     """
-    rng = np.random.default_rng(seed)
     env = ScheduleEnv(scenario)
-    return [state for _ in range(episodes) for state in _weight_episode(env, rng)]
+    task = ScheduleTask(env, StateRepr(scenario))
+    choose = _weight_choice(scenario, np.random.default_rng(seed))
+    corpus = []
+    for _ in range(episodes):
+        corpus.append(env.reset())
+        corpus.extend(env.state for *_, terminal in _episode(task, choose) if not terminal)
+    return corpus
 
 
 # ---------------------------------------------------------------------------

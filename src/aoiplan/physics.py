@@ -105,18 +105,24 @@ def nwaoi(scenario: Scenario, times: UpdateTimes) -> float:
     exactly when no node ever updates. Age floors are excluded; they shift
     every policy equally.
     """
-    times.validate(scenario.uav.horizon_s)
+    # Summed in node order: a dot product would round differently.
+    total = 0.0
+    for weight, squares in zip(scenario.weights(), _squared_gaps(scenario, times)):
+        total += weight * squares
     horizon = scenario.uav.horizon_s
-    weights = scenario.weights()
+    return total / (horizon * horizon)
+
+
+def _squared_gaps(scenario: Scenario, times: UpdateTimes) -> list[float]:
+    """Each node's sum of squared gaps between consecutive updates, fenced by
+    virtual updates at 0 and the horizon; times must be valid and cover
+    exactly the scenario's nodes."""
+    horizon = scenario.uav.horizon_s
+    times.validate(horizon)
     if len(times.per_node) != scenario.num_nodes:
         raise ScheduleError("update times must cover every node")
-    total = 0.0
-    for m in range(scenario.num_nodes):
-        arr = np.asarray(times.per_node[m], dtype=float)
-        fenced = np.concatenate(([0.0], arr, [horizon]))
-        gaps = np.diff(fenced)
-        total += weights[m] * float(np.sum(gaps * gaps))
-    return total / (horizon * horizon)
+    fenced = [np.concatenate(([0.0], np.asarray(arr, dtype=float), [horizon])) for arr in times.per_node]
+    return [float(np.sum(np.square(np.diff(f)))) for f in fenced]
 
 
 def aoi_trace(
@@ -143,16 +149,8 @@ def aoi_trace(
 
 def average_age(scenario: Scenario, times: UpdateTimes) -> np.ndarray:
     """Exact per-node time-average age (including the floor), in seconds."""
-    times.validate(scenario.uav.horizon_s)
-    horizon = scenario.uav.horizon_s
-    floors = scenario.aoi_floors()
-    out = np.empty(scenario.num_nodes, dtype=float)
-    for m in range(scenario.num_nodes):
-        arr = np.asarray(times.per_node[m], dtype=float)
-        fenced = np.concatenate(([0.0], arr, [horizon]))
-        gaps = np.diff(fenced)
-        out[m] = floors[m] + float(np.sum(gaps * gaps)) / (2.0 * horizon)
-    return out
+    squares = np.array(_squared_gaps(scenario, times))
+    return scenario.aoi_floors() + squares / (2.0 * scenario.uav.horizon_s)
 
 
 def write_aoi_trace_csv(

@@ -42,10 +42,7 @@ class Node:
 
     def validate(self, index: int) -> None:
         label = f"node {index + 1}"
-        for name in ("x", "y", "battery_j", "weight", "aoi_floor_s"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ScenarioError(f"{label}: {name} must be a finite number")
+        _check_fields(self, label, positive=False)
         if self.battery_j <= 0:
             raise ScenarioError(f"{label}: battery_j must be positive")
         if self.weight < 0:
@@ -64,34 +61,22 @@ class ChannelParams:
     bandwidth_hz: float = 1e6
 
     def validate(self) -> None:
-        for name in ("beta0", "noise_power_w", "packet_bits", "bandwidth_hz"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-                raise ScenarioError(f"channel: {name} must be a positive finite number")
+        _check_fields(self, "channel", positive=True)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class UavParams:
-    """UAV kinematics and mission horizon."""
+    """UAV kinematics and mission horizon, its fields in file order."""
 
-    initial: tuple[float, float]
-    final: tuple[float, float]
     altitude_m: float = 80.0
     vmax_x: float = 25.0
     vmax_y: float = 25.0
+    initial: tuple[float, float]
+    final: tuple[float, float]
     horizon_s: float = 900.0
 
     def validate(self) -> None:
-        for name in ("altitude_m", "vmax_x", "vmax_y", "horizon_s"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-                raise ScenarioError(f"uav: {name} must be a positive finite number")
-        for name in ("initial", "final"):
-            point = getattr(self, name)
-            if len(point) != 2 or not all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in point
-            ):
-                raise ScenarioError(f"uav: {name} must be a finite (x, y) pair")
+        _check_fields(self, "uav", positive=True)
         # The straight run between the endpoints must fit in the horizon,
         # otherwise no trajectory exists at all.
         slack = 1e-9 * max(1.0, self.horizon_s)
@@ -99,6 +84,45 @@ class UavParams:
             raise ScenarioError("uav: final x is unreachable within the horizon")
         if abs(self.final[1] - self.initial[1]) > self.vmax_y * self.horizon_s + slack:
             raise ScenarioError("uav: final y is unreachable within the horizon")
+
+
+# A file section is its dataclass's fields in order, each under its own name.
+# Only two tables name fields: the (x, y) pairs, and the one field a file may
+# leave out. Each section's (name, is a pair) is read once, since validate
+# runs on every solve and fields() there costs more than the checks.
+_PAIRS = ("initial", "final", "region")
+_OPTIONAL = ("aoi_floor_s",)
+_FIELDS = {
+    cls: tuple((f.name, f.name in _PAIRS) for f in fields(cls))
+    for cls in (Node, ChannelParams, UavParams)
+}
+
+
+def _finite(value: Any) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _check_fields(section: Any, where: str, positive: bool) -> None:
+    """Raise ScenarioError at the first field of section, in field order,
+    that is not a finite (x, y) pair where _PAIRS names it, or else not a
+    finite number, positive too when asked."""
+    for name, pair in _FIELDS[type(section)]:
+        value = getattr(section, name)
+        if pair:
+            if len(value) != 2 or not (_finite(value[0]) and _finite(value[1])):
+                raise ScenarioError(f"{where}: {name} must be a finite (x, y) pair")
+        elif not _finite(value) or (positive and value <= 0):
+            kind = "a positive finite number" if positive else "a finite number"
+            raise ScenarioError(f"{where}: {name} must be {kind}")
+
+
+def _file_value(name: str, value: Any) -> Any:
+    """The file's value of a field: a pair is two floats, anything else one."""
+    return [float(value[0]), float(value[1])] if name in _PAIRS else float(value)
+
+
+def _section_document(section: Any) -> dict[str, Any]:
+    return {name: _file_value(name, getattr(section, name)) for name, _ in _FIELDS[type(section)]}
 
 
 @dataclass
@@ -113,10 +137,7 @@ class Scenario:
     def validate(self) -> None:
         if not self.nodes:
             raise ScenarioError("scenario must contain at least one node")
-        if len(self.region) != 2 or any(
-            not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0
-            for v in self.region
-        ):
+        if len(self.region) != 2 or any(not _finite(v) or v <= 0 for v in self.region):
             raise ScenarioError("region must be a pair of positive extents")
         for i, node in enumerate(self.nodes):
             node.validate(i)
@@ -159,31 +180,10 @@ class Scenario:
     def to_document(self) -> dict[str, Any]:
         return {
             "format_version": FORMAT_VERSION,
-            "region": [float(self.region[0]), float(self.region[1])],
-            "channel": {
-                "beta0": float(self.channel.beta0),
-                "noise_power_w": float(self.channel.noise_power_w),
-                "packet_bits": float(self.channel.packet_bits),
-                "bandwidth_hz": float(self.channel.bandwidth_hz),
-            },
-            "uav": {
-                "altitude_m": float(self.uav.altitude_m),
-                "vmax_x": float(self.uav.vmax_x),
-                "vmax_y": float(self.uav.vmax_y),
-                "initial": [float(self.uav.initial[0]), float(self.uav.initial[1])],
-                "final": [float(self.uav.final[0]), float(self.uav.final[1])],
-                "horizon_s": float(self.uav.horizon_s),
-            },
-            "nodes": [
-                {
-                    "x": float(n.x),
-                    "y": float(n.y),
-                    "battery_j": float(n.battery_j),
-                    "weight": float(n.weight),
-                    "aoi_floor_s": float(n.aoi_floor_s),
-                }
-                for n in self.nodes
-            ],
+            "region": _file_value("region", self.region),
+            "channel": _section_document(self.channel),
+            "uav": _section_document(self.uav),
+            "nodes": [_section_document(node) for node in self.nodes],
         }
 
 
@@ -239,6 +239,17 @@ def _pair(mapping: dict, key: str, where: str) -> tuple[float, float]:
     return _checked_number(value[0], f"{what}[0]"), _checked_number(value[1], f"{what}[1]")
 
 
+def _section(cls: type, mapping: Any, where: str) -> Any:
+    """Read one section: each field of cls under its own name, through
+    _pair or _number; a field in _OPTIONAL may be absent."""
+    values = {}
+    for name, pair in _FIELDS[cls]:
+        if name in _OPTIONAL and name not in mapping:
+            continue
+        values[name] = (_pair if pair else _number)(mapping, name, where)
+    return cls(**values)
+
+
 def from_document(doc: dict[str, Any]) -> Scenario:
     """Build and validate a Scenario from a parsed document."""
     if not isinstance(doc, dict):
@@ -246,41 +257,12 @@ def from_document(doc: dict[str, Any]) -> Scenario:
     if _number(doc, "format_version", "document") != FORMAT_VERSION:
         raise ScenarioError(f"unsupported format_version {doc['format_version']!r}")
     region = _pair(doc, "region", "document")
-
-    ch = _require(doc, "channel", "document")
-    channel = ChannelParams(
-        beta0=_number(ch, "beta0", "channel"),
-        noise_power_w=_number(ch, "noise_power_w", "channel"),
-        packet_bits=_number(ch, "packet_bits", "channel"),
-        bandwidth_hz=_number(ch, "bandwidth_hz", "channel"),
-    )
-
-    uv = _require(doc, "uav", "document")
-    uav = UavParams(
-        initial=_pair(uv, "initial", "uav"),
-        final=_pair(uv, "final", "uav"),
-        altitude_m=_number(uv, "altitude_m", "uav"),
-        vmax_x=_number(uv, "vmax_x", "uav"),
-        vmax_y=_number(uv, "vmax_y", "uav"),
-        horizon_s=_number(uv, "horizon_s", "uav"),
-    )
-
+    channel = _section(ChannelParams, _require(doc, "channel", "document"), "channel")
+    uav = _section(UavParams, _require(doc, "uav", "document"), "uav")
     nodes_raw = _require(doc, "nodes", "document")
     if not isinstance(nodes_raw, list) or not nodes_raw:
         raise ScenarioError("nodes must be a nonempty list")
-    nodes = []
-    for i, item in enumerate(nodes_raw):
-        where = f"node {i + 1}"
-        nodes.append(
-            Node(
-                x=_number(item, "x", where),
-                y=_number(item, "y", where),
-                battery_j=_number(item, "battery_j", where),
-                weight=_number(item, "weight", where),
-                aoi_floor_s=_number(item, "aoi_floor_s", where) if "aoi_floor_s" in item else 0.0,
-            )
-        )
-
+    nodes = [_section(Node, item, f"node {i + 1}") for i, item in enumerate(nodes_raw)]
     scenario = Scenario(nodes=nodes, channel=channel, uav=uav, region=region)
     scenario.validate()
     return scenario
@@ -346,13 +328,8 @@ def generate_scenario(
             break
 
     nodes = [
-        Node(
-            x=float(xs[i]),
-            y=float(ys[i]),
-            battery_j=float(batteries[i]),
-            weight=float(weights[i]),
-        )
-        for i in range(num_nodes)
+        Node(x=float(x), y=float(y), battery_j=float(b), weight=float(w))
+        for x, y, b, w in zip(xs, ys, batteries, weights)
     ]
     scenario = Scenario(
         nodes=nodes,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoiplan import generate_scenario, solve_min_speed, solve_schedule
+from aoiplan import check_solution, generate_scenario, solve_min_speed, solve_schedule
 from aoiplan import solver
 from aoiplan.solver import STATUS_OPTIMAL, _solve_ipm
 from conftest import build_scenario
@@ -131,6 +131,19 @@ def test_long_round_robins_follow_dense_path(monkeypatch, seed):
     assert got.status == want.status == STATUS_OPTIMAL
     assert got.iterations == want.iterations
     assert abs(got.objective - want.objective) <= 1e-9
+
+
+def test_long_order_with_a_wide_band_takes_the_dense_step():
+    # The objective's squared gap between node 1's two updates couples the
+    # first and the last update time: the order is long enough for the block
+    # step, but its band is too wide to cut into enough blocks.
+    scenario = build_scenario([2, 59], horizon=3600.0)
+    order = (1,) + (2,) * 59 + (1,)
+    assert 3 * len(order) >= solver._MIN_BLOCKS * solver._BLOCK_VARS
+    assert solver._schedule_program(scenario, order).layout is None
+    solution = solve_schedule(scenario, order)
+    assert (solution.status, solution.iterations) == (STATUS_OPTIMAL, 30)
+    assert check_solution(scenario, solution).ok
 
 
 def _failing_programs():

@@ -475,6 +475,34 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, edit):
         load_checkpoint(bad)
 
 
+def _sealed(magic: bytes, header_bytes: bytes, payload: bytes) -> bytes:
+    """A checkpoint blob of these parts whose CRC footer is valid."""
+    body = magic + struct.pack("<I", len(header_bytes)) + header_bytes + payload
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _header_bytes(shape) -> bytes:
+    header = {"version": 1, "kind": "qnet", "arrays": [{"name": "w0", "shape": shape}], "meta": {}}
+    return json.dumps(header).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (_sealed(b"NOTMAGIC", _header_bytes([1]), bytes(8)), "not a checkpoint file"),
+        (_sealed(b"AOIPNET1", b"{x}", b""), "corrupt checkpoint header"),
+        (_sealed(b"AOIPNET1", _header_bytes([2]), bytes(8)), "checkpoint payload is truncated"),
+        (_sealed(b"AOIPNET1", _header_bytes([0, 2**70]), b""), r"checkpoint array shape \[0, "),
+    ],
+    ids=["magic", "header-not-json", "payload-short", "shape-overflow"],
+)
+def test_checkpoint_body_checks_behind_a_valid_crc(tmp_path, blob, message):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(bad)
+
+
 _json = st.recursive(
     st.none()
     | st.booleans()

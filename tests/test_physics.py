@@ -204,6 +204,15 @@ def test_average_age_matches_metric():
     assert blended == pytest.approx(nwaoi(scenario, times), rel=1e-12)
 
 
+@pytest.mark.parametrize("per_node", [[[300.0]], [[300.0], [450.0], [600.0]]], ids=["short", "long"])
+def test_wrong_node_count_raises_schedule_error(per_node):
+    scenario = build_scenario([1, 1])
+    times = UpdateTimes([np.asarray(v) for v in per_node])
+    for metric in (nwaoi, average_age):
+        with pytest.raises(ScheduleError, match="update times must cover every node"):
+            metric(scenario, times)
+
+
 def test_trace_csv_layout(tmp_path):
     scenario = build_scenario([1, 1])
     times = times_of(scenario, [450.0], [])

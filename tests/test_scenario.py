@@ -1,6 +1,7 @@
 """Scenario validation, random generation, and file round-trips."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,6 +22,69 @@ def test_round_trip_preserves_fields(tmp_path):
     assert again.uav == scenario.uav
     assert again.channel == scenario.channel
     assert again.region == scenario.region
+
+
+_LAYOUT_HEAD = """\
+format_version: 1
+region:
+- {region_x}
+- {region_y}
+channel:
+  beta0: 0.001
+  noise_power_w: 1.0e-13
+  packet_bits: 10000000.0
+  bandwidth_hz: 1000000.0
+uav:
+  altitude_m: 80.0
+  vmax_x: 25.0
+  vmax_y: 25.0
+  initial:
+  - 0.0
+  - 0.0
+  final:
+  - 1000.0
+  - 1000.0
+  horizon_s: 900.0
+nodes:
+"""
+
+
+def test_saved_file_layout_is_pinned(tmp_path):
+    # Key order, number formatting and list style of the written file, not
+    # only the values a round trip reads back.
+    path = tmp_path / "scenario.yaml"
+    save_scenario(build_scenario([1, 2]), path)
+    assert path.read_text(encoding="utf-8") == _LAYOUT_HEAD.format(
+        region_x="1000.0", region_y="1000.0"
+    ) + (
+        "- x: 300.0\n"
+        "  y: 300.0\n"
+        "  battery_j: 0.0009820799999999998\n"
+        "  weight: 0.5\n"
+        "  aoi_floor_s: 0.0\n"
+        "- x: 700.0\n"
+        "  y: 600.0\n"
+        "  battery_j: 0.0016367999999999999\n"
+        "  weight: 0.5\n"
+        "  aoi_floor_s: 0.0\n"
+    )
+    # Integer fields are written as floats.
+    scenario = build_scenario([1], positions=[(250.0, 125.5)], weights=[1.0])
+    scenario = dataclasses.replace(
+        scenario,
+        nodes=[dataclasses.replace(scenario.nodes[0], aoi_floor_s=3, weight=2)],
+        region=(800, 600),
+    )
+    save_scenario(scenario, path)
+    assert path.read_text(encoding="utf-8") == _LAYOUT_HEAD.format(
+        region_x="800.0", region_y="600.0"
+    ) + (
+        "- x: 250.0\n"
+        "  y: 125.5\n"
+        "  battery_j: 0.0009820799999999998\n"
+        "  weight: 2.0\n"
+        "  aoi_floor_s: 3.0\n"
+    )
 
 
 def test_raw_weights_normalize():
@@ -50,6 +114,18 @@ def test_negative_weight_rejected():
 def test_unreachable_endpoint_rejected():
     scenario = build_scenario([1], final=(1e6, 0.0), vmax=1.0, horizon=10.0)
     with pytest.raises(ScenarioError, match="unreachable"):
+        scenario.validate()
+
+
+def test_unreachable_final_y_rejected():
+    scenario = build_scenario([1], final=(0.0, 1e6), vmax=1.0, horizon=10.0)
+    with pytest.raises(ScenarioError, match="uav: final y is unreachable within the horizon"):
+        scenario.validate()
+
+
+def test_scenario_without_nodes_rejected():
+    scenario = dataclasses.replace(build_scenario([1]), nodes=[])
+    with pytest.raises(ScenarioError, match="scenario must contain at least one node"):
         scenario.validate()
 
 
@@ -198,6 +274,14 @@ def test_generate_respects_ranges():
             assert 0.0 <= point[0] <= 800.0
             assert 0.0 <= point[1] <= 600.0
         scenario.validate()
+
+
+def test_generate_falls_back_to_the_initial_point():
+    # At 0.01 m/s for 10 s no redrawn final point is reachable, so the
+    # mission ends where it starts.
+    scenario = generate_scenario(2, 0, vmax=0.01, horizon_s=10.0)
+    assert scenario.uav.final == scenario.uav.initial
+    scenario.validate()
 
 
 def test_generate_scalar_region_is_square():

@@ -363,22 +363,28 @@ def dqn_train(
     episodes: int,
     seed: int,
     encoder: LstmCell | None = None,
+    solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
 ) -> tuple[QAgent, list[EpisodeStats]]:
     """Train an action-value planner on a scenario.
 
     With a trained encoder the observations are the encoder's compressed
-    state instead of the raw last column.
+    state instead of the raw last column. ``solve_cache`` keeps every
+    order's solve for a later rollout, as in `weight_based_rollout`.
     """
     repr_ = StateRepr(scenario, encoder)
-    env = ScheduleEnv(scenario, infeasible_penalty=config.infeasible_penalty)
+    env = ScheduleEnv(scenario, infeasible_penalty=config.infeasible_penalty, solve_cache=solve_cache)
     net, curve = dqn_train_task(ScheduleTask(env, repr_), config, episodes, seed)
     return QAgent(net=net, repr=repr_), curve
 
 
-def greedy_evaluate(agent: QAgent, scenario: Scenario) -> tuple[tuple[int, ...], float]:
+def greedy_evaluate(
+    agent: QAgent,
+    scenario: Scenario,
+    solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
+) -> tuple[tuple[int, ...], float]:
     """Roll the greedy policy out once, for at most MAX_EPISODE_STEPS steps;
     returns (visit order, metric)."""
-    task = ScheduleTask(ScheduleEnv(scenario), agent.repr)
+    task = ScheduleTask(ScheduleEnv(scenario, solve_cache=solve_cache), agent.repr)
     for _ in _episode(task, agent.greedy_action):
         pass
     return task.env.order, task.env.metric

@@ -304,8 +304,12 @@ def cmd_train_dqn(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"encoder checkpoint not found: {args.encoder}")
         model, _ = load_autoencoder(args.encoder)
         encoder = model.encoder
-    agent, curve = dqn_train(scenario, config, episodes=args.episodes, seed=args.seed, encoder=encoder)
-    order, metric = greedy_evaluate(agent, scenario)
+    # The closing greedy rollout reads the solves training already made.
+    cache: dict = {}
+    agent, curve = dqn_train(
+        scenario, config, episodes=args.episodes, seed=args.seed, encoder=encoder, solve_cache=cache
+    )
+    order, metric = greedy_evaluate(agent, scenario, solve_cache=cache)
     out = _ensure_out(args.out)
     save_agent(out / "agent.ckpt", agent)
     write_learning_curve_csv(out / "learning_curve.csv", curve)

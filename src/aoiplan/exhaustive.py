@@ -3,14 +3,14 @@
 The number of distinct visit orders for a given per-node update allocation
 is the multinomial coefficient, and the grid of allocations is bounded by
 each node's energy budget, so small instances can be enumerated exactly.
-A candidate order is scored with a full trajectory solve, unless the
-per-count floor of its allocation already exceeds the best objective found:
-then no order of that allocation can win, and none is solved (branch and
-bound, Land and Doig 1960). The orders of a count vector share the shape
-of their program, so a vector with more than one order is solved as one
-stack (`solve_schedules`); a vector with one order goes to
-`solve_schedule`. A budget guard refuses enumerations with more candidate
-orders than allowed, counting those it would skip.
+Search is branch and bound (Land and Doig 1960) at two levels. A count
+vector whose per-count floor exceeds the best objective found is skipped
+whole. Inside a vector that survives, each order gets a certified floor of
+its own (`order_floors`, all orders as one stacked solve), and only orders
+whose floor is not above the incumbent get a full trajectory solve, lowest
+floor first. Every full solve goes through `solve_schedules`; a batch of
+orders is solved as one stack. A budget guard refuses enumerations with
+more candidate orders than allowed, counting those it would skip.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     TrajectorySolution,
-    solve_schedule,
+    order_floors,
+    solve_schedule,  # noqa: F401  (perfbench wraps this name at every solver site)
     solve_schedules,
 )
 
@@ -96,11 +97,13 @@ class EnumerationResult:
     """Best order found by exact search, with the full scoring table.
 
     ``num_solves`` counts the non-empty orders solved and ``num_pruned`` the
-    orders skipped because their count vector's floor exceeded the
-    incumbent; the empty order is always scored, so the two add up to
-    ``num_candidates - 1``. ``per_count`` holds the count vectors that were
-    solved. ``num_nonconverged`` counts the candidates whose solve ended
-    neither optimal nor infeasible; it is kept whether or not the rows are.
+    orders skipped because their count vector's floor or their own floor
+    exceeded the incumbent; the empty order is always scored, so the two add
+    up to ``num_candidates - 1``. ``per_count`` holds, for each count vector
+    with an optimal solve, its best solved order; under pruning that need not
+    be the vector's best order (`per_count_best` scores them all).
+    ``num_nonconverged`` counts the candidates whose solve ended neither
+    optimal nor infeasible; it is kept whether or not the rows are.
     """
 
     best_order: tuple[int, ...]
@@ -143,9 +146,9 @@ def _search(
     prune: bool,
 ) -> EnumerationResult:
     """Score the candidates of every count vector; with ``prune``, visit the
-    vectors by ascending floor and skip those whose floor exceeds the
-    incumbent's objective. The budget guard stops counting at the first
-    vector that takes the running total above the budget."""
+    vectors by ascending floor and skip the vectors and orders whose floor
+    exceeds the incumbent's objective. The budget guard stops counting at the
+    first vector that takes the running total above the budget."""
     scenario.validate()
     combos: list[tuple[int, ...]] = []
     required = 0
@@ -166,47 +169,60 @@ def _search(
     num_nonconverged = 0
 
     for combo in visit:
-        rows = rows_of[combo] = []
-        # Every order with these counts scores at least the floor, so none
-        # can beat an incumbent below it. The empty order needs no real
-        # solve and is always scored.
-        if prune and best_key is not None and any(combo) and floor[combo] > best_key[0]:
-            num_pruned += schedule_count(combo)
-            if keep_rows:
-                rows.extend(
-                    (_order_str(order), math.inf, STATUS_PRUNED, math.inf)
-                    for order in multiset_permutations(combo)
-                )
-            continue
-        count_best: tuple[float, tuple[int, ...]] | None = None
         orders = list(multiset_permutations(combo))
-        if len(orders) > 1:
-            solutions = solve_schedules(scenario, orders, tol=tol)
+        # Every order with these counts scores at least the vector's floor,
+        # and each at least its own, so none whose floor is above the
+        # incumbent can win. The empty order needs no real solve and is
+        # always scored.
+        bounded = prune and any(combo)
+        if bounded and best_key is not None and floor[combo] > best_key[0]:
+            pending = []
+        elif bounded:
+            order_floor = dict(zip(orders, order_floors(scenario, orders, tol=tol)))
+            pending = sorted(orders, key=lambda order: (order_floor[order], order))
         else:
-            solutions = [solve_schedule(scenario, orders[0], tol=tol)]
-        for order, solution in zip(orders, solutions):
-            if len(order) > 0:
-                num_solves += 1
-            if solution.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE):
-                num_nonconverged += 1
-            if keep_rows:
-                rows.append(
-                    (
-                        _order_str(order),
-                        solution.objective,
-                        solution.status,
-                        solution.kkt_residual,
-                    )
+            pending = orders
+        solved: dict[tuple[int, ...], TrajectorySolution] = {}
+        count_best: tuple[float, tuple[int, ...]] | None = None
+        while pending:
+            take = len(pending)
+            if bounded:
+                # The lowest floor is solved alone, then every order whose
+                # floor is not above the incumbent as one stack.
+                take = sum(
+                    1 for order in pending
+                    if order_floor[order] < math.inf
+                    and (best_key is None or order_floor[order] <= best_key[0])
                 )
-            key = (solution.objective, order)
-            if solution.status == STATUS_OPTIMAL:
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_solution = solution
-                if count_best is None or key < count_best:
-                    count_best = key
+                if take == 0:
+                    break
+                if not solved:
+                    take = 1
+            batch, pending = pending[:take], pending[take:]
+            for order, solution in zip(batch, solve_schedules(scenario, batch, tol=tol)):
+                solved[order] = solution
+                if len(order) > 0:
+                    num_solves += 1
+                if solution.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE):
+                    num_nonconverged += 1
+                key = (solution.objective, order)
+                if solution.status == STATUS_OPTIMAL:
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_solution = solution
+                    if count_best is None or key < count_best:
+                        count_best = key
+        num_pruned += len(orders) - len(solved)
         if count_best is not None:
             per_count[combo] = (count_best[1], count_best[0], STATUS_OPTIMAL)
+        if keep_rows:
+            rows_of[combo] = [
+                (_order_str(order), math.inf, STATUS_PRUNED, math.inf)
+                if order not in solved
+                else (_order_str(order), solved[order].objective, solved[order].status,
+                      solved[order].kkt_residual)
+                for order in orders
+            ]
 
     if best_solution is None or best_key is None:
         raise RuntimeError("no optimal candidate; even the empty order failed")
@@ -219,7 +235,7 @@ def _search(
         num_pruned=num_pruned,
         num_nonconverged=num_nonconverged,
         per_count=per_count,
-        rows=[row for combo in combos for row in rows_of[combo]],
+        rows=[row for combo in combos for row in rows_of.get(combo, [])],
     )
 
 
@@ -233,15 +249,19 @@ def enumerate_optimal(
 
     Count vectors are visited by ascending ``per_count_floor`` (then
     lexicographically), and a vector whose floor is strictly above the
-    objective of the best ``optimal`` solve so far is skipped unsolved: its
-    rows carry status ``pruned``. Every order with those counts scores at
-    least the floor, so the winner is the one exhaustive scoring would
-    pick. Only solves with status ``optimal`` can win; the rows keep every
-    solved candidate's real status, in count-grid order. Ties on the
-    objective break toward the lexicographically smallest order. Raises
-    BudgetExceededError up front when the candidate count, pruned ones
-    included, exceeds ``budget``; nothing is solved in that case, and the
-    error reports the count reached when the guard stopped.
+    objective of the best ``optimal`` solve so far is skipped unsolved.
+    Inside a visited vector, orders are ranked by (``order_floors``, order):
+    the first is solved alone, then every order whose floor is not strictly
+    above the incumbent as one batch, and the rest are skipped. Skipped
+    orders' rows carry status ``pruned``. Every order scores at least its
+    floor, so the winner is the one exhaustive scoring would pick, and ties
+    within solver accuracy are still solved. Only solves with status
+    ``optimal`` can win; the rows keep every solved candidate's real status,
+    in count-grid order. Ties on the objective break toward the
+    lexicographically smallest order. Raises BudgetExceededError up front
+    when the candidate count, pruned ones included, exceeds ``budget``;
+    nothing is solved in that case, and the error reports the count reached
+    when the guard stopped.
     """
     return _search(scenario, budget, tol, keep_rows, prune=True)
 

@@ -45,7 +45,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .bounds import all_max_updates, min_speed_upper_bound, uniform_schedule
+from .bounds import all_max_updates, min_speed_upper_bound, per_count_floor, uniform_schedule
 from .errors import ScheduleError
 from .physics import UpdateTimes, energy_budget_constant, nwaoi, split_by_node
 from .scenario import Scenario, result_document
@@ -950,6 +950,51 @@ def _ball_and_leg_rows(
     )
 
 
+def _instant_program(weights: np.ndarray, node: np.ndarray) -> _Program:
+    """The update instants' part of the fixed-order program, for updates of
+    the 0-based nodes ``node`` under node weights ``weights``: NWAoI over the
+    n instants, in units of the horizon, under the ordering rows
+    t_i - t_(i+1) <= 0 and then the time rows -t_i <= 0 and t_i - 1 <= 0.
+    `_schedule_program` adds the hover points to it, and `_floor_program`
+    shifts its rows by travel gaps."""
+    n = node.size
+    # A node's squared gaps between its instants s, fenced by 0 and 1, sum to
+    # s'Qs - 2 s_last + 1, with Q tridiagonal: 2 on the diagonal, -1 beside
+    # it. The weighted 1s sum to r0 = 1.
+    t_idx = np.arange(n)
+    w = weights[node]
+    by_node = np.argsort(node, kind="stable")
+    same = node[by_node[1:]] == node[by_node[:-1]]
+    a = by_node[:-1][same]
+    b = by_node[1:][same]
+    last = by_node[np.append(~same, True)]
+    q_vec = np.zeros(n)
+    q_vec[last] = -2.0 * w[last]
+
+    # Ordering t_i - t_(i+1), time_lo -t_i and time_hi t_i - 1.
+    ordering = t_idx[:-1]
+    time_lo = n - 1 + t_idx
+    time_hi = time_lo + n
+    g_vec = np.zeros(3 * n - 1)
+    g_vec[time_hi] = -1.0
+    ones = np.ones(n)
+    return _Program(
+        np.concatenate([t_idx, a, b]),
+        np.concatenate([t_idx, b, a]),
+        np.concatenate([4.0 * w, -2.0 * w[a], -2.0 * w[a]]),
+        q_vec,
+        1.0,
+        np.concatenate([ordering, ordering, time_lo, time_hi]),
+        np.concatenate([t_idx[:-1], t_idx[1:], t_idx, t_idx]),
+        np.concatenate([ones[1:], -ones[1:], -ones, ones]),
+        g_vec,
+        _NO_ENTRIES,
+        _NO_ENTRIES,
+        np.zeros(0),
+        np.zeros(0),
+    )
+
+
 def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | str:
     """Build the scaled fixed-order program. Its columns are the n update
     instants, then the waypoints' x, then their y. Returns an error message
@@ -978,20 +1023,9 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
             )
         budgets[m] = c / (r_scale * r_scale)
 
-    # A node's squared gaps between its instants s, fenced by 0 and 1, sum to
-    # s'Qs - 2 s_last + 1, with Q tridiagonal: 2 on the diagonal, -1 beside
-    # it. The weighted 1s sum to r0 = 1.
+    # Rows: the energy balls and speed legs, then the instants' rows.
+    instants = _instant_program(scenario.weights(), node)
     t_idx = np.arange(n)
-    w = scenario.weights()[node]
-    by_node = np.argsort(node, kind="stable")
-    same = node[by_node[1:]] == node[by_node[:-1]]
-    a = by_node[:-1][same]
-    b = by_node[1:][same]
-    last = by_node[np.append(~same, True)]
-    q_vec = np.zeros(3 * n)
-    q_vec[last] = -2.0 * w[last]
-
-    # Rows: the energy balls and speed legs, then ordering, time_lo, time_hi.
     k = len(budgets)
     legs = n + 1
     row = k + 4 * legs
@@ -1007,23 +1041,17 @@ def _schedule_program(scenario: Scenario, order: tuple[int, ...]) -> _Program | 
     far = (first[:, None] + t_idx).ravel()
     t_far = np.tile(t_idx, 4)
     allowance = np.repeat(allowance, n)
-
-    # Ordering t_i - t_(i+1), time_lo -t_i and time_hi t_i - 1.
-    ordering = row + t_idx[:-1]
-    time_lo = row + n - 1 + t_idx
-    time_hi = time_lo + n
-    g_vec[time_hi] = -1.0
-    ones = np.ones(n)
+    g_vec[row:] = instants.g
 
     program = _Program(
-        np.concatenate([t_idx, a, b]),
-        np.concatenate([t_idx, b, a]),
-        np.concatenate([4.0 * w, -2.0 * w[a], -2.0 * w[a]]),
-        q_vec,
-        1.0,
-        np.concatenate([rows, far, far + 1, ordering, ordering, time_lo, time_hi]),
-        np.concatenate([cols, t_far, t_far, t_idx[:-1], t_idx[1:], t_idx, t_idx]),
-        np.concatenate([vals, -allowance, allowance, ones[1:], -ones[1:], -ones, ones]),
+        instants.P_row,
+        instants.P_col,
+        instants.P_val,
+        np.concatenate([instants.q, np.zeros(2 * n)]),
+        instants.r0,
+        np.concatenate([rows, far, far + 1, instants.G_row + row]),
+        np.concatenate([cols, t_far, t_far, instants.G_col]),
+        np.concatenate([vals, -allowance, allowance, instants.G_val]),
         g_vec,
         *balls,
     )
@@ -1171,6 +1199,113 @@ def _trajectory_solution(
         used_phase1=phase1_iters is not None,
         message=result.message,
     )
+
+
+# ---------------------------------------------------------------------------
+# Certified floors of fixed orders
+# ---------------------------------------------------------------------------
+
+
+def _travel_gaps(scenario: Scenario, node: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Least duration of each leg, in units of the horizon, for rows of
+    0-based nodes ``node``; radii[m] bounds how far node m's hover points lie
+    from it. Legs 0..n run from the start point to the end point, which have
+    radius 0, and each takes the larger of its per-axis bounds
+    max(0, |centre gap| - r_a - r_b) / vmax."""
+    num = node.shape[0]
+    uav = scenario.uav
+    points = np.concatenate(
+        [np.broadcast_to(uav.initial, (num, 1, 2)), scenario.node_xy()[node],
+         np.broadcast_to(uav.final, (num, 1, 2))],
+        axis=1,
+    )
+    reach = np.pad(radii[node], ((0, 0), (1, 1)))
+    span = np.abs(np.diff(points, axis=1)) - (reach[:, :-1] + reach[:, 1:])[:, :, None]
+    vmax = np.array([uav.vmax_x, uav.vmax_y])
+    return (np.maximum(span, 0.0) / vmax).max(axis=2) / uav.horizon_s
+
+
+def _floor_program(weights: np.ndarray, node: np.ndarray, gaps: np.ndarray) -> _Program:
+    """The time-only relaxation of an order: its `_instant_program` with
+    t_(i+1) - t_i >= gaps[i + 1], t_i >= gaps[0] + ... + gaps[i] and
+    1 - t_i >= gaps[i + 1] + ... + gaps[n], for the n + 1 leg gaps."""
+    program = _instant_program(weights, node)
+    reached = np.cumsum(gaps[:-1])
+    program.g += np.concatenate([gaps[1:-1], reached, gaps.sum() - reached])
+    return program
+
+
+def _dual_values(programs: Sequence[_Program], lams: Sequence[np.ndarray]) -> np.ndarray:
+    """r0 + g'lam - 0.5 v'P^-1 v, with v = q + G'lam, for each program of
+    equal shape without balls and its duals lam: the Lagrangian dual
+    function, which bounds the program's optimum from below for every
+    lam >= 0 when P is positive definite."""
+    stack = _stack(programs)
+    num, nv = stack.num_problems, stack.num_vars
+    lam = np.concatenate(lams)
+    v = (stack.q + stack.jac_t_dot(stack.G_val, lam)).reshape(num, nv)
+    p_mat = np.bincount(
+        stack.P_row * nv + stack.P_col % nv, weights=stack.P_val, minlength=num * nv * nv
+    ).reshape(num, nv, nv)
+    x = np.linalg.solve(p_mat, v[:, :, None])[:, :, 0]
+    return stack.r0 + (stack.g * lam).reshape(num, -1).sum(axis=1) - 0.5 * (v * x).sum(axis=1)
+
+
+def order_floors(
+    scenario: Scenario,
+    orders: Sequence[Sequence[int]],
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """Certified lower bound on the objective of each order; the orders
+    share their per-node counts.
+
+    The bound drops the hover points. Node m's hover points lie within
+    r_m = sqrt(`energy_budget_constant`) of it, so each leg lasts at least
+    its `_travel_gaps` entry, and NWAoI is minimized over the instants under
+    those gaps with the ordering and time rows: every order as one stack,
+    from a strictly interior start (the cumulative gaps plus the leftover
+    time spread evenly). The floor is the larger of `per_count_floor` and
+    the Lagrangian dual value at the returned duals, which bounds the
+    relaxation whatever the solve's status (Boyd and Vandenberghe, Convex
+    Optimization, 2004, ch. 5). When the gaps sum above the horizon the
+    order cannot be flown and its floor is +inf. When they fill it exactly,
+    or a node of the order has weight 0 (P is then singular), the floor is
+    `per_count_floor`.
+    """
+    if not orders:
+        return np.zeros(0)
+    orders_t = [validate_order(order, scenario.num_nodes) for order in orders]
+    if any(sorted(order) != sorted(orders_t[0]) for order in orders_t):
+        raise ValueError("orders must share their per-node counts")
+    node = np.array(orders_t, dtype=int).reshape(len(orders_t), -1) - 1
+    counts = np.bincount(node[0], minlength=scenario.num_nodes)
+    floors = np.full(len(orders_t), per_count_floor(scenario, counts))
+    n = node.shape[1]
+    if n == 0:
+        return floors
+    budget = [energy_budget_constant(scenario, m, int(c)) for m, c in enumerate(counts)]
+    gaps = _travel_gaps(scenario, node, np.sqrt(np.maximum(budget, 0.0)))
+    leftover = 1.0 - gaps.sum(axis=1)
+    floors[leftover < 0.0] = math.inf
+    weights = scenario.weights()
+    if np.any(weights[counts > 0] == 0.0):
+        return floors
+
+    slots, programs, starts = [], [], []
+    spread = (np.arange(n) + 1.0) / (n + 1.0)
+    for s in np.flatnonzero(leftover > 0.0):
+        program = _floor_program(weights, node[s], gaps[s])
+        start = np.cumsum(gaps[s, :-1]) + leftover[s] * spread
+        # Rounding can leave no interior to a leftover near zero.
+        if program.constraint_values(start).max() < 0.0:
+            slots.append(s)
+            programs.append(program)
+            starts.append(start)
+    if programs:
+        results = _solve_many(programs, starts, tol, DEFAULT_MAX_ITERS)
+        dual = _dual_values(programs, [result.lam for result in results])
+        floors[slots] = np.fmax(floors[slots], dual)
+    return floors
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,25 @@ def test_greedy_metric_matches_physics():
     assert metric == pytest.approx(recomputed, rel=1e-12)
 
 
+def test_greedy_rollout_reads_the_training_cache(monkeypatch):
+    scenario = build_scenario([2, 1])
+    config = DqnConfig(hidden_sizes=(8,), lr=0.02)
+    cache = {}
+    agent, curve = dqn_train(scenario, config, episodes=30, seed=2, solve_cache=cache)
+    assert curve == dqn_train(scenario, config, episodes=30, seed=2)[1]
+    fresh = greedy_evaluate(agent, scenario)
+    cached = set(cache)
+    solved = []
+
+    def record(scenario, order, **kwargs):
+        solved.append(tuple(order))
+        return solve_schedule(scenario, order, **kwargs)
+
+    monkeypatch.setattr("aoiplan.mdp.solve_schedule", record)
+    assert greedy_evaluate(agent, scenario, solve_cache=cache) == fresh
+    assert fresh[0] in cached and not cached & set(solved)
+
+
 def test_full_exploration_is_uniform_policy():
     # With epsilon pinned at 1 and a dead optimizer the trainer's rollouts
     # must be statistically indistinguishable from uniform random actions.

@@ -10,7 +10,7 @@ import aoiplan
 from aoiplan import load_agent, load_autoencoder, load_scenario, lower_bound, save_scenario
 from aoiplan.cli import main
 from aoiplan.nnet import save_checkpoint
-from conftest import build_scenario, nonconverged_at, nonconverged_in_stack_at
+from conftest import build_scenario, nonconverged_in_stack_at
 
 
 def save(tmp_path, scenario, name="scenario.yaml"):
@@ -278,18 +278,18 @@ def test_enumerate_reports_pruned_candidates(tmp_path, capsys):
 
 
 def test_enumerate_never_solves_pruned_nonconverged_order(tmp_path, capsys, monkeypatch):
-    stub = nonconverged_at((1,))
+    stub = nonconverged_in_stack_at((1,))
     solved = []
 
-    def record(scenario, order, **kwargs):
-        solved.append(tuple(order))
-        return stub(scenario, order, **kwargs)
+    def record(scenario, orders, **kwargs):
+        solved.extend(tuple(order) for order in orders)
+        return stub(scenario, orders, **kwargs)
 
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", record)
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", record)
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
     assert main(["enumerate", "--scenario", path, "--out", str(out)]) == 0
-    assert (1,) not in solved
+    assert (1, 2) in solved and (1,) not in solved
     assert "1,,pruned," in read_lines(out / "enumeration.csv")
     assert read_json(out / "result.json")["best_order"] == [1, 2]
 

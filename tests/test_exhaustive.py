@@ -11,13 +11,15 @@ from aoiplan import (
     enumerate_optimal,
     generate_scenario,
     lower_bound,
-    per_count_floor,
     per_count_best,
+    per_count_floor,
     schedule_count,
     solve_schedule,
+    solve_schedules,
     total_candidates,
 )
 from aoiplan.exhaustive import count_grid, multiset_permutations
+from aoiplan.solver import order_floors
 from conftest import build_scenario, nonconverged_in_stack_at
 
 
@@ -174,10 +176,58 @@ def test_branch_and_bound_matches_exhaustive_scoring(counts, kwargs):
         if status != "pruned":
             continue
         assert objective == float("inf") and kkt == float("inf")
+        # The effective floor is the vector's or the order's own, and
+        # order_floors is never below the vector's.
         order = [int(v) for v in order_str.split("-")]
-        combo = [order.count(m + 1) for m in range(len(counts))]
-        assert per_count_floor(scenario, combo) > result.objective
+        assert order_floors(scenario, [order])[0] > result.objective
     if kwargs:
         # Slow flight: the winner leaves one update of the budget unused.
         assert result.best_order == (2, 1, 2)
         assert len(result.best_order) < sum(counts)
+
+
+@pytest.mark.parametrize(
+    "counts, kwargs",
+    [
+        ([2, 2, 1], {}),
+        ([2, 2, 2], {}),
+        ([3], {}),
+        ([2, 2], {"vmax": 4.0, "horizon": 400.0}),
+        ([1, 1], {"weights": [0.35, 0.65]}),
+        ([2, 1], {"weights": [1.0, 0.0]}),
+    ],
+)
+def test_order_floors_bound_every_optimal_candidate(counts, kwargs):
+    scenario = build_scenario(counts, **kwargs)
+    unflyable = 0
+    for combo in count_grid(all_max_updates(scenario)):
+        orders = list(multiset_permutations(combo))
+        floors = order_floors(scenario, orders)
+        assert np.all(floors >= per_count_floor(scenario, combo))
+        for order, floor, solution in zip(orders, floors, solve_schedules(scenario, orders)):
+            if solution.status == "optimal":
+                # An evenly spaced optimum attains per_count_floor, up to rounding.
+                assert solution.objective >= floor - 1e-12
+            if floor == np.inf:
+                # The travel gaps exceed the horizon: no order can fly them.
+                unflyable += 1
+                assert solution.status != "optimal"
+        if 0.0 in scenario.weights()[np.asarray(combo) > 0]:
+            assert np.all(floors[np.isfinite(floors)] == per_count_floor(scenario, combo))
+    if "vmax" in kwargs:
+        assert unflyable > 0
+
+
+def test_order_floors_prune_within_a_count_vector():
+    result = enumerate_optimal(build_scenario([3, 3, 2]), keep_rows=False)
+    assert result.num_solves < 20
+
+
+def test_order_floors_take_one_count_vector():
+    scenario = build_scenario([1, 1])
+    assert order_floors(scenario, []).size == 0
+    assert order_floors(scenario, [()])[0] == 1.0
+    with pytest.raises(ValueError, match="share their per-node counts"):
+        order_floors(scenario, [(1,), (2,)])
+    with pytest.raises(ValueError, match="share their per-node counts"):
+        order_floors(scenario, [(1,), (1, 2)])

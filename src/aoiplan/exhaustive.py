@@ -6,11 +6,10 @@ each node's energy budget, so small instances can be enumerated exactly.
 Search is branch and bound (Land and Doig 1960) at two levels. A count
 vector whose per-count floor exceeds the best objective found is skipped
 whole. Inside a vector that survives, each order gets a certified floor of
-its own (`order_floors`, all orders as one stacked solve), and only orders
-whose floor is not above the incumbent get a full trajectory solve, lowest
-floor first. Every full solve goes through `solve_schedules`; a batch of
-orders is solved as one stack. A budget guard refuses enumerations with
-more candidate orders than allowed, counting those it would skip.
+its own (`order_floors`, all orders as one stacked solve). The orders are
+then solved one at a time by `solve_schedule`, lowest floor first, until
+the next floor is above the incumbent. A budget guard refuses enumerations
+with more candidate orders than allowed, counting those it would skip.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from .solver import (
     STATUS_OPTIMAL,
     TrajectorySolution,
     order_floors,
-    solve_schedule,  # noqa: F401  (perfbench wraps this name at every solver site)
-    solve_schedules,
+    solve_schedule,
 )
 
 DEFAULT_BUDGET = 100_000
@@ -96,12 +94,13 @@ def multiset_permutations(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
 class EnumerationResult:
     """Best order found by exact search, with the full scoring table.
 
-    ``num_solves`` counts the non-empty orders solved and ``num_pruned`` the
-    orders skipped because their count vector's floor or their own floor
-    exceeded the incumbent; the empty order is always scored, so the two add
-    up to ``num_candidates - 1``. ``per_count`` holds, for each count vector
-    with an optimal solve, its best solved order; under pruning that need not
-    be the vector's best order (`per_count_best` scores them all).
+    ``num_solves`` counts the non-empty orders solved, one `solve_schedule`
+    each, and ``num_pruned`` the orders skipped because their count vector's
+    floor or their own floor exceeded the incumbent; the empty order is
+    always scored, so the two add up to ``num_candidates - 1``.
+    ``per_count`` holds, for each count vector with an optimal solve, its
+    best solved order; under pruning that need not be the vector's best
+    order (`per_count_best` scores them all).
     ``num_nonconverged`` counts the candidates whose solve ended neither
     optimal nor infeasible; it is kept whether or not the rows are.
     """
@@ -184,34 +183,27 @@ def _search(
             pending = orders
         solved: dict[tuple[int, ...], TrajectorySolution] = {}
         count_best: tuple[float, tuple[int, ...]] | None = None
-        while pending:
-            take = len(pending)
-            if bounded:
-                # The lowest floor is solved alone, then every order whose
-                # floor is not above the incumbent as one stack.
-                take = sum(
-                    1 for order in pending
-                    if order_floor[order] < math.inf
-                    and (best_key is None or order_floor[order] <= best_key[0])
-                )
-                if take == 0:
-                    break
-                if not solved:
-                    take = 1
-            batch, pending = pending[:take], pending[take:]
-            for order, solution in zip(batch, solve_schedules(scenario, batch, tol=tol)):
-                solved[order] = solution
-                if len(order) > 0:
-                    num_solves += 1
-                if solution.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE):
-                    num_nonconverged += 1
-                key = (solution.objective, order)
-                if solution.status == STATUS_OPTIMAL:
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_solution = solution
-                    if count_best is None or key < count_best:
-                        count_best = key
+        for order in pending:
+            # Floors ascend, so the first order that cannot win ends the
+            # vector; each solve may lower the incumbent for the next.
+            if bounded and (
+                order_floor[order] == math.inf
+                or best_key is not None and order_floor[order] > best_key[0]
+            ):
+                break
+            solution = solve_schedule(scenario, order, tol=tol)
+            solved[order] = solution
+            if len(order) > 0:
+                num_solves += 1
+            if solution.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE):
+                num_nonconverged += 1
+            key = (solution.objective, order)
+            if solution.status == STATUS_OPTIMAL:
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_solution = solution
+                if count_best is None or key < count_best:
+                    count_best = key
         num_pruned += len(orders) - len(solved)
         if count_best is not None:
             per_count[combo] = (count_best[1], count_best[0], STATUS_OPTIMAL)
@@ -250,12 +242,13 @@ def enumerate_optimal(
     Count vectors are visited by ascending ``per_count_floor`` (then
     lexicographically), and a vector whose floor is strictly above the
     objective of the best ``optimal`` solve so far is skipped unsolved.
-    Inside a visited vector, orders are ranked by (``order_floors``, order):
-    the first is solved alone, then every order whose floor is not strictly
-    above the incumbent as one batch, and the rest are skipped. Skipped
-    orders' rows carry status ``pruned``. Every order scores at least its
-    floor, so the winner is the one exhaustive scoring would pick, and ties
-    within solver accuracy are still solved. Only solves with status
+    Inside a visited vector, orders are solved one at a time by ascending
+    (``order_floors``, order), and the first order whose floor is infinite
+    or strictly above the incumbent, which each solve may lower, ends the
+    vector; it and the orders after it are skipped. Skipped orders' rows
+    carry status ``pruned``. Every order scores at least its floor, so the
+    winner is the one exhaustive scoring would pick, and ties within solver
+    accuracy are still solved. Only solves with status
     ``optimal`` can win; the rows keep every solved candidate's real status,
     in count-grid order. Ties on the objective break toward the
     lexicographically smallest order. Raises BudgetExceededError up front

@@ -18,13 +18,13 @@ A long schedule's Newton system is solved by its structure, a block band
 plus one rank-1 term per energy ball (see `_block_step`); any other is
 assembled nv x nv and solved dense.
 
-There are two loops. `_solve_ipm` solves one program. `_solve_ipm_stack`
-solves programs of equal shape, such as the orders of one count vector, as
-one block-diagonal stack: one Newton solve per iteration for all of them,
-with every per-problem quantity of the scalar loop kept per problem, so each
-result equals the scalar one. `solve_schedules` stacks the programs that
-share their shape and leaves a program with no partner to the scalar loop,
-which is faster for one problem.
+There are two loops. `_solve_ipm` solves one program: every full solve
+(`solve_schedule`, phase I included, and `solve_min_speed`) takes it.
+`_solve_ipm_stack` solves programs of equal shape as one block-diagonal
+stack: one Newton solve per iteration for all of them, with every
+per-problem quantity of the scalar loop kept per problem, so each result
+equals the scalar one. Only `order_floors` uses it, for the time-only floor
+programs of one count vector's orders, which all share one shape.
 
 Everything inside the solver runs in nondimensional units: times divided
 by the horizon, coordinates by the scenario's length scale, and each
@@ -67,8 +67,11 @@ def validate_order(order: Sequence[int], num_nodes: int) -> tuple[int, ...]:
     """Normalize a visit order to a tuple of 1-based node indices."""
     out = []
     for v in order:
-        iv = int(v)
-        if iv != v:
+        try:
+            iv = int(v)
+        except (TypeError, ValueError, OverflowError):
+            iv = None
+        if iv is None or iv != v:
             raise ScheduleError("visit order entries must be integers")
         if iv < 1 or iv > num_nodes:
             raise ScheduleError(f"visit order entry {iv} outside [1, {num_nodes}]")
@@ -624,7 +627,6 @@ def _solve_ipm_stack(
     z0: np.ndarray,
     tol: float,
     max_iters: int,
-    stop_below: float | None = None,
 ) -> list[_IpmResult]:
     """`_solve_ipm` on programs of equal shape at once, starting from the
     rows of ``z0``, with one stacked Newton solve per iteration.
@@ -669,10 +671,7 @@ def _solve_ipm_stack(
         dual_inf = np.abs(r_dual).max(axis=1)
         comp = np.abs(lam * f).max(axis=1)
         kkt = np.where(live, np.where(comp > dual_inf, comp, dual_inf), kkt)
-        done = live & (dual_inf <= tol) & (eta <= tol)
-        if stop_below is not None:
-            done |= live & (z[:, -1] < stop_below)
-        stop(done, STATUS_OPTIMAL, "")
+        stop(live & (dual_inf <= tol) & (eta <= tol), STATUS_OPTIMAL, "")
         if not live.any():
             break
 
@@ -757,38 +756,8 @@ def _solve_ipm_stack(
     return results  # type: ignore[return-value]
 
 
-# Most problems one stacked solve holds; a larger group runs in chunks.
+# Most problems one stacked solve holds; more run in chunks.
 STACK_SIZE = 1024
-
-
-def _solve_many(
-    programs: Sequence[_Program],
-    starts: Sequence[np.ndarray],
-    tol: float,
-    max_iters: int,
-    stop_below: float | None = None,
-) -> list[_IpmResult]:
-    """`_solve_ipm` on each program. Programs of equal shape are solved
-    together, up to STACK_SIZE at a time, by `_solve_ipm_stack`; a program
-    with no partner runs the scalar loop, which is the faster one alone."""
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(programs):
-        key = (p.num_vars, p.num_cons, p.G_row.size, p.ball_row.size, p.P_row.size, p.r0)
-        groups.setdefault(key, []).append(i)
-    results: list[_IpmResult | None] = [None] * len(programs)
-    for members in groups.values():
-        for lo in range(0, len(members), STACK_SIZE):
-            chunk = members[lo : lo + STACK_SIZE]
-            if len(chunk) == 1:
-                out = [_solve_ipm(programs[chunk[0]], starts[chunk[0]], tol, max_iters, stop_below)]
-            else:
-                out = _solve_ipm_stack(
-                    [programs[i] for i in chunk], np.stack([starts[i] for i in chunk]),
-                    tol, max_iters, stop_below,
-                )
-            for i, result in zip(chunk, out):
-                results[i] = result
-    return results  # type: ignore[return-value]
 
 
 _NO_ENTRIES = np.zeros(0, dtype=np.intp)
@@ -809,14 +778,6 @@ def _phase1_program(program: _Program) -> _Program:
         G_col=np.concatenate([program.G_col, np.full(m, n)]),
         G_val=np.concatenate([program.G_val, -np.ones(m)]),
     )
-
-
-def _phase1_point(program: _Program, result: _IpmResult) -> np.ndarray | None:
-    """The strictly interior point phase I found, or None when it found none."""
-    z_final = result.z[:-1]
-    if result.z[-1] < -_STRICT_MARGIN and np.all(program.constraint_values(z_final) < 0.0):
-        return z_final
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1074,110 +1035,56 @@ def solve_schedule(
     whose constraint set has no interior, come back with status
     'infeasible'. A solve that stops short of convergence comes back as
     'max_iterations' and says why in ``message``.
+
+    The interior-point iteration starts on the straight run from start to
+    end; when that start is not strictly interior, a phase-I program first
+    looks for one.
     """
-    return solve_schedules(scenario, [order], tol, max_iters)[0]
-
-
-def solve_schedules(
-    scenario: Scenario,
-    orders: Sequence[Sequence[int]],
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> list[TrajectorySolution]:
-    """`solve_schedule` for each order, with the same results.
-
-    The programs of equal shape (the orders of one count vector, for one)
-    run as one stacked interior-point iteration, first through phase I for
-    those whose straight-run start is not strictly interior and then
-    through the main phase; see `_solve_many`.
-    """
-    orders_t = [validate_order(order, scenario.num_nodes) for order in orders]
+    order = validate_order(order, scenario.num_nodes)
     scenario.validate()
-    solutions: list[TrajectorySolution | None] = [None] * len(orders_t)
-    programs: dict[int, _Program] = {}
-    starts: dict[int, np.ndarray] = {}
-    for i, order in enumerate(orders_t):
-        if not order:
-            solutions[i] = TrajectorySolution(
-                STATUS_OPTIMAL, order, objective=1.0, solver_objective=1.0, kkt_residual=0.0
-            )
-            continue
-        program = _schedule_program(scenario, order)
-        if isinstance(program, str):
-            solutions[i] = TrajectorySolution(STATUS_INFEASIBLE, order, message=program)
-            continue
-        programs[i] = program
-        starts[i] = _straight_start(scenario, len(order))
-
-    worst = {i: float(np.max(programs[i].constraint_values(starts[i]))) for i in programs}
-    hard = [i for i in programs if worst[i] >= -_STRICT_MARGIN]
-    # Phase I starts its slack at 2 max(f) + 1, which keeps the worst row's
-    # slack comparable to the others; max(f) + 1 leaves it absurdly
-    # uncentered and the iteration crawls.
-    phase1 = _solve_many(
-        [_phase1_program(programs[i]) for i in hard],
-        [np.append(starts[i], 2.0 * worst[i] + 1.0) for i in hard],
-        tol, max_iters, stop_below=-_STRICT_MARGIN,
-    )
-    phase1_iters = {}
-    for i, result in zip(hard, phase1):
-        z_feas = _phase1_point(programs[i], result)
-        if z_feas is not None:
-            starts[i] = z_feas
-            phase1_iters[i] = result.iterations
-            continue
-        del programs[i]
-        if result.status == STATUS_OPTIMAL:
-            solutions[i] = TrajectorySolution(
-                STATUS_INFEASIBLE,
-                orders_t[i],
-                message="no strictly interior trajectory exists "
-                f"(best scaled violation {result.z[-1]:.3g})",
-            )
-        else:  # Phase I stopped short, so an interior point may still exist.
-            solutions[i] = TrajectorySolution(
-                STATUS_MAX_ITERATIONS,
-                orders_t[i],
-                iterations=result.iterations,
-                used_phase1=True,
-                message=result.message,
-            )
-
-    main = _solve_many(list(programs.values()), [starts[i] for i in programs], tol, max_iters)
-    for (i, program), result in zip(programs.items(), main):
-        solutions[i] = _trajectory_solution(
-            scenario, orders_t[i], program, result, phase1_iters.get(i), tol
+    if not order:
+        return TrajectorySolution(
+            STATUS_OPTIMAL, order, objective=1.0, solver_objective=1.0, kkt_residual=0.0
         )
-    return solutions  # type: ignore[return-value]
-
-
-def _straight_start(scenario: Scenario, n: int) -> np.ndarray:
-    """The scaled start on the straight run from start to end, at evenly
-    spaced instants."""
-    r_scale = scenario.coordinate_scale()
-    start = np.asarray(scenario.uav.initial) / r_scale
-    end = np.asarray(scenario.uav.final) / r_scale
-    frac = (np.arange(n) + 1.0) / (n + 1.0)
-    return np.concatenate([frac, (start[:, None] + (end - start)[:, None] * frac).ravel()])
-
-
-def _trajectory_solution(
-    scenario: Scenario,
-    order: tuple[int, ...],
-    program: _Program,
-    result: _IpmResult,
-    phase1_iters: int | None,
-    tol: float,
-) -> TrajectorySolution:
-    """The solution of ``order`` from its main-phase result; ``phase1_iters``
-    is None when phase I did not run."""
+    program = _schedule_program(scenario, order)
+    if isinstance(program, str):
+        return TrajectorySolution(STATUS_INFEASIBLE, order, message=program)
     n = len(order)
+    z0 = _straight_start(scenario, n)
+    worst = float(np.max(program.constraint_values(z0)))
+    used_phase1 = worst >= -_STRICT_MARGIN
+    phase1_iters = 0
+    if used_phase1:
+        # Phase I starts its slack at 2 max(f) + 1, which keeps the worst
+        # row's slack comparable to the others; max(f) + 1 leaves it
+        # absurdly uncentered and the iteration crawls.
+        phase1 = _solve_ipm(
+            _phase1_program(program), np.append(z0, 2.0 * worst + 1.0), tol, max_iters, -_STRICT_MARGIN
+        )
+        z0 = phase1.z[:-1]
+        phase1_iters = phase1.iterations
+        interior = phase1.z[-1] < -_STRICT_MARGIN and np.all(program.constraint_values(z0) < 0.0)
+        if not interior and phase1.status == STATUS_OPTIMAL:
+            return TrajectorySolution(
+                STATUS_INFEASIBLE,
+                order,
+                message="no strictly interior trajectory exists "
+                f"(best scaled violation {phase1.z[-1]:.3g})",
+            )
+        if not interior:  # Phase I stopped short, so an interior point may still exist.
+            return TrajectorySolution(
+                STATUS_MAX_ITERATIONS,
+                order,
+                iterations=phase1_iters,
+                used_phase1=True,
+                message=phase1.message,
+            )
+
+    result = _solve_ipm(program, z0, tol, max_iters)
     horizon = scenario.uav.horizon_s
     t, x, y = result.z.reshape(3, n)
     times = t * horizon
-    waypoints = np.column_stack([x, y]) * scenario.coordinate_scale()
     per_node = split_by_node(list(order), times, scenario.num_nodes)
-    objective = nwaoi(scenario, UpdateTimes(per_node))
     # A duality gap of tol blurs each instant by about sqrt(tol)*horizon,
     # so gaps below that are numerically a single instant.
     coincident = [
@@ -1189,16 +1096,26 @@ def _trajectory_solution(
         status=result.status,
         order=order,
         times_s=times,
-        waypoints_xy=waypoints,
-        objective=objective,
+        waypoints_xy=np.column_stack([x, y]) * scenario.coordinate_scale(),
+        objective=nwaoi(scenario, UpdateTimes(per_node)),
         solver_objective=float(program.objective(result.z)[0]),
         kkt_residual=result.kkt_residual,
-        iterations=result.iterations + (phase1_iters or 0),
+        iterations=result.iterations + phase1_iters,
         duals=result.lam,
         coincident_pairs=coincident,
-        used_phase1=phase1_iters is not None,
+        used_phase1=used_phase1,
         message=result.message,
     )
+
+
+def _straight_start(scenario: Scenario, n: int) -> np.ndarray:
+    """The scaled start on the straight run from start to end, at evenly
+    spaced instants."""
+    r_scale = scenario.coordinate_scale()
+    start = np.asarray(scenario.uav.initial) / r_scale
+    end = np.asarray(scenario.uav.final) / r_scale
+    frac = (np.arange(n) + 1.0) / (n + 1.0)
+    return np.concatenate([frac, (start[:, None] + (end - start)[:, None] * frac).ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -1262,12 +1179,12 @@ def order_floors(
     The bound drops the hover points. Node m's hover points lie within
     r_m = sqrt(`energy_budget_constant`) of it, so each leg lasts at least
     its `_travel_gaps` entry, and NWAoI is minimized over the instants under
-    those gaps with the ordering and time rows: every order as one stack,
-    from a strictly interior start (the cumulative gaps plus the leftover
-    time spread evenly). The floor is the larger of `per_count_floor` and
-    the Lagrangian dual value at the returned duals, which bounds the
-    relaxation whatever the solve's status (Boyd and Vandenberghe, Convex
-    Optimization, 2004, ch. 5). When the gaps sum above the horizon the
+    those gaps with the ordering and time rows: every order as one stack
+    (STACK_SIZE at a time), from a strictly interior start (the cumulative
+    gaps plus the leftover time spread evenly). The floor is the larger of
+    `per_count_floor` and the Lagrangian dual value at the returned duals,
+    which bounds the relaxation whatever the solve's status (Boyd and
+    Vandenberghe, Convex Optimization, 2004, ch. 5). When the gaps sum above the horizon the
     order cannot be flown and its floor is +inf. When they fill it exactly,
     or a node of the order has weight 0 (P is then singular), the floor is
     `per_count_floor`.
@@ -1301,10 +1218,17 @@ def order_floors(
             slots.append(s)
             programs.append(program)
             starts.append(start)
+    # A chunk of one program runs the scalar loop, which is faster alone.
+    lams = []
+    for lo in range(0, len(programs), STACK_SIZE):
+        chunk, chunk_starts = programs[lo : lo + STACK_SIZE], starts[lo : lo + STACK_SIZE]
+        if len(chunk) == 1:
+            results = [_solve_ipm(chunk[0], chunk_starts[0], tol, DEFAULT_MAX_ITERS)]
+        else:
+            results = _solve_ipm_stack(chunk, np.stack(chunk_starts), tol, DEFAULT_MAX_ITERS)
+        lams += [result.lam for result in results]
     if programs:
-        results = _solve_many(programs, starts, tol, DEFAULT_MAX_ITERS)
-        dual = _dual_values(programs, [result.lam for result in results])
-        floors[slots] = np.fmax(floors[slots], dual)
+        floors[slots] = np.fmax(floors[slots], _dual_values(programs, lams))
     return floors
 
 

@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from aoiplan import ChannelParams, Node, Scenario, UavParams, solve_schedule, solve_schedules
+from aoiplan import ChannelParams, Node, Scenario, UavParams, solve_schedule
 from aoiplan.solver import STATUS_MAX_ITERATIONS
 
 # Energy one update draws while hovering straight above a node at the
@@ -74,17 +74,3 @@ def nonconverged_at(bad_order):
 
     return solve
 
-
-def nonconverged_in_stack_at(bad_order):
-    """The solve_schedules counterpart of ``nonconverged_at``."""
-    bad_order = tuple(bad_order)
-
-    def solve(scenario, orders, **kwargs):
-        return [
-            dataclasses.replace(solution, status=STATUS_MAX_ITERATIONS, objective=0.0)
-            if solution.order == bad_order
-            else solution
-            for solution in solve_schedules(scenario, orders, **kwargs)
-        ]
-
-    return solve

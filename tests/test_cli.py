@@ -10,7 +10,7 @@ import aoiplan
 from aoiplan import load_agent, load_autoencoder, load_scenario, lower_bound, save_scenario
 from aoiplan.cli import main
 from aoiplan.nnet import save_checkpoint
-from conftest import build_scenario, nonconverged_in_stack_at
+from conftest import build_scenario, nonconverged_at
 
 
 def save(tmp_path, scenario, name="scenario.yaml"):
@@ -278,14 +278,14 @@ def test_enumerate_reports_pruned_candidates(tmp_path, capsys):
 
 
 def test_enumerate_never_solves_pruned_nonconverged_order(tmp_path, capsys, monkeypatch):
-    stub = nonconverged_in_stack_at((1,))
+    stub = nonconverged_at((1,))
     solved = []
 
-    def record(scenario, orders, **kwargs):
-        solved.extend(tuple(order) for order in orders)
-        return stub(scenario, orders, **kwargs)
+    def record(scenario, order, **kwargs):
+        solved.append(tuple(order))
+        return stub(scenario, order, **kwargs)
 
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", record)
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", record)
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
     assert main(["enumerate", "--scenario", path, "--out", str(out)]) == 0
@@ -305,7 +305,7 @@ def test_enumerate_budget_exit_4(tmp_path, capsys):
 
 
 def test_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
     assert main(["enumerate", "--scenario", path, "--out", str(out)]) == 2
@@ -473,7 +473,7 @@ def test_eval_enumerate_document(tmp_path, capsys):
 
 
 def test_eval_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
     assert main(["eval", "--scenario", path, "--policy", "enumerate", "--out", str(out)]) == 2
@@ -629,7 +629,7 @@ def test_sweep_learned_policies_over_horizon(tmp_path, capsys):
 
 
 def test_sweep_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
     path = save(tmp_path, build_scenario([1, 1]))
     out = tmp_path / "run"
     code = main([

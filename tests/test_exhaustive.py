@@ -15,12 +15,11 @@ from aoiplan import (
     per_count_floor,
     schedule_count,
     solve_schedule,
-    solve_schedules,
     total_candidates,
 )
 from aoiplan.exhaustive import count_grid, multiset_permutations
 from aoiplan.solver import order_floors
-from conftest import build_scenario, nonconverged_in_stack_at
+from conftest import build_scenario, nonconverged_at
 
 
 def test_schedule_count_multinomial():
@@ -131,7 +130,7 @@ def test_enumeration_is_deterministic():
 
 def test_nonconverged_solve_never_wins(monkeypatch):
     scenario = build_scenario([1, 1])
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
     result = enumerate_optimal(scenario)
     assert result.best_order != (2, 1)
     assert result.objective > 0.0
@@ -145,7 +144,7 @@ def test_nonconverged_solve_never_wins(monkeypatch):
 def test_nonconverged_count_kept_without_rows(monkeypatch):
     scenario = build_scenario([1, 1])
     assert enumerate_optimal(scenario, keep_rows=False).num_nonconverged == 0
-    monkeypatch.setattr("aoiplan.exhaustive.solve_schedules", nonconverged_in_stack_at((2, 1)))
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
     result = enumerate_optimal(scenario, keep_rows=False)
     assert result.rows == []
     assert result.num_nonconverged == 1
@@ -204,7 +203,8 @@ def test_order_floors_bound_every_optimal_candidate(counts, kwargs):
         orders = list(multiset_permutations(combo))
         floors = order_floors(scenario, orders)
         assert np.all(floors >= per_count_floor(scenario, combo))
-        for order, floor, solution in zip(orders, floors, solve_schedules(scenario, orders)):
+        for order, floor in zip(orders, floors):
+            solution = solve_schedule(scenario, order)
             if solution.status == "optimal":
                 # An evenly spaced optimum attains per_count_floor, up to rounding.
                 assert solution.objective >= floor - 1e-12
@@ -221,6 +221,33 @@ def test_order_floors_bound_every_optimal_candidate(counts, kwargs):
 def test_order_floors_prune_within_a_count_vector():
     result = enumerate_optimal(build_scenario([3, 3, 2]), keep_rows=False)
     assert result.num_solves < 20
+
+
+def test_every_solve_has_a_floor_within_the_incumbent(monkeypatch):
+    # Slow flight: some orders of a vector are solved after an earlier one
+    # of the same vector has lowered the incumbent.
+    scenario = build_scenario([2, 2], vmax=4.0, horizon=400.0)
+    solved = []
+
+    def record(scenario, order, **kwargs):
+        solution = solve_schedule(scenario, order, **kwargs)
+        solved.append(solution)
+        return solution
+
+    monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", record)
+    result = enumerate_optimal(scenario)
+    incumbent = np.inf
+    for solution in solved:
+        order = solution.order
+        if order:
+            combo = tuple(order.count(m + 1) for m in range(scenario.num_nodes))
+            orders = list(multiset_permutations(combo))
+            floor = order_floors(scenario, orders)[orders.index(order)]
+            assert floor <= incumbent, (order, floor, incumbent)
+        if solution.status == "optimal":
+            incumbent = min(incumbent, solution.objective)
+    assert result.num_solves == sum(1 for solution in solved if solution.order)
+    assert incumbent == result.objective
 
 
 def test_order_floors_take_one_count_vector():

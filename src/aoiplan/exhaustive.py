@@ -6,9 +6,10 @@ each node's energy budget, so small instances can be enumerated exactly.
 Search is branch and bound (Land and Doig 1960) at two levels. A count
 vector whose per-count floor exceeds the best objective found is skipped
 whole. Inside a vector that survives, each order gets a certified floor of
-its own (`order_floors`, all orders as one stacked solve). The orders are
-then solved one at a time by `solve_schedule`, lowest floor first, until
-the next floor is above the incumbent. A budget guard refuses enumerations
+its own (`order_floors`: the floor programs of up to `STACK_SIZE` orders
+solved as one stacked program, whose duals certify each order's floor).
+The orders are then solved one at a time by `solve_schedule`, lowest floor
+first, until the next floor is above the incumbent. A budget guard refuses enumerations
 with more candidate orders than allowed, counting those it would skip.
 """
 

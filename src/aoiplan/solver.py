@@ -18,13 +18,12 @@ A long schedule's Newton system is solved by its structure, a block band
 plus one rank-1 term per energy ball (see `_block_step`); any other is
 assembled nv x nv and solved dense.
 
-There are two loops. `_solve_ipm` solves one program: every full solve
-(`solve_schedule`, phase I included, and `solve_min_speed`) takes it.
-`_solve_ipm_stack` solves programs of equal shape as one block-diagonal
-stack: one Newton solve per iteration for all of them, with every
-per-problem quantity of the scalar loop kept per problem, so each result
-equals the scalar one. Only `order_floors` uses it, for the time-only floor
-programs of one count vector's orders, which all share one shape.
+There is one interior-point loop, `_solve_ipm`. Every full solve
+(`solve_schedule`, phase I included, and `solve_min_speed`) runs it on one
+program. `order_floors` runs it on a block-diagonal stack of the time-only
+floor programs of one count vector's orders, which all share one shape:
+the stack is one program, with one duality measure, one step length and one
+batched Newton solve for all of its blocks.
 
 Everything inside the solver runs in nondimensional units: times divided
 by the horizon, coordinates by the scenario's length scale, and each
@@ -99,8 +98,9 @@ class _Program:
     A program may hold ``num_problems`` problems of equal shape, stacked
     block-diagonally (see `_stack`): the vectors hold the problems one after
     another, `objective` gives one value per problem and `newton_matrix` one
-    matrix per problem. A single long program carries a ``layout``, and
-    `_solve_ipm` then takes its Newton steps by `_block_step`.
+    matrix per problem, and `_solve_ipm` solves the stack as one program. A
+    single long program carries a ``layout``, and `_solve_ipm` then takes
+    its Newton steps by `_block_step`.
     """
 
     P_row: np.ndarray
@@ -247,13 +247,17 @@ class _IpmResult:
 
 
 def _newton_step(m_red: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve m_red dz = rhs; while that fails or is not finite, retry with a
-    ridge that starts at 1e-10 of the largest entry and grows 100-fold.
-    None when six tries give no finite step."""
+    """Solve m_red dz = rhs for one nv x nv matrix or a stack of them, whose
+    right-hand sides ``rhs`` holds one after another; while that fails or is
+    not finite, retry the whole stack with a ridge that starts at 1e-10 of
+    the largest entry and grows 100-fold. None when six tries give no
+    finite step."""
     ridge = 0.0
+    columns = rhs.reshape(m_red.shape[:-1] + (1,))
     for _ in range(6):
         try:
-            dz = np.linalg.solve(m_red if ridge == 0.0 else m_red + ridge * np.eye(rhs.size), rhs)
+            shifted = m_red if ridge == 0.0 else m_red + ridge * np.eye(m_red.shape[-1])
+            dz = np.linalg.solve(shifted, columns).ravel()
         except np.linalg.LinAlgError:
             dz = None
         if dz is not None and np.isfinite(dz).all():
@@ -527,6 +531,9 @@ def _solve_ipm(
 ) -> _IpmResult:
     """Primal-dual interior-point iteration from a strictly feasible start.
 
+    A stacked program is solved as one program: the duality measure and the
+    residuals run over every row of every problem, one step length serves
+    them all, and the Newton step is one batched solve of their matrices.
     ``stop_below`` lets phase I stop as soon as its slack, the last variable
     and its whole objective, sinks under a threshold. A result that is not
     optimal says in ``message`` why the iteration stopped.
@@ -536,7 +543,7 @@ def _solve_ipm(
     if np.any(f >= 0.0):
         raise ValueError("interior-point start must be strictly feasible")
     lam = 1.0 / np.maximum(-f, 1e-8)
-    m = program.num_cons
+    m = program.g.size
     # The constraint values, Jacobian and dual residual at the current point;
     # after the first iteration they come from the accepted line-search trial.
     jac = program.jacobian(z)
@@ -566,7 +573,7 @@ def _solve_ipm(
         rhs = -(r_dual + program.jac_t_dot(jac, r_cent / f))
         dz = None if program.layout is None else _block_step(program, jac, lam, weights, rhs)
         if dz is None:
-            dz = _newton_step(program.newton_matrix(jac, lam, weights)[0], rhs)
+            dz = _newton_step(program.newton_matrix(jac, lam, weights), rhs)
         if dz is None:
             message = f"Newton step not finite after ridge retries at iteration {iterations}"
             break
@@ -615,149 +622,6 @@ def _solve_ipm(
     return _IpmResult(
         z=z, lam=lam, status=status, iterations=iterations, kkt_residual=kkt, message=message
     )
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for every row i, summed as the 1-D product sums it."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _solve_ipm_stack(
-    programs: Sequence[_Program],
-    z0: np.ndarray,
-    tol: float,
-    max_iters: int,
-) -> list[_IpmResult]:
-    """`_solve_ipm` on programs of equal shape at once, starting from the
-    rows of ``z0``, with one stacked Newton solve per iteration.
-
-    Every quantity of the scalar loop is kept per problem: duality measure,
-    step to the boundary, both line searches, ridge retries and the stop
-    message, so each result is the one `_solve_ipm` gives on that program
-    alone. A problem that stops is frozen: its step is zero and its Newton
-    system is left out of the batched solve.
-    """
-    results: list[_IpmResult | None] = [None] * len(programs)
-    stack = _stack(programs)
-    nv, m = stack.num_vars, stack.num_cons
-    z = z0.copy()
-    f = stack.constraint_values(z.ravel()).reshape(-1, m)
-    if np.any(f >= 0.0):
-        raise ValueError("interior-point start must be strictly feasible")
-    lam = 1.0 / np.maximum(-f, 1e-8)
-    jac = stack.jacobian(z.ravel())
-    r_dual = (stack.objective_grad(z.ravel()) + stack.jac_t_dot(jac, lam.ravel())).reshape(-1, nv)
-    live = np.ones(len(programs), dtype=bool)
-    kkt = np.full(len(programs), math.inf)
-    iterations = 0
-
-    def stop(slots: np.ndarray, status: str, message: str) -> None:
-        if not slots.any():
-            return
-        for s in np.flatnonzero(slots):
-            results[s] = _IpmResult(
-                z=z[s].copy(), lam=lam[s].copy(), status=status, iterations=iterations,
-                kkt_residual=float(kkt[s]), message=message,
-            )
-        live[slots] = False
-
-    for it in range(max_iters):
-        iterations = it + 1
-        eta = -_row_dots(f, lam)
-        t_bar = _MU * m / np.maximum(eta, 1e-300)
-        r_cent = -lam * f - (1.0 / t_bar)[:, None]
-        res_norm = np.sqrt(_row_dots(r_dual, r_dual) + _row_dots(r_cent, r_cent))
-
-        dual_inf = np.abs(r_dual).max(axis=1)
-        comp = np.abs(lam * f).max(axis=1)
-        kkt = np.where(live, np.where(comp > dual_inf, comp, dual_inf), kkt)
-        stop(live & (dual_inf <= tol) & (eta <= tol), STATUS_OPTIMAL, "")
-        if not live.any():
-            break
-
-        weights = lam / (-f)
-        m_red = stack.newton_matrix(jac, lam.ravel(), weights.ravel())
-        rhs = -(r_dual + stack.jac_t_dot(jac, (r_cent / f).ravel()).reshape(-1, nv))
-        dz = np.zeros_like(z)
-        solved = live.copy()
-        try:
-            dz[live] = np.linalg.solve(m_red[live], rhs[live][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # The solve raises only for a matrix with an exact zero pivot, as
-            # the LU of slogdet finds it: solve the others together, and
-            # leave those to the ridge rule of `_newton_step`.
-            with np.errstate(invalid="ignore"):
-                solved[live] = np.linalg.slogdet(m_red[live])[0] != 0.0
-            dz[solved] = np.linalg.solve(m_red[solved], rhs[solved][:, :, None])[:, :, 0]
-        retry = live & ~(solved & np.isfinite(dz).all(axis=1))
-        failed = np.zeros_like(live)
-        for s in np.flatnonzero(retry):
-            dz_s = _newton_step(m_red[s], rhs[s])
-            failed[s] = dz_s is None
-            dz[s] = 0.0 if dz_s is None else dz_s
-        stop(failed, STATUS_MAX_ITERATIONS,
-             f"Newton step not finite after ridge retries at iteration {iterations}")
-        j_dz = stack.jac_dot(jac, dz.ravel()).reshape(-1, m)
-        dlam = np.where(live[:, None], (r_cent - lam * j_dz) / f, 0.0)
-
-        neg = dlam < 0.0
-        step = 0.99 * np.where(neg, lam / np.where(neg, -dlam, 1.0), np.inf).min(axis=1)
-        step = np.where(live, np.where(step < 1.0, step, 1.0), 0.0)
-        # The two searches of `_solve_ipm`, each problem cutting its own step;
-        # a search ends when every problem has found its point.
-        searching = live.copy()
-        for trial in range(80):
-            z_new = z + step[:, None] * dz
-            f_new = stack.constraint_values(z_new.ravel()).reshape(-1, m)
-            found = searching & (f_new < 0.0).all(axis=1)
-            if trial:
-                stop(found & ~(z_new != z).any(axis=1), STATUS_MAX_ITERATIONS,
-                     f"line search found no strictly feasible step at iteration {iterations}")
-            searching &= ~found
-            if not searching.any():
-                break
-            step[searching] *= _LS_BETA
-        stop(searching, STATUS_MAX_ITERATIONS,
-             f"line search found no strictly feasible step at iteration {iterations}")
-        searching = live.copy()
-        for trial in range(80):
-            if trial:
-                z_new = z + step[:, None] * dz
-                f_new = stack.constraint_values(z_new.ravel()).reshape(-1, m)
-            lam_new = lam + step[:, None] * dlam
-            jac_new = stack.jacobian(z_new.ravel())
-            rd_new = stack.objective_grad(z_new.ravel()) + stack.jac_t_dot(jac_new, lam_new.ravel())
-            rd_new = rd_new.reshape(-1, nv)
-            rc_new = -lam_new * f_new - (1.0 / t_bar)[:, None]
-            new_norm = np.sqrt(_row_dots(rd_new, rd_new) + _row_dots(rc_new, rc_new))
-            found = (
-                searching
-                & (f_new < 0.0).all(axis=1)
-                & (lam_new > 0.0).all(axis=1)
-                & (new_norm <= (1.0 - _LS_ALPHA * step) * res_norm + 1e-14)
-            )
-            if trial:
-                stop(found & ~(z_new != z).any(axis=1), STATUS_MAX_ITERATIONS,
-                     f"line search found no residual decrease at iteration {iterations}")
-            searching &= ~found
-            if not searching.any():
-                break
-            step[searching] *= _LS_BETA
-        stop(searching, STATUS_MAX_ITERATIONS,
-             f"line search found no residual decrease at iteration {iterations}")
-        # Stopped problems keep their point.
-        keep = live[:, None]
-        z, lam, f, r_dual = (
-            np.where(keep, new, old)
-            for new, old in ((z_new, z), (lam_new, lam), (f_new, f), (rd_new, r_dual))
-        )
-        jac = stack.jacobian(z.ravel())
-    stop(live, STATUS_MAX_ITERATIONS, f"no convergence within {max_iters} iterations")
-    return results  # type: ignore[return-value]
-
-
-# Most problems one stacked solve holds; more run in chunks.
-STACK_SIZE = 1024
 
 
 _NO_ENTRIES = np.zeros(0, dtype=np.intp)
@@ -1152,20 +1016,22 @@ def _floor_program(weights: np.ndarray, node: np.ndarray, gaps: np.ndarray) -> _
     return program
 
 
-def _dual_values(programs: Sequence[_Program], lams: Sequence[np.ndarray]) -> np.ndarray:
-    """r0 + g'lam - 0.5 v'P^-1 v, with v = q + G'lam, for each program of
-    equal shape without balls and its duals lam: the Lagrangian dual
-    function, which bounds the program's optimum from below for every
-    lam >= 0 when P is positive definite."""
-    stack = _stack(programs)
+def _dual_values(stack: _Program, lam: np.ndarray) -> np.ndarray:
+    """r0 + g'lam - 0.5 v'P^-1 v, with v = q + G'lam, for each problem of a
+    stack without balls and its duals lam: the Lagrangian dual function,
+    which bounds the problem's optimum from below for every lam >= 0 when P
+    is positive definite."""
     num, nv = stack.num_problems, stack.num_vars
-    lam = np.concatenate(lams)
     v = (stack.q + stack.jac_t_dot(stack.G_val, lam)).reshape(num, nv)
     p_mat = np.bincount(
         stack.P_row * nv + stack.P_col % nv, weights=stack.P_val, minlength=num * nv * nv
     ).reshape(num, nv, nv)
     x = np.linalg.solve(p_mat, v[:, :, None])[:, :, 0]
     return stack.r0 + (stack.g * lam).reshape(num, -1).sum(axis=1) - 0.5 * (v * x).sum(axis=1)
+
+
+# Most floor programs one stacked solve holds; more run in chunks.
+STACK_SIZE = 1024
 
 
 def order_floors(
@@ -1179,15 +1045,17 @@ def order_floors(
     The bound drops the hover points. Node m's hover points lie within
     r_m = sqrt(`energy_budget_constant`) of it, so each leg lasts at least
     its `_travel_gaps` entry, and NWAoI is minimized over the instants under
-    those gaps with the ordering and time rows: every order as one stack
-    (STACK_SIZE at a time), from a strictly interior start (the cumulative
-    gaps plus the leftover time spread evenly). The floor is the larger of
-    `per_count_floor` and the Lagrangian dual value at the returned duals,
-    which bounds the relaxation whatever the solve's status (Boyd and
-    Vandenberghe, Convex Optimization, 2004, ch. 5). When the gaps sum above the horizon the
-    order cannot be flown and its floor is +inf. When they fill it exactly,
-    or a node of the order has weight 0 (P is then singular), the floor is
-    `per_count_floor`.
+    those gaps with the ordering and time rows. The orders' programs are
+    solved STACK_SIZE at a time, each chunk as one stacked program, from a
+    strictly interior start (the cumulative gaps plus the leftover time
+    spread evenly); ``tol`` bounds a chunk's total duality gap. The floor is
+    the larger of `per_count_floor` and the Lagrangian dual value at the
+    returned duals, which bounds the relaxation from below for any duals
+    lam >= 0, so the floors stay certified whatever the solve's status (Boyd
+    and Vandenberghe, Convex Optimization, 2004, ch. 5). When the gaps sum
+    above the horizon the order cannot be flown and its floor is +inf. When
+    they fill it exactly, or a node of the order has weight 0 (P is then
+    singular), the floor is `per_count_floor`.
     """
     if not orders:
         return np.zeros(0)
@@ -1218,17 +1086,12 @@ def order_floors(
             slots.append(s)
             programs.append(program)
             starts.append(start)
-    # A chunk of one program runs the scalar loop, which is faster alone.
-    lams = []
     for lo in range(0, len(programs), STACK_SIZE):
-        chunk, chunk_starts = programs[lo : lo + STACK_SIZE], starts[lo : lo + STACK_SIZE]
-        if len(chunk) == 1:
-            results = [_solve_ipm(chunk[0], chunk_starts[0], tol, DEFAULT_MAX_ITERS)]
-        else:
-            results = _solve_ipm_stack(chunk, np.stack(chunk_starts), tol, DEFAULT_MAX_ITERS)
-        lams += [result.lam for result in results]
-    if programs:
-        floors[slots] = np.fmax(floors[slots], _dual_values(programs, lams))
+        chunk = slice(lo, lo + STACK_SIZE)
+        stack = _stack(programs[chunk])
+        result = _solve_ipm(stack, np.concatenate(starts[chunk]), tol, DEFAULT_MAX_ITERS)
+        at = slots[chunk]
+        floors[at] = np.fmax(floors[at], _dual_values(stack, result.lam))
     return floors
 
 

@@ -17,6 +17,7 @@ from aoiplan import (
     solve_schedule,
     total_candidates,
 )
+from aoiplan import solver
 from aoiplan.exhaustive import count_grid, multiset_permutations
 from aoiplan.solver import order_floors
 from conftest import build_scenario, nonconverged_at
@@ -194,9 +195,14 @@ def test_branch_and_bound_matches_exhaustive_scoring(counts, kwargs):
         ([2, 2], {"vmax": 4.0, "horizon": 400.0}),
         ([1, 1], {"weights": [0.35, 0.65]}),
         ([2, 1], {"weights": [1.0, 0.0]}),
+        # Chunks of 7 split a vector's orders into several jointly solved
+        # stacks and a remainder.
+        ([2, 2, 2], {"stack_size": 7}),
     ],
 )
-def test_order_floors_bound_every_optimal_candidate(counts, kwargs):
+def test_order_floors_bound_every_optimal_candidate(monkeypatch, counts, kwargs):
+    kwargs = dict(kwargs)
+    monkeypatch.setattr(solver, "STACK_SIZE", kwargs.pop("stack_size", solver.STACK_SIZE))
     scenario = build_scenario(counts, **kwargs)
     unflyable = 0
     for combo in count_grid(all_max_updates(scenario)):

@@ -12,6 +12,7 @@ from aoiplan import (
     ScheduleError,
     check_solution,
     energy_budget_constant,
+    enumerate_optimal,
     generate_scenario,
     nwaoi,
     per_count_floor,
@@ -1016,13 +1017,21 @@ def test_iteration_limit_reason():
 
 @pytest.mark.parametrize("stack_size", [1, 7])
 def test_stacked_results_do_not_depend_on_stack_size(monkeypatch, stack_size):
-    # 30 floor programs: one stack of all, or chunks down to the scalar loop.
-    scenario = build_scenario([2, 2, 1])
-    orders = list(multiset_permutations([2, 2, 1]))
-    want = order_floors(scenario, orders)
-    assert np.isfinite(want).all() and want.size == 30
-    monkeypatch.setattr(solver, "STACK_SIZE", stack_size)
-    np.testing.assert_array_equal(order_floors(scenario, orders), want)
+    # A chunk's programs are solved as one program, so the floors move with
+    # the chunking within the solve's tolerance, and the search does not.
+    fields = ("best_order", "objective", "num_solves", "num_pruned", "rows")
+    for counts in ([2, 2, 1], [2, 2, 2]):
+        scenario = build_scenario(counts)
+        orders = list(multiset_permutations(counts))
+        want_floors = order_floors(scenario, orders)
+        assert np.isfinite(want_floors).all()
+        want = enumerate_optimal(scenario)
+        monkeypatch.setattr(solver, "STACK_SIZE", stack_size)
+        np.testing.assert_allclose(order_floors(scenario, orders), want_floors, rtol=0.0, atol=1e-6)
+        got = enumerate_optimal(scenario)
+        monkeypatch.undo()
+        for name in fields:
+            assert getattr(got, name) == getattr(want, name), (counts, name)
 
 
 def _evaluates_only_at(program, points, method):
@@ -1069,89 +1078,39 @@ def _mixed_programs():
     }
 
 
-_MIXED_FAILURES = {
-    1: "Newton step not finite after ridge retries at iteration 1",
-    4: "line search found no strictly feasible step at iteration 1",
-    5: "line search found no residual decrease at iteration 1",
-    6: "line search found no strictly feasible step at iteration 13",
-    7: "Newton step not finite after ridge retries at iteration 1",
-}
-
-
-# Without the singular program, the stacked solve itself succeeds and the
-# NaN programs' steps come out not finite; with it, the stacked solve raises
-# and the matrices that can be solved, a NaN one among them, are solved again.
-# In "all-fail" every problem stops at iteration 1 and the loop must end with
-# no problem left; in "fail-after-healthy" the failing one outlives a healthy
-# one and then stops alone.
-@pytest.mark.parametrize(
-    "members",
-    [range(8), [0, 1, 2, 4, 5, 7], [1, 4], [4, 5], [0, 6], [6, 2, 3]],
-    ids=["all", "no-singular", "all-fail", "all-fail-line-search", "fail-after-healthy",
-         "fail-after-singular"],
-)
-def test_mixed_stack_matches_each_program_alone(monkeypatch, members):
-    programs, starts, patched = _mixed_programs()
-    programs = [programs[i] for i in members]
-    starts = [starts[i] for i in members]
-    patched = {list(members).index(i): patch for i, patch in patched.items() if i in members}
-    real_stack = solver._stack
-
-    def stack(members):
-        out = real_stack(members)
-        for i, (method, evaluate) in patched.items():
-            slot = next((b for b, p in enumerate(members) if p is programs[i]), None)
-            if slot is None:
-                continue
-            original = getattr(out, method)
-
-            def stacked(z, slot=slot, evaluate=evaluate, original=original):
-                values = original(z).reshape(len(members), -1)
-                values[slot] = evaluate(z.reshape(len(members), -1)[slot])
-                return values.ravel()
-
-            setattr(out, method, stacked)
-        return out
-
-    singles = []
-    for i, program in enumerate(programs):
-        single = replace(program)
-        if i in patched:
-            setattr(single, *patched[i])
-        singles.append(single)
-    monkeypatch.setattr(solver, "_stack", stack)
-    for max_iters in (3, 200):
-        stacked = solver._solve_ipm_stack(programs, np.stack(starts), 1e-6, max_iters)
-        alone = [_solve_ipm(p, z0, 1e-6, max_iters) for p, z0 in zip(singles, starts)]
-        for got, want in zip(stacked, alone):
-            assert (got.status, got.iterations, got.message) == (want.status, want.iterations, want.message)
-            for a, b in ((got.z, want.z), (got.lam, want.lam), (got.kkt_residual, want.kkt_residual)):
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-        for i, result in zip(members, stacked):
-            want = _MIXED_FAILURES.get(i, "")
-            if max_iters == 3 and i in (0, 2, 3, 6):
-                want = "no convergence within 3 iterations"
-            assert result.message == want, i
-
-
-def test_singular_stack_member_alone_takes_the_ridge_rule(monkeypatch):
-    # The batched solve raises for the singular matrix; only that problem
-    # goes through the scalar ridge rule, once per iteration that needs a
-    # step, and the others keep the batched solve.
+def test_singular_stack_member_takes_the_ridge_rule_for_the_stack(monkeypatch):
+    # The stack's Newton matrices are solved as one batch, so the singular
+    # member's matrix sends the whole batch through the ridge retries, and
+    # every member still ends within tol of its own solve.
     programs, starts, _ = _mixed_programs()
     members = [programs[i] for i in (0, 2, 3)]
-    calls = []
-    real_step = solver._newton_step
+    stack = solver._stack(members)
+    steps, solves = [], []
+    real_step, real_solve = solver._newton_step, np.linalg.solve
 
     def newton_step(m_red, rhs):
-        calls.append(m_red)
+        steps.append(m_red.shape)
         return real_step(m_red, rhs)
 
+    def solve(a, b):
+        try:
+            out = real_solve(a, b)
+        except np.linalg.LinAlgError:
+            solves.append("raised")
+            raise
+        solves.append("solved")
+        return out
+
     monkeypatch.setattr(solver, "_newton_step", newton_step)
-    results = solver._solve_ipm_stack(members, np.stack([starts[i] for i in (0, 2, 3)]), 1e-6, 200)
-    assert [r.status for r in results] == [STATUS_OPTIMAL] * 3
-    assert len(calls) == results[2].iterations - 1
-    assert all(not m[5].any() and not m[:, 5].any() for m in calls)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    result = _solve_ipm(stack, np.concatenate([starts[i] for i in (0, 2, 3)]), 1e-6, 200)
+    monkeypatch.undo()
+    assert result.status == STATUS_OPTIMAL
+    assert steps == [(3, 6, 6)] * (result.iterations - 1)
+    assert "raised" in solves and len(solves) > len(steps)
+    alone = [_solve_ipm(programs[i], starts[i], 1e-6, 200) for i in (0, 2, 3)]
+    for got, program, single in zip(stack.objective(result.z), members, alone):
+        assert got == pytest.approx(program.objective(single.z)[0], abs=1e-6)
 
 
 def test_singular_stack_member_needs_ridge():

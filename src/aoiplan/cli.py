@@ -371,10 +371,12 @@ def _stderr(values: np.ndarray) -> float:
 
 
 def _evaluate(
-    scenario: Scenario, policy: str, budget: int, seeds: list[int], agent: QAgent | None
+    scenario: Scenario, policy: str, budget: int, seeds: list[int], agent: QAgent | None,
+    cache: dict | None = None,
 ) -> tuple[dict[str, Any], float, int]:
     """Score one policy: (its document fields, its NWAoI, its unsettled solve count).
-    weight scores the mean of one rollout per seed; dqn rolls agent out greedily."""
+    weight scores the mean of one rollout per seed; dqn rolls agent out greedily
+    through ``cache``, the solves its training made."""
     if policy == "enumerate":
         result = enumerate_optimal(scenario, budget=budget, keep_rows=False)
         fields = {
@@ -398,7 +400,7 @@ def _evaluate(
             "best_nwaoi": best_metric,
         }
         return fields, fields["mean_nwaoi"], 0
-    order, metric = greedy_evaluate(agent, scenario)
+    order, metric = greedy_evaluate(agent, scenario, solve_cache=cache)
     return {"order": list(order), "nwaoi": metric}, metric, 0
 
 
@@ -465,9 +467,11 @@ def _apply_axis(doc: dict[str, Any], axis: str, value: float) -> Scenario:
     return from_document(doc)
 
 
-def _trained_agent(scenario: Scenario, policy: str, seed: int, args: argparse.Namespace) -> QAgent:
-    """A sweep cell's agent: for dqn-lstm an autoencoder is trained first and
-    its encoder gives the agent's state."""
+def _trained_agent(
+    scenario: Scenario, policy: str, seed: int, args: argparse.Namespace, cache: dict
+) -> QAgent:
+    """A sweep cell's agent, whose training keeps its solves in ``cache``: for
+    dqn-lstm an autoencoder is trained first and its encoder gives the agent's state."""
     encoder = None
     if policy == "dqn-lstm":
         corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed)
@@ -479,7 +483,9 @@ def _trained_agent(scenario: Scenario, policy: str, seed: int, args: argparse.Na
         )
         encoder = ae.model.encoder
     config = DqnConfig(lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
-    agent, _ = dqn_train(scenario, config, episodes=args.episodes, seed=seed, encoder=encoder)
+    agent, _ = dqn_train(
+        scenario, config, episodes=args.episodes, seed=seed, encoder=encoder, solve_cache=cache
+    )
     return agent
 
 
@@ -487,8 +493,11 @@ def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float, int]:
     doc, value, policy, seed, args = payload
     scenario = _apply_axis(doc, args.axis, value)
     bound = lower_bound(scenario)
-    agent = _trained_agent(scenario, policy, seed, args) if policy.startswith("dqn") else None
-    _, metric, unsettled = _evaluate(scenario, policy, args.budget, [seed], agent)
+    cache: dict = {}
+    agent = None
+    if policy.startswith("dqn"):
+        agent = _trained_agent(scenario, policy, seed, args, cache)
+    _, metric, unsettled = _evaluate(scenario, policy, args.budget, [seed], agent, cache)
     return float(value), policy, seed, float(metric), bound, unsettled
 
 

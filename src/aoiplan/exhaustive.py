@@ -6,11 +6,12 @@ each node's energy budget, so small instances can be enumerated exactly.
 Search is branch and bound (Land and Doig 1960) at two levels. A count
 vector whose per-count floor exceeds the best objective found is skipped
 whole. Inside a vector that survives, each order gets a certified floor of
-its own (`order_floors`: the floor programs of up to `STACK_SIZE` orders
-solved as one stacked program, whose duals certify each order's floor).
-The orders are then solved one at a time by `solve_schedule`, lowest floor
-first, until the next floor is above the incumbent. A budget guard refuses enumerations
-with more candidate orders than allowed, counting those it would skip.
+its own (`order_floors`: the dual value of a time-only relaxation, with
+the duals of all the vector's orders found by one batched active-set
+solve). The orders are then solved one at a time by `solve_schedule`,
+lowest floor first, until the next floor is above the incumbent. A budget
+guard refuses enumerations with more candidate orders than allowed,
+counting those it would skip.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _search(
         if bounded and best_key is not None and floor[combo] > best_key[0]:
             pending = []
         elif bounded:
-            order_floor = dict(zip(orders, order_floors(scenario, orders, tol=tol)))
+            order_floor = dict(zip(orders, order_floors(scenario, orders)))
             pending = sorted(orders, key=lambda order: (order_floor[order], order))
         else:
             pending = orders

@@ -18,12 +18,12 @@ A long schedule's Newton system is solved by its structure, a block band
 plus one rank-1 term per energy ball (see `_block_step`); any other is
 assembled nv x nv and solved dense.
 
-There is one interior-point loop, `_solve_ipm`. Every full solve
+There is one interior-point loop, `_solve_ipm`, and every full solve
 (`solve_schedule`, phase I included, and `solve_min_speed`) runs it on one
-program. `order_floors` runs it on a block-diagonal stack of the time-only
-floor programs of one count vector's orders, which all share one shape:
-the stack is one program, with one duality measure, one step length and one
-batched Newton solve for all of its blocks.
+program. The certified floors of `order_floors` need no primal point: they
+are Lagrangian dual values of a time-only relaxation, whose best duals a
+batched primal-dual active-set method finds for every order of a count
+vector at once.
 
 Everything inside the solver runs in nondimensional units: times divided
 by the horizon, coordinates by the scenario's length scale, and each
@@ -93,14 +93,9 @@ class _Program:
     ball_row[e]. The constraint Jacobian has one nonzero per G entry and then
     one per ball entry; `jacobian` returns their values at a point. The pairs
     of Jacobian nonzeros that share a row, which assemble the Newton matrix,
-    are found when it is first needed.
-
-    A program may hold ``num_problems`` problems of equal shape, stacked
-    block-diagonally (see `_stack`): the vectors hold the problems one after
-    another, `objective` gives one value per problem and `newton_matrix` one
-    matrix per problem, and `_solve_ipm` solves the stack as one program. A
-    single long program carries a ``layout``, and `_solve_ipm` then takes
-    its Newton steps by `_block_step`.
+    are found when it is first needed. A long program carries a
+    ``layout``, and `_solve_ipm` then takes its Newton steps by
+    `_block_step`.
     """
 
     P_row: np.ndarray
@@ -116,7 +111,6 @@ class _Program:
     ball_var: np.ndarray
     ball_center: np.ndarray
     ball_coef: np.ndarray
-    num_problems: int = 1
     layout: _BlockLayout | None = field(default=None, repr=False, compare=False)
     _jac_row: np.ndarray = field(init=False, repr=False)
     _jac_col: np.ndarray = field(init=False, repr=False)
@@ -134,26 +128,22 @@ class _Program:
         # Every ordered pair (a, b) of Jacobian nonzeros that share a row r
         # adds w_r * J_a * J_b to entry (col_a, col_b) of J'WJ. The pairs are
         # followed by the diagonal entries that carry the ball curvature and
-        # then by P. Indices are into the stack of nv x nv matrices; a row's
-        # nonzeros all belong to one problem.
+        # then by P. Indices are into the flattened nv x nv matrix.
         nv = self.num_vars
         rows, cols = self._jac_row, self._jac_col
         a, b = _row_pairs(rows, self.g.size)
         flat = np.concatenate(
-            [cols[a] * nv + cols[b] % nv, self.ball_var * nv + self.ball_var % nv,
-             self.P_row * nv + self.P_col % nv]
+            [cols[a] * nv + cols[b], self.ball_var * (nv + 1), self.P_row * nv + self.P_col]
         )
         return a, b, rows[a], flat
 
     @property
     def num_vars(self) -> int:
-        """Variables of one problem."""
-        return self.q.size // self.num_problems
+        return self.q.size
 
     @property
     def num_cons(self) -> int:
-        """Constraint rows of one problem."""
-        return self.g.size // self.num_problems
+        return self.g.size
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
         d = z[self.ball_var] - self.ball_center
@@ -183,15 +173,15 @@ class _Program:
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         return self.p_dot(z) + self.q
 
-    def objective(self, z: np.ndarray) -> np.ndarray:
-        """The objective of each problem: z'(0.5 Pz + q) + r0."""
+    def objective(self, z: np.ndarray) -> float:
+        """z'(0.5 Pz + q) + r0."""
         half = 0.5 * (self.objective_grad(z) + self.q)
-        return (z * half).reshape(self.num_problems, -1).sum(axis=1) + self.r0
+        return float((z * half).sum() + self.r0)
 
     def newton_matrix(self, jac: np.ndarray, lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """P + sum_r lam_r * Hess(f_r) + J' diag(weights) J for each problem,
-        shaped (num_problems, nv, nv), where ``jac`` holds the Jacobian values
-        at the point that lam and weights belong to."""
+        """P + sum_r lam_r * Hess(f_r) + J' diag(weights) J, where ``jac``
+        holds the Jacobian values at the point that lam and weights belong
+        to."""
         nv = self.num_vars
         pair_a, pair_b, pair_row, flat = self._newton_pairs
         scaled = np.concatenate(
@@ -201,8 +191,7 @@ class _Program:
                 self.P_val,
             ]
         )
-        mat = np.bincount(flat, weights=scaled, minlength=self.num_problems * nv * nv)
-        return mat.reshape(self.num_problems, nv, nv)
+        return np.bincount(flat, weights=scaled, minlength=nv * nv).reshape(nv, nv)
 
 
 def _row_pairs(rows: np.ndarray, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,24 +207,6 @@ def _row_pairs(rows: np.ndarray, num_rows: int) -> tuple[np.ndarray, np.ndarray]
     return a, b
 
 
-def _stack(programs: Sequence[_Program]) -> _Program:
-    """One program holding ``programs``, which share their shape and r0,
-    block-diagonally: problem b's rows are offset by b*m and its columns by
-    b*nv. Each row's terms keep their order, so every problem's values,
-    products and Newton matrix equal the ones its own program gives."""
-    num = len(programs)
-    cols = programs[0].num_vars * np.arange(num)[:, None]
-    rows = programs[0].num_cons * np.arange(num)[:, None]
-    offsets = {"P_row": cols, "P_col": cols, "G_col": cols, "ball_var": cols,
-               "G_row": rows, "ball_row": rows}
-    arrays = {}
-    for name in ("P_row", "P_col", "P_val", "q", "G_row", "G_col", "G_val", "g",
-                 "ball_row", "ball_var", "ball_center", "ball_coef"):
-        arr = np.stack([getattr(p, name) for p in programs])
-        arrays[name] = (arr + offsets[name] if name in offsets else arr).ravel()
-    return _Program(**arrays, r0=programs[0].r0, num_problems=num)
-
-
 @dataclass
 class _IpmResult:
     z: np.ndarray
@@ -247,17 +218,14 @@ class _IpmResult:
 
 
 def _newton_step(m_red: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve m_red dz = rhs for one nv x nv matrix or a stack of them, whose
-    right-hand sides ``rhs`` holds one after another; while that fails or is
-    not finite, retry the whole stack with a ridge that starts at 1e-10 of
-    the largest entry and grows 100-fold. None when six tries give no
-    finite step."""
+    """Solve m_red dz = rhs; while that fails or is not finite, retry with a
+    ridge that starts at 1e-10 of the largest entry and grows 100-fold. None
+    when six tries give no finite step."""
     ridge = 0.0
-    columns = rhs.reshape(m_red.shape[:-1] + (1,))
     for _ in range(6):
         try:
-            shifted = m_red if ridge == 0.0 else m_red + ridge * np.eye(m_red.shape[-1])
-            dz = np.linalg.solve(shifted, columns).ravel()
+            shifted = m_red if ridge == 0.0 else m_red + ridge * np.eye(rhs.size)
+            dz = np.linalg.solve(shifted, rhs)
         except np.linalg.LinAlgError:
             dz = None
         if dz is not None and np.isfinite(dz).all():
@@ -531,9 +499,6 @@ def _solve_ipm(
 ) -> _IpmResult:
     """Primal-dual interior-point iteration from a strictly feasible start.
 
-    A stacked program is solved as one program: the duality measure and the
-    residuals run over every row of every problem, one step length serves
-    them all, and the Newton step is one batched solve of their matrices.
     ``stop_below`` lets phase I stop as soon as its slack, the last variable
     and its whole objective, sinks under a threshold. A result that is not
     optimal says in ``message`` why the iteration stopped.
@@ -775,27 +740,38 @@ def _ball_and_leg_rows(
     )
 
 
-def _instant_program(weights: np.ndarray, node: np.ndarray) -> _Program:
-    """The update instants' part of the fixed-order program, for updates of
-    the 0-based nodes ``node`` under node weights ``weights``: NWAoI over the
-    n instants, in units of the horizon, under the ordering rows
-    t_i - t_(i+1) <= 0 and then the time rows -t_i <= 0 and t_i - 1 <= 0.
-    `_schedule_program` adds the hover points to it, and `_floor_program`
-    shifts its rows by travel gaps."""
-    n = node.size
+def _instant_objective(weights: np.ndarray, node: np.ndarray) -> tuple:
+    """NWAoI over the instants of updates of the 0-based nodes ``node``, in
+    units of the horizon, under node weights ``weights``, as 0.5 t'Pt + q't
+    + r0: P's nonzeros (rows, cols, vals), q and r0. ``node`` is one order,
+    or a stack (orders, n) of orders that share their per-node counts, and
+    the arrays then carry the stack's leading axis."""
+    n = node.shape[-1]
     # A node's squared gaps between its instants s, fenced by 0 and 1, sum to
-    # s'Qs - 2 s_last + 1, with Q tridiagonal: 2 on the diagonal, -1 beside
-    # it. The weighted 1s sum to r0 = 1.
-    t_idx = np.arange(n)
+    # s'Qs - 2 s_last + 1, with Q tridiagonal: 2 on the diagonal, -1 between
+    # the node's consecutive updates a and b. The weighted 1s sum to r0 = 1.
+    # Every order of a stack sorts to the same nodes, so one mask serves all.
     w = weights[node]
-    by_node = np.argsort(node, kind="stable")
-    same = node[by_node[1:]] == node[by_node[:-1]]
-    a = by_node[:-1][same]
-    b = by_node[1:][same]
-    last = by_node[np.append(~same, True)]
-    q_vec = np.zeros(n)
-    q_vec[last] = -2.0 * w[last]
+    by_node = np.argsort(node, axis=-1, kind="stable")
+    ranked = np.sort(node.reshape(-1, n)[0])
+    same = ranked[1:] == ranked[:-1]
+    a, b = by_node[..., :-1][..., same], by_node[..., 1:][..., same]
+    last = by_node[..., np.append(~same, True)]
+    q_vec = np.zeros(node.shape)
+    np.put_along_axis(q_vec, last, -2.0 * np.take_along_axis(w, last, axis=-1), axis=-1)
+    t_idx = np.broadcast_to(np.arange(n), node.shape)
+    pair = -2.0 * np.take_along_axis(w, a, axis=-1)
+    rows, cols = np.concatenate([t_idx, a, b], axis=-1), np.concatenate([t_idx, b, a], axis=-1)
+    return rows, cols, np.concatenate([4.0 * w, pair, pair], axis=-1), q_vec, 1.0
 
+
+def _instant_program(weights: np.ndarray, node: np.ndarray) -> _Program:
+    """The update instants' part of the fixed-order program: NWAoI over the
+    n instants (`_instant_objective`) under the ordering rows
+    t_i - t_(i+1) <= 0 and then the time rows -t_i <= 0 and t_i - 1 <= 0.
+    `_schedule_program` adds the hover points to it."""
+    n = node.size
+    t_idx = np.arange(n)
     # Ordering t_i - t_(i+1), time_lo -t_i and time_hi t_i - 1.
     ordering = t_idx[:-1]
     time_lo = n - 1 + t_idx
@@ -804,11 +780,7 @@ def _instant_program(weights: np.ndarray, node: np.ndarray) -> _Program:
     g_vec[time_hi] = -1.0
     ones = np.ones(n)
     return _Program(
-        np.concatenate([t_idx, a, b]),
-        np.concatenate([t_idx, b, a]),
-        np.concatenate([4.0 * w, -2.0 * w[a], -2.0 * w[a]]),
-        q_vec,
-        1.0,
+        *_instant_objective(weights, node),
         np.concatenate([ordering, ordering, time_lo, time_hi]),
         np.concatenate([t_idx[:-1], t_idx[1:], t_idx, t_idx]),
         np.concatenate([ones[1:], -ones[1:], -ones, ones]),
@@ -962,7 +934,7 @@ def solve_schedule(
         times_s=times,
         waypoints_xy=np.column_stack([x, y]) * scenario.coordinate_scale(),
         objective=nwaoi(scenario, UpdateTimes(per_node)),
-        solver_objective=float(program.objective(result.z)[0]),
+        solver_objective=program.objective(result.z),
         kkt_residual=result.kkt_residual,
         iterations=result.iterations + phase1_iters,
         duals=result.lam,
@@ -1006,56 +978,31 @@ def _travel_gaps(scenario: Scenario, node: np.ndarray, radii: np.ndarray) -> np.
     return (np.maximum(span, 0.0) / vmax).max(axis=2) / uav.horizon_s
 
 
-def _floor_program(weights: np.ndarray, node: np.ndarray, gaps: np.ndarray) -> _Program:
-    """The time-only relaxation of an order: its `_instant_program` with
-    t_(i+1) - t_i >= gaps[i + 1], t_i >= gaps[0] + ... + gaps[i] and
-    1 - t_i >= gaps[i + 1] + ... + gaps[n], for the n + 1 leg gaps."""
-    program = _instant_program(weights, node)
-    reached = np.cumsum(gaps[:-1])
-    program.g += np.concatenate([gaps[1:-1], reached, gaps.sum() - reached])
-    return program
+# Most active-set passes `order_floors` takes; an order whose free set still
+# changes after them keeps the dual value of its last duals.
+_MAX_PASSES = 30
 
 
-def _dual_values(stack: _Program, lam: np.ndarray) -> np.ndarray:
-    """r0 + g'lam - 0.5 v'P^-1 v, with v = q + G'lam, for each problem of a
-    stack without balls and its duals lam: the Lagrangian dual function,
-    which bounds the problem's optimum from below for every lam >= 0 when P
-    is positive definite."""
-    num, nv = stack.num_problems, stack.num_vars
-    v = (stack.q + stack.jac_t_dot(stack.G_val, lam)).reshape(num, nv)
-    p_mat = np.bincount(
-        stack.P_row * nv + stack.P_col % nv, weights=stack.P_val, minlength=num * nv * nv
-    ).reshape(num, nv, nv)
-    x = np.linalg.solve(p_mat, v[:, :, None])[:, :, 0]
-    return stack.r0 + (stack.g * lam).reshape(num, -1).sum(axis=1) - 0.5 * (v * x).sum(axis=1)
-
-
-# Most floor programs one stacked solve holds; more run in chunks.
-STACK_SIZE = 1024
-
-
-def order_floors(
-    scenario: Scenario,
-    orders: Sequence[Sequence[int]],
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+def order_floors(scenario: Scenario, orders: Sequence[Sequence[int]]) -> np.ndarray:
     """Certified lower bound on the objective of each order; the orders
     share their per-node counts.
 
     The bound drops the hover points. Node m's hover points lie within
     r_m = sqrt(`energy_budget_constant`) of it, so each leg lasts at least
-    its `_travel_gaps` entry, and NWAoI is minimized over the instants under
-    those gaps with the ordering and time rows. The orders' programs are
-    solved STACK_SIZE at a time, each chunk as one stacked program, from a
-    strictly interior start (the cumulative gaps plus the leftover time
-    spread evenly); ``tol`` bounds a chunk's total duality gap. The floor is
-    the larger of `per_count_floor` and the Lagrangian dual value at the
-    returned duals, which bounds the relaxation from below for any duals
-    lam >= 0, so the floors stay certified whatever the solve's status (Boyd
-    and Vandenberghe, Convex Optimization, 2004, ch. 5). When the gaps sum
-    above the horizon the order cannot be flown and its floor is +inf. When
-    they fill it exactly, or a node of the order has weight 0 (P is then
-    singular), the floor is `per_count_floor`.
+    its `_travel_gaps` entry, and NWAoI over the instants (`_instant_objective`)
+    is bounded under the n + 1 chain rows Gt + g <= 0: t_1 >= gap_0,
+    t_(i+1) - t_i >= gap_i and 1 - t_n >= gap_n. Any duals lam >= 0 bound it
+    from below by the dual value d(lam) = r0 + g'lam - 0.5 v'P^-1 v, with
+    v = q + G'lam (Boyd and Vandenberghe, Convex Optimization, 2004, ch. 5).
+    The best duals minimize 0.5 lam'H lam + c'lam over lam >= 0, with
+    H = G P^-1 G' and c = G P^-1 q - g. The primal-dual active-set method
+    (Hintermueller, Ito and Kunisch, SIAM J. Optim., 2002) finds them for
+    all orders at once in at most _MAX_PASSES batched solves; an order whose
+    solve fails stops at its last finite duals. The floor is the larger of
+    `per_count_floor` and d(max(lam, 0)). When the gaps sum above the
+    horizon the order cannot be flown and its floor is +inf. When they fill
+    it exactly, or a node of the order has weight 0 (P is then singular),
+    the floor is `per_count_floor`.
     """
     if not orders:
         return np.zeros(0)
@@ -1073,25 +1020,57 @@ def order_floors(
     leftover = 1.0 - gaps.sum(axis=1)
     floors[leftover < 0.0] = math.inf
     weights = scenario.weights()
-    if np.any(weights[counts > 0] == 0.0):
+    live = np.flatnonzero(leftover > 0.0)
+    num = live.size
+    if num == 0 or np.any(weights[counts > 0] == 0.0):
         return floors
+    p_row, p_col, p_val, q, r0 = _instant_objective(weights, node[live])
+    p_mat = np.zeros((num, n, n))
+    p_mat[np.arange(num)[:, None], p_row, p_col] = p_val
+    g = gaps[live]
+    g[:, -1] -= 1.0
+    # G' is the n x (n + 1) difference matrix, and G x = -diff of x padded
+    # with a 0 on either side.
+    g_t = np.broadcast_to(np.diff(np.eye(n + 1), axis=0), (num, n, n + 1))
+    solved = np.linalg.solve(p_mat, np.concatenate([g_t, q[:, :, None]], axis=2))
+    g_solved = -np.diff(solved, axis=1, prepend=0.0, append=0.0)
+    h, c = g_solved[:, :, :-1], g_solved[:, :, -1] - g
 
-    slots, programs, starts = [], [], []
-    spread = (np.arange(n) + 1.0) / (n + 1.0)
-    for s in np.flatnonzero(leftover > 0.0):
-        program = _floor_program(weights, node[s], gaps[s])
-        start = np.cumsum(gaps[s, :-1]) + leftover[s] * spread
-        # Rounding can leave no interior to a leftover near zero.
-        if program.constraint_values(start).max() < 0.0:
-            slots.append(s)
-            programs.append(program)
-            starts.append(start)
-    for lo in range(0, len(programs), STACK_SIZE):
-        chunk = slice(lo, lo + STACK_SIZE)
-        stack = _stack(programs[chunk])
-        result = _solve_ipm(stack, np.concatenate(starts[chunk]), tol, DEFAULT_MAX_ITERS)
-        at = slots[chunk]
-        floors[at] = np.fmax(floors[at], _dual_values(stack, result.lam))
+    # A pass fixes lam = 0 on the rows off the free set and solves
+    # H_FF lam_F = -c_F; the next free set is lam - mu > 0, with mu = H lam + c
+    # the multipliers of lam >= 0 (0 on the free rows).
+    lam = np.zeros((num, n + 1))
+    free = c < 0.0
+    todo = np.arange(num)
+    eye = np.eye(n + 1)
+    for _ in range(_MAX_PASSES):
+        if todo.size == 0:
+            break
+        f = free[todo]
+        mat = np.where(f[:, :, None] & f[:, None, :], h[todo], eye)
+        rhs = np.where(f, -c[todo], 0.0)[:, :, None]
+        try:
+            step = np.linalg.solve(mat, rhs)[:, :, 0]
+        except np.linalg.LinAlgError:
+            # Solved one by one, a singular order fails alone.
+            step = np.full(f.shape, np.nan)
+            for i in range(todo.size):
+                try:
+                    step[i] = np.linalg.solve(mat[i], rhs[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        ok = np.isfinite(step).all(axis=1)
+        rows, f, step = todo[ok], f[ok], step[ok]
+        mu = np.where(f, 0.0, (h[rows] * step[:, None, :]).sum(axis=2) + c[rows])
+        lam[rows] = step
+        free[rows] = step - mu > 0.0
+        todo = rows[(free[rows] != f).any(axis=1)]
+
+    lam = np.maximum(lam, 0.0)
+    v = q + np.diff(lam, axis=1)
+    x = np.linalg.solve(p_mat, v[:, :, None])[:, :, 0]
+    dual = r0 + (g * lam).sum(axis=1) - 0.5 * (v * x).sum(axis=1)
+    floors[live] = np.fmax(floors[live], dual)
     return floors
 
 

@@ -111,7 +111,7 @@ def test_block_step_matches_dense_step(monkeypatch, n):
         for at, z, lam in (("start", z0, 1.0 / np.maximum(-f0, 1e-8)), ("end", result.z, result.lam)):
             jac, weights, rhs = _newton_system(program, z, lam)
             got = solver._block_step(program, jac, lam, weights, rhs)
-            want = solver._newton_step(program.newton_matrix(jac, lam, weights)[0], rhs)
+            want = solver._newton_step(program.newton_matrix(jac, lam, weights), rhs)
             if got is None:
                 declined.append((kind, at))
             else:

@@ -628,6 +628,42 @@ def test_sweep_learned_policies_over_horizon(tmp_path, capsys):
     assert serial == (tmp_path / "parallel" / "sweep.csv").read_text()
 
 
+@pytest.mark.parametrize("policy", ["dqn", "dqn-lstm"])
+def test_sweep_greedy_rollout_reads_the_training_cache(tmp_path, capsys, monkeypatch, policy):
+    # A learned cell's greedy rollout re-solves no order its DQN training
+    # solved: it reads the training's solve cache.
+    solved = {"other": [], "train": [], "greedy": []}
+    phase = ["other"]
+
+    def in_phase(name, call):
+        def run(*args, **kwargs):
+            phase[0] = name
+            try:
+                return call(*args, **kwargs)
+            finally:
+                phase[0] = "other"
+
+        return run
+
+    def record(scenario, order, **kwargs):
+        solved[phase[0]].append(tuple(order))
+        return aoiplan.solve_schedule(scenario, order, **kwargs)
+
+    monkeypatch.setattr("aoiplan.mdp.solve_schedule", record)
+    monkeypatch.setattr("aoiplan.cli.dqn_train", in_phase("train", aoiplan.cli.dqn_train))
+    monkeypatch.setattr("aoiplan.cli.greedy_evaluate", in_phase("greedy", aoiplan.cli.greedy_evaluate))
+    path = save(tmp_path, build_scenario([2, 1]))
+    code = main([
+        "sweep", "--scenario", path, "--axis", "horizon", "--values", "900",
+        "--policies", policy, "--seeds", "0", "--episodes", "20", "--corpus-episodes", "2",
+        "--ae-epochs", "1", "--state-size", "2", "--workers", "1", "--out", str(tmp_path / "run"),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert len(solved["train"]) > 3
+    assert not set(solved["train"]) & set(solved["greedy"])
+
+
 def test_sweep_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
     path = save(tmp_path, build_scenario([1, 1]))

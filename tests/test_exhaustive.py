@@ -8,6 +8,7 @@ import pytest
 from aoiplan import (
     BudgetExceededError,
     all_max_updates,
+    energy_budget_constant,
     enumerate_optimal,
     generate_scenario,
     lower_bound,
@@ -195,14 +196,13 @@ def test_branch_and_bound_matches_exhaustive_scoring(counts, kwargs):
         ([2, 2], {"vmax": 4.0, "horizon": 400.0}),
         ([1, 1], {"weights": [0.35, 0.65]}),
         ([2, 1], {"weights": [1.0, 0.0]}),
-        # Chunks of 7 split a vector's orders into several jointly solved
-        # stacks and a remainder.
-        ([2, 2, 2], {"stack_size": 7}),
+        # One active-set pass leaves some orders' free sets unsettled.
+        ([2, 2, 2], {"max_passes": 1}),
     ],
 )
 def test_order_floors_bound_every_optimal_candidate(monkeypatch, counts, kwargs):
     kwargs = dict(kwargs)
-    monkeypatch.setattr(solver, "STACK_SIZE", kwargs.pop("stack_size", solver.STACK_SIZE))
+    monkeypatch.setattr(solver, "_MAX_PASSES", kwargs.pop("max_passes", solver._MAX_PASSES))
     scenario = build_scenario(counts, **kwargs)
     unflyable = 0
     for combo in count_grid(all_max_updates(scenario)):
@@ -222,6 +222,88 @@ def test_order_floors_bound_every_optimal_candidate(monkeypatch, counts, kwargs)
             assert np.all(floors[np.isfinite(floors)] == per_count_floor(scenario, combo))
     if "vmax" in kwargs:
         assert unflyable > 0
+
+
+def _floor_program(weights, node, gaps):
+    """The time-only relaxation of an order as an interior-point program: its
+    `_instant_program` with t_(i+1) - t_i >= gaps[i + 1],
+    t_i >= gaps[0] + ... + gaps[i] and 1 - t_i >= gaps[i + 1] + ... + gaps[n],
+    for the n + 1 leg gaps."""
+    program = solver._instant_program(weights, node)
+    reached = np.cumsum(gaps[:-1])
+    program.g += np.concatenate([gaps[1:-1], reached, gaps.sum() - reached])
+    return program
+
+
+@pytest.mark.parametrize("counts, kwargs", [([2, 2, 1], {}), ([2, 2], {"vmax": 4.0, "horizon": 400.0})])
+def test_order_floors_meet_the_interior_point_relaxation(counts, kwargs):
+    # The active-set duals are the relaxation's best: each floor is at least
+    # the dual value of a tight interior-point solve and at most its primal
+    # objective.
+    scenario = build_scenario(counts, **kwargs)
+    weights = scenario.weights()
+    solved = 0
+    for combo in count_grid(all_max_updates(scenario)):
+        if not any(combo):
+            continue
+        orders = list(multiset_permutations(combo))
+        floors = order_floors(scenario, orders)
+        node = np.array(orders) - 1
+        budget = [energy_budget_constant(scenario, m, c) for m, c in enumerate(combo)]
+        gaps = solver._travel_gaps(scenario, node, np.sqrt(np.maximum(budget, 0.0)))
+        n = node.shape[1]
+        for row, gap, floor in zip(node, gaps, floors):
+            leftover = 1.0 - gap.sum()
+            if leftover <= 0.0:
+                continue
+            program = _floor_program(weights, row, gap)
+            start = np.cumsum(gap[:-1]) + leftover * (np.arange(n) + 1.0) / (n + 1.0)
+            result = solver._solve_ipm(program, start, 1e-10, 200)
+            assert result.status == "optimal"
+            p_mat = np.zeros((n, n))
+            p_mat[program.P_row, program.P_col] = program.P_val
+            v = program.q + program.jac_t_dot(program.G_val, result.lam)
+            dual = program.r0 + program.g @ result.lam - 0.5 * v @ np.linalg.solve(p_mat, v)
+            assert dual - 1e-12 <= floor <= program.objective(result.z) + 1e-10, (row, floor, dual)
+            solved += 1
+    assert solved >= 10
+
+
+def test_failed_active_set_solves_keep_certified_floors(monkeypatch):
+    # A pass whose batched solve raises is solved order by order; an order
+    # whose own solve raises or is not finite stops at its last finite
+    # duals, so its floor stays certified and never rises above the settled
+    # one.
+    counts = [2, 2, 1]
+    scenario = build_scenario(counts)
+    orders = list(multiset_permutations(counts))
+    settled = order_floors(scenario, orders)
+    real_solve = np.linalg.solve
+    passes = []
+
+    def solve(a, b):
+        out = real_solve(a, b)
+        if a.shape[-1] == sum(counts) + 1:
+            passes.append(a.ndim)
+            if a.ndim == 2 and len(passes) % 2:
+                raise np.linalg.LinAlgError("singular matrix")
+            if a.ndim == 3 and len(passes) > 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            if a.ndim == 3:
+                out[::4] = np.nan
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    floors = order_floors(scenario, orders)
+    monkeypatch.undo()
+    # The first pass is batched, the second raised and went order by order.
+    assert passes[:2] == [3, 3] and 2 in passes
+    floor = per_count_floor(scenario, counts)
+    assert np.all(floors >= floor)
+    assert np.all(floors <= settled + 1e-12)
+    # The orders with a non-finite first pass keep the dual value at lam = 0.
+    assert np.all(floors[::4] <= floor + 1e-12)
+    assert np.any(floors > floor + 1e-3)
 
 
 def test_order_floors_prune_within_a_count_vector():

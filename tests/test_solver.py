@@ -1030,6 +1030,22 @@ def test_order_floors_do_not_depend_on_their_batch():
             assert order_floors(scenario, [orders[at]])[0] == floors[at], (counts, orders[at])
 
 
+@pytest.mark.parametrize("stack_size", [1, 7])
+def test_stacked_results_do_not_depend_on_stack_size(stack_size):
+    # Floors of a count vector handed over in stacks of ``stack_size`` orders
+    # have the same bits as the floors of the whole vector at once.
+    for counts in ([2, 2, 1], [2, 2, 2]):
+        scenario = build_scenario(counts)
+        orders = list(multiset_permutations(counts))
+        want = order_floors(scenario, orders)
+        assert np.isfinite(want).all()
+        got = np.concatenate([
+            order_floors(scenario, orders[at:at + stack_size])
+            for at in range(0, len(orders), stack_size)
+        ])
+        np.testing.assert_array_equal(got, want)
+
+
 def _evaluates_only_at(program, points, method):
     """``method`` of ``program`` as a function that gives its true value at
     each of ``points`` and a bad one elsewhere: every constraint positive, or

@@ -155,15 +155,19 @@ class ScheduleTask:
     """Visit-order environment wrapped behind a vector observation.
 
     A state depends only on its order, so each order is encoded once; the
-    kept observations are read-only, since replay shares them.
+    kept observations are read-only, since replay shares them. Without a
+    ``repr_`` nothing is encoded and the observation is the state matrix,
+    for action rules that do not read it.
     """
 
-    def __init__(self, env: ScheduleEnv, repr_: StateRepr):
+    def __init__(self, env: ScheduleEnv, repr_: StateRepr | None = None):
         self.env = env
         self.repr = repr_
         self._obs: dict[tuple[int, ...], np.ndarray] = {}
 
-    def _observe(self, state: StateMatrix) -> np.ndarray:
+    def _observe(self, state: StateMatrix) -> np.ndarray | StateMatrix:
+        if self.repr is None:
+            return state
         obs = self._obs.get(self.env.order)
         if obs is None:
             obs = self._obs[self.env.order] = self.repr.encode(state)
@@ -178,10 +182,10 @@ class ScheduleTask:
     def metric(self) -> float:
         return self.env.metric
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> np.ndarray | StateMatrix:
         return self._observe(self.env.reset())
 
-    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+    def step(self, action: int) -> tuple[np.ndarray | StateMatrix, float, bool]:
         transition = self.env.step(action)
         return self._observe(transition.next_state), transition.reward, transition.terminal
 
@@ -390,7 +394,7 @@ def greedy_evaluate(
     return task.env.order, task.env.metric
 
 
-def _weight_choice(scenario: Scenario, rng: np.random.Generator) -> Callable[[np.ndarray], int]:
+def _weight_choice(scenario: Scenario, rng: np.random.Generator) -> Callable[[object], int]:
     """The weight baseline as an action rule: a node drawn from rng in
     proportion to its weight, whatever the observation. It never terminates
     voluntarily; an episode ends when an append fails."""
@@ -408,19 +412,24 @@ def weight_based_rollout(
     metric, final state)."""
     env = ScheduleEnv(scenario, solve_cache=solve_cache)
     choose = _weight_choice(scenario, np.random.default_rng(seed))
-    for _ in _episode(ScheduleTask(env, StateRepr(scenario)), choose):
+    for _ in _episode(ScheduleTask(env), choose):
         pass
     return env.order, env.metric, env.state
 
 
-def collect_states(scenario: Scenario, episodes: int, seed: int) -> list[StateMatrix]:
+def collect_states(
+    scenario: Scenario,
+    episodes: int,
+    seed: int,
+    solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
+) -> list[StateMatrix]:
     """Gather a state corpus from weight-proportional episodes.
 
     Every state visited is kept, including each episode's initial state,
     so the encoder sees single-column matrices too.
     """
-    env = ScheduleEnv(scenario)
-    task = ScheduleTask(env, StateRepr(scenario))
+    env = ScheduleEnv(scenario, solve_cache=solve_cache)
+    task = ScheduleTask(env)
     choose = _weight_choice(scenario, np.random.default_rng(seed))
     corpus = []
     for _ in range(episodes):

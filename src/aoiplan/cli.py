@@ -471,10 +471,11 @@ def _trained_agent(
     scenario: Scenario, policy: str, seed: int, args: argparse.Namespace, cache: dict
 ) -> QAgent:
     """A sweep cell's agent, whose training keeps its solves in ``cache``: for
-    dqn-lstm an autoencoder is trained first and its encoder gives the agent's state."""
+    dqn-lstm an autoencoder is trained first, on a corpus whose solves go to
+    the same ``cache``, and its encoder gives the agent's state."""
     encoder = None
     if policy == "dqn-lstm":
-        corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed)
+        corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed, solve_cache=cache)
         ae = autoencoder_train(
             scenario,
             corpus,

@@ -62,20 +62,27 @@ _LS_BETA = 0.5
 _STRICT_MARGIN = 1e-7
 
 
+def _order_rows(orders: np.ndarray | Sequence[Sequence[int]], num_nodes: int) -> np.ndarray:
+    """Equal-length visit orders as the rows of an integer array of 1-based
+    node indices. Entries are checked as given, since a cast to int would
+    truncate 1.5 to 1: ScheduleError for an entry that is not an integer or
+    not a node, ValueError for orders of unequal lengths."""
+    try:
+        rows = np.array(orders)
+    except ValueError:
+        raise ValueError("orders must share their per-node counts") from None
+    kind = rows.dtype.kind
+    if rows.ndim != 2 or kind not in "iuf" or not np.all(np.isfinite(rows) & (rows == np.trunc(rows))):
+        raise ScheduleError("visit order entries must be integers")
+    outside = rows[(rows < 1) | (rows > num_nodes)]
+    if outside.size:
+        raise ScheduleError(f"visit order entry {int(outside[0])} outside [1, {num_nodes}]")
+    return rows.astype(int)
+
+
 def validate_order(order: Sequence[int], num_nodes: int) -> tuple[int, ...]:
     """Normalize a visit order to a tuple of 1-based node indices."""
-    out = []
-    for v in order:
-        try:
-            iv = int(v)
-        except (TypeError, ValueError, OverflowError):
-            iv = None
-        if iv is None or iv != v:
-            raise ScheduleError("visit order entries must be integers")
-        if iv < 1 or iv > num_nodes:
-            raise ScheduleError(f"visit order entry {iv} outside [1, {num_nodes}]")
-        out.append(iv)
-    return tuple(out)
+    return tuple(_order_rows([order], num_nodes)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -983,9 +990,12 @@ def _travel_gaps(scenario: Scenario, node: np.ndarray, radii: np.ndarray) -> np.
 _MAX_PASSES = 30
 
 
-def order_floors(scenario: Scenario, orders: Sequence[Sequence[int]]) -> np.ndarray:
+def order_floors(scenario: Scenario, orders: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     """Certified lower bound on the objective of each order; the orders
     share their per-node counts.
+
+    ``orders`` is an (orders, n) array such as `multiset_permutations` gives,
+    or any sequence of equal-length orders, checked once by `_order_rows`.
 
     The bound drops the hover points. Node m's hover points lie within
     r_m = sqrt(`energy_budget_constant`) of it, so each leg lasts at least
@@ -1004,14 +1014,13 @@ def order_floors(scenario: Scenario, orders: Sequence[Sequence[int]]) -> np.ndar
     it exactly, or a node of the order has weight 0 (P is then singular),
     the floor is `per_count_floor`.
     """
-    if not orders:
+    if len(orders) == 0:
         return np.zeros(0)
-    orders_t = [validate_order(order, scenario.num_nodes) for order in orders]
-    if any(sorted(order) != sorted(orders_t[0]) for order in orders_t):
+    node = _order_rows(orders, scenario.num_nodes) - 1
+    if np.any(np.sort(node, axis=1) != np.sort(node[0])):
         raise ValueError("orders must share their per-node counts")
-    node = np.array(orders_t, dtype=int).reshape(len(orders_t), -1) - 1
     counts = np.bincount(node[0], minlength=scenario.num_nodes)
-    floors = np.full(len(orders_t), per_count_floor(scenario, counts))
+    floors = np.full(len(node), per_count_floor(scenario, counts))
     n = node.shape[1]
     if n == 0:
         return floors

@@ -193,6 +193,24 @@ def test_collect_states_keeps_initial_states():
         state.validate(scenario)
 
 
+def test_weight_episodes_encode_no_observation(monkeypatch):
+    # The weight rule never reads its observation, so neither the baseline
+    # nor the state corpus encodes one.
+    calls = []
+    encode = StateRepr.encode
+
+    def counted(self, state):
+        calls.append(state)
+        return encode(self, state)
+
+    monkeypatch.setattr(StateRepr, "encode", counted)
+    scenario = build_scenario([2, 1], weights=[0.4, 0.6])
+    order, _, _ = weight_based_rollout(scenario, seed=3)
+    assert len(order) > 0
+    assert len(collect_states(scenario, episodes=3, seed=0)) > 3
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Value learning on a handmade two-state task
 # ---------------------------------------------------------------------------

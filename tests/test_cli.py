@@ -664,6 +664,28 @@ def test_sweep_greedy_rollout_reads_the_training_cache(tmp_path, capsys, monkeyp
     assert not set(solved["train"]) & set(solved["greedy"])
 
 
+def test_sweep_lstm_cell_solves_each_order_once(tmp_path, capsys, monkeypatch):
+    # A dqn-lstm cell's state corpus, its DQN training and its greedy rollout
+    # share one solve cache, so no order is solved twice.
+    solved = []
+
+    def record(scenario, order, **kwargs):
+        solved.append(tuple(order))
+        return aoiplan.solve_schedule(scenario, order, **kwargs)
+
+    monkeypatch.setattr("aoiplan.mdp.solve_schedule", record)
+    path = save(tmp_path, build_scenario([2, 1]))
+    code = main([
+        "sweep", "--scenario", path, "--axis", "horizon", "--values", "900",
+        "--policies", "dqn-lstm", "--seeds", "0", "--episodes", "20", "--corpus-episodes", "3",
+        "--ae-epochs", "1", "--state-size", "2", "--workers", "1", "--out", str(tmp_path / "run"),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert len(solved) > 3
+    assert len(solved) == len(set(solved))
+
+
 def test_sweep_enumerate_nonconverged_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("aoiplan.exhaustive.solve_schedule", nonconverged_at((2, 1)))
     path = save(tmp_path, build_scenario([1, 1]))

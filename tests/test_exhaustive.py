@@ -1,12 +1,14 @@
 """Exhaustive schedule search against direct per-order solves."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
 
 from aoiplan import (
     BudgetExceededError,
+    ScheduleError,
     all_max_updates,
     energy_budget_constant,
     enumerate_optimal,
@@ -35,10 +37,19 @@ def test_total_candidates_small_grid():
     assert total_candidates(np.array([1, 1])) == 5
 
 
-def test_multiset_permutations_enumeration():
-    orders = list(multiset_permutations([2, 1]))
-    assert len(orders) == 3
-    assert set(orders) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
+@pytest.mark.parametrize(
+    "counts",
+    [[2, 1], [0, 0], [3], [0, 2, 1], [2, 2, 1], [1, 1, 1, 1]],
+    ids=lambda counts: "-".join(map(str, counts)),
+)
+def test_multiset_permutations_enumeration(counts):
+    rows = multiset_permutations(counts)
+    assert rows.shape == (schedule_count(counts), sum(counts))
+    assert np.issubdtype(rows.dtype, np.integer)
+    symbols = [m + 1 for m, c in enumerate(counts) for _ in range(c)]
+    assert set(map(tuple, rows.tolist())) == set(itertools.permutations(symbols))
+    # One row per distinct order, in ascending lexicographic order.
+    assert list(map(tuple, rows.tolist())) == sorted(set(itertools.permutations(symbols)))
 
 
 def test_count_grid_covers_box():
@@ -52,6 +63,9 @@ def test_budget_guard_raises_before_solving():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_optimal(scenario, budget=3)
     assert "5" in str(exc.value) and "3" in str(exc.value)
+    # The exhaustive reference applies the same guard.
+    with pytest.raises(BudgetExceededError, match="at least 5 .* budget is 3"):
+        per_count_best(scenario, budget=3)
 
 
 def test_budget_guard_stops_at_first_excess(monkeypatch):
@@ -137,10 +151,11 @@ def test_nonconverged_solve_never_wins(monkeypatch):
     assert result.best_order != (2, 1)
     assert result.objective > 0.0
     assert result.best_solution.status == "optimal"
-    assert result.per_count[(1, 1)][0] == (1, 2)
-    assert result.per_count[(1, 1)][2] == "optimal"
     statuses = {order: status for order, _, status, _ in result.rows}
     assert statuses["2-1"] == "max_iterations"
+    table = per_count_best(scenario)
+    assert table[(1, 1)][0] == (1, 2)
+    assert table[(1, 1)][2] == "optimal"
 
 
 def test_nonconverged_count_kept_without_rows(monkeypatch):
@@ -329,7 +344,7 @@ def test_every_solve_has_a_floor_within_the_incumbent(monkeypatch):
         order = solution.order
         if order:
             combo = tuple(order.count(m + 1) for m in range(scenario.num_nodes))
-            orders = list(multiset_permutations(combo))
+            orders = list(map(tuple, multiset_permutations(combo).tolist()))
             floor = order_floors(scenario, orders)[orders.index(order)]
             assert floor <= incumbent, (order, floor, incumbent)
         if solution.status == "optimal":
@@ -346,3 +361,17 @@ def test_order_floors_take_one_count_vector():
         order_floors(scenario, [(1,), (2,)])
     with pytest.raises(ValueError, match="share their per-node counts"):
         order_floors(scenario, [(1,), (1, 2)])
+    # The array of a vector's orders and the same orders as tuples give the
+    # same bits.
+    wide = build_scenario([2, 2, 1])
+    rows = multiset_permutations([2, 2, 1])
+    floors = order_floors(wide, rows)
+    assert np.isfinite(floors).any()
+    np.testing.assert_array_equal(order_floors(wide, list(map(tuple, rows.tolist()))), floors)
+    # Entries are checked as given, before any cast to integers.
+    with pytest.raises(ScheduleError, match="must be integers"):
+        order_floors(scenario, [(1.5, 2)])
+    with pytest.raises(ScheduleError, match="entry 0 outside"):
+        order_floors(scenario, [(1, 2), (0, 2)])
+    with pytest.raises(ScheduleError, match="entry 3 outside"):
+        order_floors(scenario, np.array([[1, 3]]))

@@ -756,7 +756,7 @@ _TWO_TWO_REFERENCE = [
 
 def test_two_two_candidates_follow_reference_iterates():
     scenario = build_scenario([2, 2])
-    orders = [o for c in count_grid(all_max_updates(scenario)) for o in multiset_permutations(c)]
+    orders = [tuple(o) for c in count_grid(all_max_updates(scenario)) for o in multiset_permutations(c).tolist()]
     assert orders == [order for order, _, _ in _TWO_TWO_REFERENCE]
     for order, iterations, objective in _TWO_TWO_REFERENCE:
         solution = solve_schedule(scenario, order)

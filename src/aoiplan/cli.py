@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any
@@ -564,109 +565,129 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+_OPTIMIZER = {"default": "adam", "choices": ["sgd", "adam"]}
+_Flags = tuple[tuple[str, dict[str, Any]], ...]
+
+# One entry per command: its help line, its handler and its flags, each a
+# flag name with its add_argument keywords. build_parser reads nothing else.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], _Flags]] = {
+    "generate": ("write a random scenario file", cmd_generate, (
+        ("--nodes", {"type": _count, "required": True}),
+        ("--seed", {"type": _seed, "default": 0}),
+        ("--region", {"type": _positive, "default": 1000.0}),
+        ("--altitude", {"type": _positive, "default": 80.0}),
+        ("--vmax", {"type": _positive, "default": 25.0}),
+        ("--horizon", {"type": _positive, "default": 900.0}),
+        ("--out", {"required": True}),
+    )),
+    "solve": ("solve the trajectory for a fixed visit order", cmd_solve, (
+        ("--scenario", {"required": True}),
+        ("--schedule", {"default": "", "help": "comma list of node indices, e.g. 1,2,1"}),
+        ("--tol", {"type": _positive, "default": DEFAULT_TOL}),
+        ("--max-iters", {"type": _count, "default": DEFAULT_MAX_ITERS}),
+        ("--out", {"required": True}),
+    )),
+    "bounds": ("closed-form bounds and speed sufficiency", cmd_bounds, (
+        ("--scenario", {"required": True}),
+        ("--out", {"default": None}),
+    )),
+    "enumerate": ("exhaustive search over visit orders", cmd_enumerate, (
+        ("--scenario", {"required": True}),
+        ("--budget", {"type": _count, "default": DEFAULT_BUDGET}),
+        ("--tol", {"type": _positive, "default": DEFAULT_TOL}),
+        ("--out", {"required": True}),
+    )),
+    "train-dqn": ("train the action-value planner", cmd_train_dqn, (
+        ("--scenario", {"required": True}),
+        ("--episodes", {"type": _count, "default": 300}),
+        ("--seed", {"type": _seed, "default": 0}),
+        ("--hidden", {"default": "64"}),
+        ("--lr", {"type": _positive, "default": 0.005}),
+        ("--optimizer", _OPTIMIZER),
+        ("--epsilon-end", {"type": _fraction, "default": 0.02}),
+        ("--epsilon-decay-frac", {"type": _fraction, "default": 0.6}),
+        ("--batch-size", {"type": _count, "default": 32}),
+        ("--grad-steps", {"type": _count, "default": 4}),
+        ("--penalty", {"type": _nonnegative, "default": 0.0}),
+        ("--state-mode", {"default": "last_column", "choices": ["last_column", "autoencoder"]}),
+        ("--encoder", {"default": None, "help": "autoencoder checkpoint for --state-mode autoencoder"}),
+        ("--out", {"required": True}),
+    )),
+    "train-autoencoder": ("train the recurrent state encoder", cmd_train_autoencoder, (
+        ("--scenario", {"required": True}),
+        ("--corpus-episodes", {"type": _count, "default": 50}),
+        ("--seed", {"type": _seed, "default": 0}),
+        ("--sizes", {"default": "4,8,16", "help": "candidate state sizes, comma list"}),
+        ("--epochs", {"type": _count, "default": 40}),
+        ("--lr", {"type": _positive, "default": 0.01}),
+        ("--optimizer", _OPTIMIZER),
+        ("--batch", {"default": "stochastic", "choices": ["stochastic", "full"]}),
+        ("--out", {"required": True}),
+    )),
+    "eval": ("evaluate a planning policy on a scenario", cmd_eval, (
+        ("--scenario", {"required": True}),
+        ("--policy", {"required": True, "choices": list(EVAL_POLICIES)}),
+        ("--checkpoint", {"default": None}),
+        ("--seed", {"type": _seed, "default": 0}),
+        ("--episodes", {"type": _count, "default": 100, "help": "rollouts for the weight policy"}),
+        ("--budget", {"type": _count, "default": DEFAULT_BUDGET}),
+        ("--out", {"default": None}),
+    )),
+    "sweep": ("policy comparison across a scenario axis", cmd_sweep, (
+        ("--scenario", {"required": True, "help": "template scenario file"}),
+        ("--axis", {"required": True, "choices": list(SWEEP_AXES)}),
+        ("--values", {"required": True, "help": "comma list of axis values"}),
+        ("--policies", {"default": "enumerate,weight"}),
+        ("--seeds", {"default": "0"}),
+        ("--budget", {"type": _count, "default": DEFAULT_BUDGET}),
+        ("--episodes", {"type": _count, "default": 300, "help": "training episodes per dqn cell"}),
+        ("--lr", {"type": _positive, "default": 0.005}),
+        ("--optimizer", _OPTIMIZER),
+        ("--grad-steps", {"type": _count, "default": 4}),
+        ("--corpus-episodes", {"type": _count, "default": 40}),
+        ("--state-size", {"type": _count, "default": 8}),
+        ("--ae-epochs", {"type": _count, "default": 30}),
+        ("--workers", {
+            "type": _count,
+            "default": None,
+            "help": "parallel cell evaluations (default from AOIPLAN_WORKERS, else 1)",
+        }),
+        ("--out", {"required": True}),
+    )),
+}
+
+
+def _add_command(parser: _Parser, command: str) -> _Parser:
+    _, func, flags = _COMMANDS[command]
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(command=command, func=func)
+    return parser
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of one command of ``_COMMANDS``, as ``aoiplan <command>``;
+    with no command, the full tree: ``aoiplan`` with one subparser each."""
+    if command is not None:
+        return _add_command(_Parser(prog=f"aoiplan {command}"), command)
     parser = _Parser(prog="aoiplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a random scenario file")
-    p.add_argument("--nodes", type=_count, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--region", type=_positive, default=1000.0)
-    p.add_argument("--altitude", type=_positive, default=80.0)
-    p.add_argument("--vmax", type=_positive, default=25.0)
-    p.add_argument("--horizon", type=_positive, default=900.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("solve", help="solve the trajectory for a fixed visit order")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--schedule", default="", help="comma list of node indices, e.g. 1,2,1")
-    p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
-    p.add_argument("--max-iters", type=_count, default=DEFAULT_MAX_ITERS)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("bounds", help="closed-form bounds and speed sufficiency")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("enumerate", help="exhaustive search over visit orders")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("train-dqn", help="train the action-value planner")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--episodes", type=_count, default=300)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--hidden", default="64")
-    p.add_argument("--lr", type=_positive, default=0.005)
-    p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
-    p.add_argument("--epsilon-end", type=_fraction, default=0.02)
-    p.add_argument("--epsilon-decay-frac", type=_fraction, default=0.6)
-    p.add_argument("--batch-size", type=_count, default=32)
-    p.add_argument("--grad-steps", type=_count, default=4)
-    p.add_argument("--penalty", type=_nonnegative, default=0.0)
-    p.add_argument("--state-mode", default="last_column", choices=["last_column", "autoencoder"])
-    p.add_argument("--encoder", default=None, help="autoencoder checkpoint for --state-mode autoencoder")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_dqn)
-
-    p = sub.add_parser("train-autoencoder", help="train the recurrent state encoder")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--corpus-episodes", type=_count, default=50)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--sizes", default="4,8,16", help="candidate state sizes, comma list")
-    p.add_argument("--epochs", type=_count, default=40)
-    p.add_argument("--lr", type=_positive, default=0.01)
-    p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
-    p.add_argument("--batch", default="stochastic", choices=["stochastic", "full"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_autoencoder)
-
-    p = sub.add_parser("eval", help="evaluate a planning policy on a scenario")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--policy", required=True, choices=list(EVAL_POLICIES))
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--episodes", type=_count, default=100, help="rollouts for the weight policy")
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="policy comparison across a scenario axis")
-    p.add_argument("--scenario", required=True, help="template scenario file")
-    p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
-    p.add_argument("--values", required=True, help="comma list of axis values")
-    p.add_argument("--policies", default="enumerate,weight")
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    p.add_argument("--episodes", type=_count, default=300, help="training episodes per dqn cell")
-    p.add_argument("--lr", type=_positive, default=0.005)
-    p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
-    p.add_argument("--grad-steps", type=_count, default=4)
-    p.add_argument("--corpus-episodes", type=_count, default=40)
-    p.add_argument("--state-size", type=_count, default=8)
-    p.add_argument("--ae-epochs", type=_count, default=30)
-    p.add_argument(
-        "--workers",
-        type=_count,
-        default=None,
-        help="parallel cell evaluations (default from AOIPLAN_WORKERS, else 1)",
-    )
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A known command builds only its own parser. Anything else (no argument,
+    # an option first, an unknown command) takes the full tree, which owns
+    # those messages.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv[1:] if command else argv)
+        if extras:  # parse_args's message, which the full tree gives as aoiplan's
+            raise _UsageError(f"aoiplan: unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -124,10 +124,6 @@ class EnumerationResult:
                 )
 
 
-def _order_str(order: Sequence[int]) -> str:
-    return "-".join(str(v) for v in order)
-
-
 def _count_vectors(scenario: Scenario, budget: int) -> tuple[list[tuple[int, ...]], int]:
     """The scenario's count grid and its number of candidate orders. Raises
     BudgetExceededError at the first vector that takes the running total of
@@ -207,10 +203,12 @@ def enumerate_optimal(
                 best_key, best_solution = key, solution
         num_pruned += len(orders) - len(solved)
         if keep_rows:
+            # Every order of the vector has the same length: one format for all.
+            order_format = "-".join(["%d"] * orders.shape[1])
             rows_of[combo] = [
-                (_order_str(order), math.inf, STATUS_PRUNED, math.inf)
+                (order_format % tuple(order), math.inf, STATUS_PRUNED, math.inf)
                 if i not in solved
-                else (_order_str(order), solved[i].objective, solved[i].status, solved[i].kkt_residual)
+                else (order_format % tuple(order), solved[i].objective, solved[i].status, solved[i].kkt_residual)
                 for i, order in enumerate(orders.tolist())
             ]
 

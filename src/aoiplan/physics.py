@@ -162,8 +162,9 @@ def write_aoi_trace_csv(
     """Write the sampled age trace as CSV: time_s, then one column per node."""
     grid, ages = aoi_trace(scenario, times, num_samples)
     header = ",".join(["time_s"] + [f"age_node_{m + 1}_s" for m in range(scenario.num_nodes)])
-    # One format per row, with the \r\n line ends csv.writer would give.
+    # One format call for the whole table, with the \r\n line ends
+    # csv.writer would give.
     row = ",".join(["%.10g"] * (scenario.num_nodes + 1)) + "\r\n"
-    table = np.column_stack([grid, ages]).tolist()
+    table = np.column_stack([grid, ages])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\r\n" + "".join(row % tuple(values) for values in table))
+        fh.write(header + "\r\n" + (row * len(table)) % tuple(table.ravel().tolist()))

@@ -20,9 +20,10 @@ from .errors import ScenarioError
 
 FORMAT_VERSION = 1
 
-# The libyaml parser where PyYAML was built with it; the same documents
-# come out of the pure-Python one, only slower.
+# The libyaml parser and emitter where PyYAML was built with them; the
+# pure-Python ones read and write the same documents, only slower.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Defaults mirror the reference evaluation setup: 1 MHz bandwidth, 10 Mbit
 # update packets, -100 dBm noise floor, 80 m cruise altitude, 25 m/s per-axis
@@ -282,7 +283,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     """Write a validated scenario to a YAML document."""
     scenario.validate()
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scenario.to_document(), fh, sort_keys=False)
+        yaml.dump(scenario.to_document(), fh, Dumper=_YAML_DUMPER, sort_keys=False)
 
 
 def generate_scenario(

@@ -1,13 +1,14 @@
 """Command-line contract: artifacts, stdout documents, exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
 import aoiplan
-from aoiplan import load_agent, load_autoencoder, load_scenario, lower_bound, save_scenario
+from aoiplan import cli, load_agent, load_autoencoder, load_scenario, lower_bound, save_scenario
 from aoiplan.cli import main
 from aoiplan.nnet import save_checkpoint
 from conftest import build_scenario, nonconverged_at
@@ -886,3 +887,161 @@ def test_sweep_repeated_entries_exit_1(tmp_path, capsys, flag, entries):
     assert main(argv) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing: each command's own parser against the full tree
+# ---------------------------------------------------------------------------
+
+# Every flag of every command, each with a value its parser accepts.
+EVERY_FLAG = {
+    "generate": {
+        "--nodes": "3", "--seed": "2", "--region": "500", "--altitude": "60",
+        "--vmax": "10", "--horizon": "600", "--out": "g.yaml",
+    },
+    "solve": {
+        "--scenario": "s.yaml", "--schedule": "1,2,1", "--tol": "1e-7",
+        "--max-iters": "50", "--out": "o",
+    },
+    "bounds": {"--scenario": "s.yaml", "--out": "o"},
+    "enumerate": {"--scenario": "s.yaml", "--budget": "99", "--tol": "1e-7", "--out": "o"},
+    "train-dqn": {
+        "--scenario": "s.yaml", "--episodes": "5", "--seed": "1", "--hidden": "8,8",
+        "--lr": "0.01", "--optimizer": "sgd", "--epsilon-end": "0.1",
+        "--epsilon-decay-frac": "0.5", "--batch-size": "4", "--grad-steps": "2",
+        "--penalty": "0.5", "--state-mode": "autoencoder", "--encoder": "ae.ckpt", "--out": "o",
+    },
+    "train-autoencoder": {
+        "--scenario": "s.yaml", "--corpus-episodes": "3", "--seed": "1", "--sizes": "4",
+        "--epochs": "2", "--lr": "0.02", "--optimizer": "sgd", "--batch": "full", "--out": "o",
+    },
+    "eval": {
+        "--scenario": "s.yaml", "--policy": "dqn", "--checkpoint": "a.ckpt", "--seed": "1",
+        "--episodes": "3", "--budget": "99", "--out": "o",
+    },
+    "sweep": {
+        "--scenario": "s.yaml", "--axis": "energy", "--values": "0.5,1", "--policies": "weight",
+        "--seeds": "0,1", "--budget": "99", "--episodes": "3", "--lr": "0.01",
+        "--optimizer": "sgd", "--grad-steps": "2", "--corpus-episodes": "3",
+        "--state-size": "4", "--ae-epochs": "2", "--workers": "2", "--out": "o",
+    },
+}
+
+
+def _argv(command, values):
+    return [command] + [text for pair in values.items() for text in pair]
+
+
+def _abbreviated(flag, flags):
+    """flag's shortest prefix that names it alone among flags."""
+    for end in range(3, len(flag) + 1):
+        if flag[:end] == flag or [f for f in flags if f.startswith(flag[:end])] == [flag]:
+            return flag[:end]
+
+
+def _parsed_cases(command):
+    """argvs of command that parse: the required flags alone, every flag,
+    every flag abbreviated."""
+    options = cli._COMMANDS[command][2]
+    every = EVERY_FLAG[command]
+    names = [flag for flag, _ in options] + ["--help"]
+    required = {flag: every[flag] for flag, kw in options if kw.get("required")}
+    abbreviated = {_abbreviated(flag, names): value for flag, value in every.items()}
+    return [_argv(command, required), _argv(command, every), _argv(command, abbreviated)]
+
+
+def _refused_cases(command):
+    """argvs of command that end in help or a usage error."""
+    options = cli._COMMANDS[command][2]
+    every = EVERY_FLAG[command]
+    required = {flag: every[flag] for flag, kw in options if kw.get("required")}
+    cases = [[command], [command, "--help"], [command, "-h"], _argv(command, every) + ["--help"]]
+    for flag, kw in options:
+        if "type" in kw or "choices" in kw:
+            cases += [_argv(command, {**every, flag: bad}) for bad in ("abc", "-1", "nan")]
+        # Each flag's three-character prefix: unique, ambiguous or a bad value.
+        cases.append(_argv(command, required) + [flag[:3], "1"])
+    for flag in required:
+        cases.append(_argv(command, {f: v for f, v in required.items() if f != flag}))
+        cases.append([command, flag])
+    for tail in (["--no-such-flag"], ["extra"], ["--", "x"], ["extra", "--no-such-flag", "x"]):
+        cases.append(_argv(command, required) + tail)
+    return cases
+
+
+def _tree_main(argv):
+    """main as the full tree alone runs it."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except cli._UsageError as exc:
+        print(exc, file=sys.stderr)
+        return cli.EXIT_USAGE
+    return args.func(args)
+
+
+def _outcome(run, argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_every_flag_has_a_case():
+    assert list(EVERY_FLAG) == list(cli._COMMANDS)
+    for command, (_, _, options) in cli._COMMANDS.items():
+        assert list(EVERY_FLAG[command]) == [flag for flag, _ in options]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_parser_holds_only_its_flags(command):
+    parser = cli.build_parser(command)
+    assert parser.prog == f"aoiplan {command}"
+    assert parser._subparsers is None
+    flags = [flag for flag, _ in cli._COMMANDS[command][2]]
+    assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"] + flags
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_parser_matches_tree(command):
+    for argv in _parsed_cases(command):
+        args = cli.build_parser(command).parse_args(argv[1:])
+        tree = cli.build_parser().parse_args(argv)
+        assert vars(args) == vars(tree)
+        assert args.func is tree.func is cli._COMMANDS[command][1]
+        assert args.command == command
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_main_matches_tree(command, capsys, monkeypatch):
+    def handler(args):
+        print(sorted((k, v) for k, v in vars(args).items() if k != "func"))
+        return 7
+
+    help_line, _, options = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (help_line, handler, options))
+    for argv in _parsed_cases(command) + _refused_cases(command):
+        assert _outcome(main, argv, capsys) == _outcome(_tree_main, argv, capsys), argv
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--help"], ["-h"], ["--he"], ["no-such-command"], ["sol"], ["--nodes", "2"]]
+)
+def test_main_without_a_command_matches_tree(argv, capsys):
+    assert _outcome(main, argv, capsys) == _outcome(_tree_main, argv, capsys)
+
+
+def test_main_builds_only_the_invoked_parser(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: calls.append(a) or build(*a))
+    path = save(tmp_path, build_scenario([1, 1]))
+    assert main(["solve", "--scenario", path, "--schedule", "1,2", "--out", str(tmp_path / "o")]) == 0
+    assert calls == [("solve",)]
+    assert read_json(tmp_path / "o" / "manifest.json")["command"] == "solve"
+    for argv in ([], ["--help"], ["no-such-command"]):
+        calls.clear()
+        _outcome(main, argv, capsys)
+        assert calls == [(None,)]
+    capsys.readouterr()

@@ -135,6 +135,17 @@ def test_table_csv_layout(tmp_path):
     assert len(rows) == 1 + result.num_candidates
 
 
+def test_row_orders_spell_every_candidate():
+    # The reference spells each order on its own, one join per order.
+    scenario = build_scenario([2, 2, 1])
+    want = [
+        "-".join(str(v) for v in order)
+        for combo in count_grid(all_max_updates(scenario))
+        for order in multiset_permutations(combo).tolist()
+    ]
+    assert [row[0] for row in enumerate_optimal(scenario).rows] == want
+
+
 def test_enumeration_is_deterministic():
     scenario = build_scenario([2, 1])
     a = enumerate_optimal(scenario)

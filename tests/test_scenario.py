@@ -316,3 +316,20 @@ def test_yaml_loaders_give_equal_scenarios(tmp_path, monkeypatch, capsys, fallba
             load_scenario(path)
         assert main(["bounds", "--scenario", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_saved_bytes_equal_safe_dump(tmp_path):
+    # save_scenario writes through libyaml's emitter where PyYAML has it.
+    import yaml
+
+    scenarios = [build_scenario([1, 2], weights=[0.4, 0.6]), build_scenario([2, 2, 2], vmax=3.0)]
+    for nodes in range(1, 9):
+        for seed in range(3):
+            scenarios.append(generate_scenario(nodes, seed=seed))
+            scenarios.append(
+                generate_scenario(nodes, seed=seed, region=733.3, altitude_m=61.7, horizon_s=3600.0)
+            )
+    path = tmp_path / "scenario.yaml"
+    for scenario in scenarios:
+        save_scenario(scenario, path)
+        assert path.read_text(encoding="utf-8") == yaml.safe_dump(scenario.to_document(), sort_keys=False)

@@ -11,6 +11,7 @@ of how many updates an episode has accumulated.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -39,30 +40,51 @@ from .solver import TrajectorySolution
 
 
 class ReplayMemory:
-    """Fixed-capacity ring buffer with uniform sampling (with replacement)."""
+    """Fixed-capacity ring of transitions with uniform sampling (with
+    replacement).
+
+    Transitions are kept as five preallocated columns: observation, action,
+    reward, next observation and terminal. The first push sizes them from
+    its observation's width. A sample gathers rows, so a batch is a copy
+    that later pushes leave alone.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._items: list[Any] = []
+        self._columns: tuple[np.ndarray, ...] = ()
+        self._len = 0
         self._next = 0
 
-    def push(self, item: Any) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._next] = item
+    def push(
+        self, obs: np.ndarray, action: int, reward: float, next_obs: np.ndarray, terminal: bool
+    ) -> None:
+        if not self._columns:
+            # np.zeros takes zeroed pages, so only rows written become resident.
+            n, width = self.capacity, obs.size
+            self._columns = (
+                np.zeros((n, width)),
+                np.zeros(n, dtype=np.int64),
+                np.zeros(n),
+                np.zeros((n, width)),
+                np.zeros(n, dtype=bool),
+            )
+        for column, value in zip(self._columns, (obs, action, reward, next_obs, terminal)):
+            column[self._next] = value
         self._next = (self._next + 1) % self.capacity
+        self._len = min(self._len + 1, self.capacity)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._len
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> list[Any]:
-        if not self._items:
+    def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
+        """Columns (obs, action, reward, next_obs, terminal) at batch_size
+        rows drawn uniformly."""
+        if not self._len:
             raise ValueError("cannot sample from an empty replay memory")
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        idx = rng.integers(0, self._len, size=batch_size)
+        return tuple(column[idx] for column in self._columns)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +177,9 @@ class ScheduleTask:
     """Visit-order environment wrapped behind a vector observation.
 
     A state depends only on its order, so each order is encoded once; the
-    kept observations are read-only, since replay shares them. Without a
-    ``repr_`` nothing is encoded and the observation is the state matrix,
+    kept observations are read-only, since every step that reaches an
+    order gets the same array (replay copies it into its columns). Without
+    a ``repr_`` nothing is encoded and the observation is the state matrix,
     for action rules that do not read it.
     """
 
@@ -307,6 +330,7 @@ def dqn_train_task(
     net = DenseNet.init(sizes, acts, rng)
     optimizer = make_optimizer(config.optimizer, config.lr)
     replay = ReplayMemory(REPLAY_CAPACITY)
+    rows = np.arange(config.batch_size)
     curve: list[EpisodeStats] = []
 
     def explore(obs: np.ndarray) -> int:
@@ -320,32 +344,26 @@ def dqn_train_task(
         ep_return = 0.0
         steps = 0
         for transition in _episode(task, explore):
-            replay.push(transition)
+            replay.push(*transition)
             ep_return += transition[2]
             steps += 1
 
         target_net = net.clone()
         loss = float("nan")
         for _ in range(config.grad_steps_per_episode):
-            batch = replay.sample(rng, config.batch_size)
-            xs = np.stack([item[0] for item in batch])
-            next_xs = np.stack([item[3] for item in batch])
-            actions = np.array([item[1] for item in batch], dtype=int)
-            rewards = np.array([item[2] for item in batch])
-            terminals = np.array([item[4] for item in batch], dtype=bool)
-
+            xs, actions, rewards, next_xs, terminals = replay.sample(rng, config.batch_size)
             next_q = target_net.forward(next_xs)
             targets = rewards + np.where(terminals, 0.0, next_q.max(axis=1))
             out, acts_cache = net.forward_cached(xs)
-            picked = out[np.arange(len(batch)), actions]
+            picked = out[rows, actions]
             errors = picked - targets
-            loss = float(np.mean(errors * errors))
+            # The reduction np.mean runs, without its Python-level wrapper.
+            loss = float((errors * errors).sum() / config.batch_size)
             _check_loss(loss)
-            dy = np.zeros_like(out)
-            dy[np.arange(len(batch)), actions] = 2.0 * errors / len(batch)
+            dy = np.zeros(out.shape)
+            dy[rows, actions] = 2.0 * errors / config.batch_size
             dws, dbs, _ = net.backward(acts_cache, dy)
-            flat = optimizer.step(net.params_flat(), net.grads_flat(dws, dbs))
-            net.set_flat(flat)
+            net.set_flat(optimizer.step(net.params_flat(), net.grads_flat(dws, dbs)))
 
         metric = getattr(task, "metric", float("nan"))
         curve.append(
@@ -510,6 +528,19 @@ class Seq2SeqAutoencoder(FlatModel):
     def reconstruction_mse(self, normalized: np.ndarray) -> float:
         err = self._reconstruct(normalized)[-1]
         return float(np.mean(err * err))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        # Each part, copied so that a clone's parts are its own, takes its
+        # slice of the one vector.
+        self.flat = flat
+        parts = []
+        offset = 0
+        for part in (self.encoder, self.decoder, self.head):
+            part = copy.copy(part)
+            part._bind(flat[offset : offset + part.flat.size])
+            offset += part.flat.size
+            parts.append(part)
+        self.encoder, self.decoder, self.head = parts
 
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
         return (

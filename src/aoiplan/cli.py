@@ -170,9 +170,8 @@ def _ensure_out(path: str) -> Path:
 
 
 def _write_json(path: Path, doc: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # One encode and one write; json.dump would write each token separately.
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_manifest(out: Path, args: argparse.Namespace) -> None:

@@ -1,11 +1,14 @@
 """Dense and recurrent layers over the numpy kernels, plus checkpoints.
 
-Models hold their parameters as plain float64 arrays and know how to
-flatten them, so optimizers and checkpoints work on a single vector.
+Every model keeps its parameters in one float64 vector, and its named
+arrays are reshaped views of that vector. Reading the vector is one copy
+and an optimizer step writes it back with one slice assignment.
+Checkpoints store the named arrays.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
@@ -36,24 +39,54 @@ def prefixed(prefix: str, arrays: list[tuple[str, np.ndarray]]) -> list[tuple[st
 
 
 class FlatModel:
-    """A model whose flat parameter vector is its ``to_arrays()`` in order."""
+    """A model whose parameters are views of one float64 vector, ``flat``.
+
+    The vector holds the ``to_arrays()`` entries in order, and each named
+    array is a reshaped slice of it, so writing the vector writes every
+    parameter. A model built from arrays copies them into a new vector.
+    Rebinding an array attribute detaches it from the vector.
+    """
+
+    flat: np.ndarray
 
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
         raise NotImplementedError
 
+    def _set_arrays(self, arrays: list[np.ndarray]) -> None:
+        """Point the parameter attributes at arrays, in to_arrays order."""
+        raise NotImplementedError
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Take flat as the parameter vector and the arrays as its slices."""
+        views = []
+        offset = 0
+        for _, arr in self.to_arrays():
+            views.append(flat[offset : offset + arr.size].reshape(arr.shape))
+            offset += arr.size
+        self.flat = flat
+        self._set_arrays(views)
+
+    def __post_init__(self) -> None:
+        self._bind(
+            np.concatenate([arr.ravel() for _, arr in self.to_arrays()], dtype=np.float64)
+        )
+
     def params_flat(self) -> np.ndarray:
-        return flatten(arr for _, arr in self.to_arrays())
+        """A copy of the parameter vector."""
+        return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         """Write flat into the parameters in place; a vector of the wrong
         length raises before anything is written."""
-        arrays = [arr for _, arr in self.to_arrays()]
-        if flat.size != sum(arr.size for arr in arrays):
+        if flat.size != self.flat.size:
             raise ValueError("flat parameter vector has the wrong length")
-        offset = 0
-        for arr in arrays:
-            arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
+        self.flat[:] = flat
+
+    def clone(self) -> FlatModel:
+        """The same model over a copy of the parameter vector."""
+        twin = copy.copy(self)
+        twin._bind(self.flat.copy())
+        return twin
 
 
 @dataclass
@@ -106,20 +139,16 @@ class DenseNet(FlatModel):
         """Gradients packed in the order of to_arrays."""
         return flatten(g for pair in zip(dws, dbs) for g in pair)
 
-    def clone(self) -> "DenseNet":
-        return DenseNet(
-            sizes=self.sizes,
-            activations=self.activations,
-            ws=[w.copy() for w in self.ws],
-            bs=[b.copy() for b in self.bs],
-        )
-
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
         out = []
         for i, (w, b) in enumerate(zip(self.ws, self.bs)):
             out.append((f"w{i}", w))
             out.append((f"b{i}", b))
         return out
+
+    def _set_arrays(self, arrays: list[np.ndarray]) -> None:
+        self.ws = arrays[0::2]
+        self.bs = arrays[1::2]
 
 
 @dataclass
@@ -180,6 +209,9 @@ class LstmCell(FlatModel):
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [("wg", self.wg), ("bg", self.bg)]
 
+    def _set_arrays(self, arrays: list[np.ndarray]) -> None:
+        self.wg, self.bg = arrays
+
 
 class SgdOptimizer:
     """Plain gradient descent."""
@@ -188,7 +220,7 @@ class SgdOptimizer:
         self.lr = lr
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(grads)):
+        if not np.isfinite(grads).all():
             raise NonFiniteGradientError("gradient contains non-finite entries")
         return params - self.lr * grads
 
@@ -206,14 +238,18 @@ class AdamOptimizer:
         self._t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(grads)):
+        if not np.isfinite(grads).all():
             raise NonFiniteGradientError("gradient contains non-finite entries")
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
         self._t += 1
-        self._m = self.beta1 * self._m + (1 - self.beta1) * grads
-        self._v = self.beta2 * self._v + (1 - self.beta2) * grads * grads
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g,
+        # evaluated in place in the same order.
+        self._m *= self.beta1
+        self._m += (1 - self.beta1) * grads
+        self._v *= self.beta2
+        self._v += (1 - self.beta2) * grads * grads
         m_hat = self._m / (1 - self.beta1**self._t)
         v_hat = self._v / (1 - self.beta2**self._t)
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -55,22 +55,39 @@ from conftest import build_scenario
 # ---------------------------------------------------------------------------
 
 
+def _push_numbered(memory, values):
+    # Transition v: observation (v, -v), action v, reward v/2, next
+    # observation (v + 1, 0), terminal when v is even.
+    for v in values:
+        memory.push(np.array([v, -v], dtype=float), v, v / 2, np.array([v + 1.0, 0.0]), v % 2 == 0)
+
+
 def test_replay_ring_overwrites_oldest():
     memory = ReplayMemory(3)
-    for value in range(5):
-        memory.push(value)
+    _push_numbered(memory, range(5))
     assert len(memory) == 3
-    assert sorted(memory._items) == [2, 3, 4]
+    obs, actions, rewards, next_obs, terminals = memory.sample(np.random.default_rng(0), 200)
+    assert set(actions.tolist()) == {2, 3, 4}
+    assert obs.shape == next_obs.shape == (200, 2)
+    assert np.array_equal(obs, np.stack([actions, -actions], axis=1))
+    assert np.array_equal(rewards, actions / 2)
+    assert np.array_equal(next_obs[:, 0], actions + 1.0)
+    assert np.array_equal(terminals, actions % 2 == 0)
+    # A batch is a copy: later pushes leave it alone.
+    kept = obs.copy()
+    _push_numbered(memory, range(5, 8))
+    assert np.array_equal(obs, kept)
 
 
 def test_replay_sampling_reproducible():
     memory = ReplayMemory(10)
-    for value in range(10):
-        memory.push(value)
+    _push_numbered(memory, range(10))
     a = memory.sample(np.random.default_rng(3), 6)
     b = memory.sample(np.random.default_rng(3), 6)
-    assert a == b
-    assert all(0 <= v < 10 for v in a)
+    for col_a, col_b in zip(a, b, strict=True):
+        assert np.array_equal(col_a, col_b)
+    # Row v holds transition v, and rows are drawn as rng.integers(0, len, size).
+    assert np.array_equal(a[1], np.random.default_rng(3).integers(0, 10, size=6))
 
 
 def test_replay_empty_sample_raises():
@@ -536,6 +553,41 @@ def test_dqn_train_with_encoder_is_autoencoder_mode(tmp_path):
     assert greedy_evaluate(loaded, scenario) == greedy_evaluate(agent, scenario)
 
 
+def _assert_views(model):
+    for name, arr in model.to_arrays():
+        assert np.shares_memory(arr, model.flat), name
+
+
+@pytest.mark.parametrize("encoder_size", [None, 4])
+def test_agent_checkpoint_loads_into_views(tmp_path, encoder_size):
+    scenario = build_scenario([1, 1])
+    encoder = None if encoder_size is None else LstmCell.init(3, encoder_size, np.random.default_rng(1))
+    agent, _ = dqn_train(scenario, DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0, encoder=encoder)
+    save_agent(tmp_path / "agent.ckpt", agent)
+    loaded = load_agent(tmp_path / "agent.ckpt", scenario)
+    _assert_views(loaded.net)
+    assert np.array_equal(loaded.net.flat, agent.net.flat)
+    if encoder is not None:
+        _assert_views(loaded.repr.encoder)
+        assert np.array_equal(loaded.repr.encoder.flat, encoder.flat)
+    # The loaded vector drives the net: zeroing it zeroes every action value.
+    loaded.net.set_flat(np.zeros(loaded.net.flat.size))
+    assert not loaded.net.forward(np.ones(loaded.net.sizes[0])).any()
+
+
+def test_autoencoder_checkpoint_loads_into_views(tmp_path):
+    model = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(5))
+    save_autoencoder(tmp_path / "model.ckpt", model)
+    loaded, _ = load_autoencoder(tmp_path / "model.ckpt")
+    _assert_views(loaded)
+    for part in (loaded.encoder, loaded.decoder, loaded.head):
+        _assert_views(part)
+        assert np.shares_memory(part.flat, loaded.flat)
+    assert np.array_equal(loaded.flat, model.flat)
+    save_autoencoder(tmp_path / "again.ckpt", loaded)
+    assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "model.ckpt").read_bytes()
+
+
 def test_agent_checkpoint_node_count_guard(tmp_path):
     scenario = build_scenario([1, 1])
     agent, _ = dqn_train(scenario, DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0)
@@ -906,7 +958,9 @@ def _reference_dqn_train_task(task, config, episodes, seed):
     acts = tuple(["relu"] * len(config.hidden_sizes) + ["identity"])
     net = DenseNet.init(sizes, acts, rng)
     optimizer = make_optimizer(config.optimizer, config.lr)
-    replay = ReplayMemory(agents.REPLAY_CAPACITY)
+    # Replay as a plain list ring of transition tuples.
+    replay = []
+    next_slot = 0
     curve = []
     for episode in range(episodes):
         eps = epsilon_at(episode, episodes, config)
@@ -920,14 +974,19 @@ def _reference_dqn_train_task(task, config, episodes, seed):
             else:
                 action = int(np.argmax(net.forward(obs)))
             next_obs, reward, terminal = task.step(action)
-            replay.push((obs, action, reward, next_obs, terminal))
+            item = (obs, action, reward, next_obs, terminal)
+            if len(replay) < agents.REPLAY_CAPACITY:
+                replay.append(item)
+            else:
+                replay[next_slot] = item
+            next_slot = (next_slot + 1) % agents.REPLAY_CAPACITY
             ep_return += reward
             obs = next_obs
             steps += 1
         target_net = net.clone()
         loss = float("nan")
         for _ in range(config.grad_steps_per_episode):
-            batch = replay.sample(rng, config.batch_size)
+            batch = [replay[i] for i in rng.integers(0, len(replay), size=config.batch_size)]
             xs = np.stack([item[0] for item in batch])
             next_xs = np.stack([item[3] for item in batch])
             actions = np.array([item[1] for item in batch], dtype=int)

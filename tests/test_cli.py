@@ -890,6 +890,39 @@ def test_sweep_repeated_entries_exit_1(tmp_path, capsys, flag, entries):
 
 
 # ---------------------------------------------------------------------------
+# JSON artifacts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["solve", "enumerate", "train-dqn"])
+def test_json_artifacts_are_the_bytes_json_dump_writes(tmp_path, monkeypatch, capsys, command):
+    path = save(tmp_path, build_scenario([1, 1]))
+    out = tmp_path / "run"
+    argv = {
+        "solve": ["solve", "--scenario", path, "--schedule", "1,2"],
+        "enumerate": ["enumerate", "--scenario", path],
+        "train-dqn": ["train-dqn", "--scenario", path, "--episodes", "4", "--hidden", "4"],
+    }[command]
+    written = []
+    write_json = cli._write_json
+
+    def recording(target, doc):
+        written.append((target, doc))
+        write_json(target, doc)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    # The command's own document and its manifest.
+    assert len(written) >= 2 and "manifest.json" in [target.name for target, _ in written]
+    for target, doc in written:
+        with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert target.read_bytes() == (tmp_path / "want.json").read_bytes(), target.name
+
+
+# ---------------------------------------------------------------------------
 # Argument parsing: each command's own parser against the full tree
 # ---------------------------------------------------------------------------
 

@@ -135,6 +135,82 @@ def test_wrong_length_flat_vector_changes_nothing(kind, extra):
         assert arr.shape == old.shape and np.array_equal(arr, old), name
 
 
+def _output(model, xs):
+    if isinstance(model, DenseNet):
+        return model.forward(xs)
+    if isinstance(model, LstmCell):
+        return model.seq_forward(xs)[0]
+    return model.encode_columns(xs)
+
+
+@pytest.mark.parametrize("kind", ["dense", "lstm", "autoencoder"])
+def test_parameter_arrays_are_views_of_the_flat_vector(kind):
+    model = _model(kind)
+    assert model.flat.dtype == np.float64 and model.flat.ndim == 1
+    for name, arr in model.to_arrays():
+        assert np.shares_memory(arr, model.flat), name
+    if kind == "autoencoder":
+        for part in (model.encoder, model.decoder, model.head):
+            assert np.shares_memory(part.flat, model.flat)
+    # Writing through an array shows in the vector, and the other way round.
+    name, arr = model.to_arrays()[0]
+    arr.flat[0] = 123.0
+    assert model.flat[0] == 123.0
+    model.flat[-1] = -7.0
+    assert model.to_arrays()[-1][1].ravel()[-1] == -7.0
+
+
+@pytest.mark.parametrize("kind", ["dense", "lstm", "autoencoder"])
+def test_set_flat_changes_the_forward_output(kind):
+    model = _model(kind)
+    xs = np.random.default_rng(1).normal(size=(4, 3))
+    before = _output(model, xs)
+    model.set_flat(model.params_flat() * 1.5 + 0.1)
+    after = _output(model, xs)
+    assert not np.array_equal(before, after)
+    model.set_flat(np.zeros(model.flat.size))
+    assert np.array_equal(_output(model, xs), np.zeros_like(after))
+
+
+@pytest.mark.parametrize("kind", ["dense", "lstm", "autoencoder"])
+def test_params_flat_is_a_copy_callers_may_mutate(kind):
+    model = _model(kind)
+    want = model.flat.copy()
+    got = model.params_flat()
+    assert not np.shares_memory(got, model.flat)
+    got[:] = 5.0
+    assert np.array_equal(model.flat, want)
+    assert np.array_equal(model.params_flat(), want)
+
+
+@pytest.mark.parametrize("kind", ["dense", "lstm", "autoencoder"])
+def test_clone_shares_nothing(kind):
+    model = _model(kind)
+    twin = model.clone()
+    assert type(twin) is type(model)
+    assert np.array_equal(twin.flat, model.flat)
+    assert not np.shares_memory(twin.flat, model.flat)
+    for (name, a), (_, b) in zip(twin.to_arrays(), model.to_arrays(), strict=True):
+        assert np.shares_memory(a, twin.flat) and not np.shares_memory(a, b), name
+    xs = np.random.default_rng(2).normal(size=(3, 3))
+    want = _output(model, xs)
+    twin.set_flat(np.zeros(twin.flat.size))
+    assert np.array_equal(_output(model, xs), want)
+    model.set_flat(model.params_flat() + 1.0)
+    assert not twin.flat.any()
+
+
+def test_model_built_from_arrays_copies_them():
+    rng = np.random.default_rng(8)
+    ws = [rng.normal(size=(2, 3))]
+    bs = [rng.normal(size=2)]
+    net = DenseNet(sizes=(3, 2), activations=("identity",), ws=ws, bs=bs)
+    assert not np.shares_memory(net.ws[0], ws[0]) and not np.shares_memory(net.bs[0], bs[0])
+    assert np.array_equal(net.flat, np.concatenate([ws[0].ravel(), bs[0]]))
+    net.set_flat(np.zeros(net.flat.size))
+    assert ws[0].any() and bs[0].any()
+
+
 def test_zero_lstm_is_silent():
     rng = np.random.default_rng(5)
     cell = LstmCell.init(3, 4, rng)
@@ -341,6 +417,23 @@ def test_adam_first_step_is_lr_sized():
     out = opt.step(theta, np.array([3.7, -0.004]))
     assert out[0] == pytest.approx(-0.01, rel=1e-5)
     assert out[1] == pytest.approx(0.01, rel=1e-2)
+
+
+def test_adam_steps_are_the_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(11)
+    opt = AdamOptimizer(lr=0.01)
+    params = want = rng.normal(size=7)
+    m = v = np.zeros(7)
+    for t in range(1, 6):
+        grads = rng.normal(size=7)
+        kept = params.copy(), grads.copy()
+        m = 0.9 * m + (1 - 0.9) * grads
+        v = 0.999 * v + (1 - 0.999) * grads * grads
+        want = want - 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        out = opt.step(params, grads)
+        assert np.array_equal(out, want)
+        assert np.array_equal(params, kept[0]) and np.array_equal(grads, kept[1])
+        params = out
 
 
 def test_optimizers_reject_non_finite_gradients():

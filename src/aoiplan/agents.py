@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Protocol
 import numpy as np
 
 from .errors import CheckpointError, DivergenceError
-from .mdp import ScheduleEnv, StateMatrix
+from .mdp import ScheduleEnv, StateMatrix, Step
 from .nnet import (
     ACTIVATIONS,
     DenseNet,
@@ -39,14 +39,23 @@ from .solver import TrajectorySolution
 # ---------------------------------------------------------------------------
 
 
+def _column(capacity: int, value: Any) -> np.ndarray:
+    """Zeroed rows shaped like value: bool for a boolean value, float64 for
+    any other, so an int first reward does not truncate later ones."""
+    value = np.asarray(value)
+    # np.zeros takes zeroed pages, so only rows written become resident.
+    return np.zeros((capacity, *value.shape), dtype=bool if value.dtype == bool else float)
+
+
 class ReplayMemory:
     """Fixed-capacity ring of transitions with uniform sampling (with
     replacement).
 
-    Transitions are kept as five preallocated columns: observation, action,
-    reward, next observation and terminal. The first push sizes them from
-    its observation's width. A sample gathers rows, so a batch is a copy
-    that later pushes leave alone.
+    A transition is an observation, the action taken there and the `Step`
+    that followed. Each is kept in a preallocated column sized at the first
+    push: the observation, the action (int64) and every field of the step
+    but its ``info``. A sample gathers rows, so a batch is a copy that later
+    pushes leave alone.
     """
 
     def __init__(self, capacity: int):
@@ -57,20 +66,16 @@ class ReplayMemory:
         self._len = 0
         self._next = 0
 
-    def push(
-        self, obs: np.ndarray, action: int, reward: float, next_obs: np.ndarray, terminal: bool
-    ) -> None:
+    def push(self, obs: np.ndarray, action: int, step: Step) -> None:
+        fields = step[:-1]
         if not self._columns:
-            # np.zeros takes zeroed pages, so only rows written become resident.
-            n, width = self.capacity, obs.size
+            n = self.capacity
             self._columns = (
-                np.zeros((n, width)),
+                _column(n, obs),
                 np.zeros(n, dtype=np.int64),
-                np.zeros(n),
-                np.zeros((n, width)),
-                np.zeros(n, dtype=bool),
+                *(_column(n, value) for value in fields),
             )
-        for column, value in zip(self._columns, (obs, action, reward, next_obs, terminal)):
+        for column, value in zip(self._columns, (obs, action, *fields)):
             column[self._next] = value
         self._next = (self._next + 1) % self.capacity
         self._len = min(self._len + 1, self.capacity)
@@ -78,13 +83,13 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._len
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
-        """Columns (obs, action, reward, next_obs, terminal) at batch_size
-        rows drawn uniformly."""
+    def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, np.ndarray, Step]:
+        """(obs, action, Step of columns) at batch_size rows drawn uniformly."""
         if not self._len:
             raise ValueError("cannot sample from an empty replay memory")
         idx = rng.integers(0, self._len, size=batch_size)
-        return tuple(column[idx] for column in self._columns)
+        obs, action, *fields = (column[idx] for column in self._columns)
+        return obs, action, Step(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +168,16 @@ class StateRepr:
 
 
 class VectorTask(Protocol):
-    """Episodic task with vector observations, as the trainer sees it."""
+    """Episodic task as the episode runner sees it; the trainer needs vector
+    observations. A step returns a `Step` or a plain (obs, reward, terminal)
+    tuple."""
 
     @property
     def num_actions(self) -> int: ...
 
     def reset(self) -> np.ndarray: ...
 
-    def step(self, action: int) -> tuple[np.ndarray, float, bool]: ...
+    def step(self, action: int) -> Step: ...
 
 
 class ScheduleTask:
@@ -178,19 +185,15 @@ class ScheduleTask:
 
     A state depends only on its order, so each order is encoded once; the
     kept observations are read-only, since every step that reaches an
-    order gets the same array (replay copies it into its columns). Without
-    a ``repr_`` nothing is encoded and the observation is the state matrix,
-    for action rules that do not read it.
+    order gets the same array (replay copies it into its columns).
     """
 
-    def __init__(self, env: ScheduleEnv, repr_: StateRepr | None = None):
+    def __init__(self, env: ScheduleEnv, repr_: StateRepr):
         self.env = env
         self.repr = repr_
         self._obs: dict[tuple[int, ...], np.ndarray] = {}
 
-    def _observe(self, state: StateMatrix) -> np.ndarray | StateMatrix:
-        if self.repr is None:
-            return state
+    def _observe(self, state: StateMatrix) -> np.ndarray:
         obs = self._obs.get(self.env.order)
         if obs is None:
             obs = self._obs[self.env.order] = self.repr.encode(state)
@@ -205,12 +208,12 @@ class ScheduleTask:
     def metric(self) -> float:
         return self.env.metric
 
-    def reset(self) -> np.ndarray | StateMatrix:
+    def reset(self) -> np.ndarray:
         return self._observe(self.env.reset())
 
-    def step(self, action: int) -> tuple[np.ndarray | StateMatrix, float, bool]:
-        transition = self.env.step(action)
-        return self._observe(transition.next_state), transition.reward, transition.terminal
+    def step(self, action: int) -> Step:
+        step = self.env.step(action)
+        return step._replace(obs=self._observe(step.obs))
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +300,19 @@ def _check_loss(loss: float) -> None:
         raise DivergenceError(f"training loss {loss:.3g} exceeded limit {DIVERGENCE_LIMIT:.3g}")
 
 
-def _episode(task: VectorTask, choose: Callable[[np.ndarray], int]) -> Iterator[tuple]:
+def _episode(task: VectorTask, choose: Callable[[Any], int]) -> Iterator[tuple[Any, int, Step]]:
     """Run one episode of task, for at most MAX_EPISODE_STEPS steps, choosing
-    each action from the observation; yields (obs, action, reward, next_obs,
-    terminal) per step."""
+    each action from the observation; yields (obs, action, step) per step.
+    A task may return a `Step` or a plain (obs, reward, terminal) tuple;
+    either way the runner yields a `Step`."""
     obs = task.reset()
     for _ in range(MAX_EPISODE_STEPS):
         action = choose(obs)
-        next_obs, reward, terminal = task.step(action)
-        yield obs, action, reward, next_obs, terminal
-        if terminal:
+        step = Step(*task.step(action))
+        yield obs, action, step
+        if step.terminal:
             return
-        obs = next_obs
+        obs = step.obs
 
 
 def dqn_train_task(
@@ -343,17 +347,17 @@ def dqn_train_task(
         eps = epsilon_at(episode, episodes, config)
         ep_return = 0.0
         steps = 0
-        for transition in _episode(task, explore):
-            replay.push(*transition)
-            ep_return += transition[2]
+        for obs, action, step in _episode(task, explore):
+            replay.push(obs, action, step)
+            ep_return += step.reward
             steps += 1
 
         target_net = net.clone()
         loss = float("nan")
         for _ in range(config.grad_steps_per_episode):
-            xs, actions, rewards, next_xs, terminals = replay.sample(rng, config.batch_size)
-            next_q = target_net.forward(next_xs)
-            targets = rewards + np.where(terminals, 0.0, next_q.max(axis=1))
+            xs, actions, nxt = replay.sample(rng, config.batch_size)
+            next_q = target_net.forward(nxt.obs)
+            targets = nxt.reward + np.where(nxt.terminal, 0.0, next_q.max(axis=1))
             out, acts_cache = net.forward_cached(xs)
             picked = out[rows, actions]
             errors = picked - targets
@@ -430,7 +434,7 @@ def weight_based_rollout(
     metric, final state)."""
     env = ScheduleEnv(scenario, solve_cache=solve_cache)
     choose = _weight_choice(scenario, np.random.default_rng(seed))
-    for _ in _episode(ScheduleTask(env), choose):
+    for _ in _episode(env, choose):
         pass
     return env.order, env.metric, env.state
 
@@ -447,12 +451,11 @@ def collect_states(
     so the encoder sees single-column matrices too.
     """
     env = ScheduleEnv(scenario, solve_cache=solve_cache)
-    task = ScheduleTask(env)
     choose = _weight_choice(scenario, np.random.default_rng(seed))
     corpus = []
     for _ in range(episodes):
         corpus.append(env.reset())
-        corpus.extend(env.state for *_, terminal in _episode(task, choose) if not terminal)
+        corpus.extend(step.obs for _, _, step in _episode(env, choose) if not step.terminal)
     return corpus
 
 

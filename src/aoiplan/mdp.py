@@ -13,8 +13,9 @@ extended order; the state never depends on how the order was reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -82,20 +83,16 @@ def initial_state(scenario: Scenario) -> StateMatrix:
     return StateMatrix(columns=cols)
 
 
-@dataclass
-class Transition:
-    """One environment step."""
+class Step(NamedTuple):
+    """What one step returns: the observation reached, the reward for
+    reaching it and whether the episode ended. ``info`` holds diagnostics
+    that no learner reads; it stays last, so replay keeps a column for every
+    other field."""
 
-    state: StateMatrix
-    action: int
+    obs: Any
     reward: float
-    next_state: StateMatrix
     terminal: bool
-    info: dict[str, Any] = field(default_factory=dict)
-
-
-def episode_return(transitions: list[Transition]) -> float:
-    return float(sum(t.reward for t in transitions))
+    info: Mapping[str, Any] = MappingProxyType({})
 
 
 class ScheduleEnv:
@@ -106,7 +103,8 @@ class ScheduleEnv:
     (the energy budget or geometry cannot support it, or the solver did not
     converge) ends the episode, keeps the previous order, and pays
     ``infeasible_penalty`` (zero by default, so such an attempt simply
-    wastes the step).
+    wastes the step). Each step's observation is the state matrix, so the
+    env is an episodic task of its own for action rules that do not read it.
     """
 
     def __init__(
@@ -162,13 +160,12 @@ class ScheduleEnv:
         self._done = False
         return self._state
 
-    def step(self, action: int) -> Transition:
+    def step(self, action: int) -> Step:
         if self._done:
             raise EpisodeFinishedError("episode already terminated; call reset()")
         action = int(action)
         if action < 0 or action >= self.num_actions:
             raise ScheduleError(f"action {action} outside [0, {self.num_actions - 1}]")
-        state = self._state
         reward = 0.0
         rejection: dict[str, Any] = {}
         if action == TERMINATE:
@@ -188,11 +185,5 @@ class ScheduleEnv:
                 reward = self._metric - solution.objective
                 self._order, self._metric = candidate, solution.objective
                 self._state = self._states[candidate]
-        return Transition(
-            state=state,
-            action=action,
-            reward=reward,
-            next_state=self._state,
-            terminal=self._done,
-            info={"metric": self._metric, "order": self._order, **rejection},
-        )
+        info = {"metric": self._metric, "order": self._order, **rejection}
+        return Step(self._state, reward, self._done, info)

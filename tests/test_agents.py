@@ -15,6 +15,7 @@ from aoiplan import (
     ScheduleEnv,
     Seq2SeqAutoencoder,
     StateRepr,
+    Step,
     autoencoder_search,
     autoencoder_train,
     collect_states,
@@ -56,23 +57,31 @@ from conftest import build_scenario
 
 
 def _push_numbered(memory, values):
-    # Transition v: observation (v, -v), action v, reward v/2, next
-    # observation (v + 1, 0), terminal when v is even.
+    # Transition v: observation (v, -v), action v, then a step to
+    # observation (v + 1, 0) with reward v/2, terminal when v is even.
     for v in values:
-        memory.push(np.array([v, -v], dtype=float), v, v / 2, np.array([v + 1.0, 0.0]), v % 2 == 0)
+        step = Step(np.array([v + 1.0, 0.0]), v / 2, v % 2 == 0, {"v": v})
+        memory.push(np.array([v, -v], dtype=float), v, step)
+
+
+def _sampled_columns(sample):
+    obs, actions, nxt = sample
+    return obs, actions, nxt.obs, nxt.reward, nxt.terminal
 
 
 def test_replay_ring_overwrites_oldest():
     memory = ReplayMemory(3)
     _push_numbered(memory, range(5))
     assert len(memory) == 3
-    obs, actions, rewards, next_obs, terminals = memory.sample(np.random.default_rng(0), 200)
+    obs, actions, nxt = memory.sample(np.random.default_rng(0), 200)
     assert set(actions.tolist()) == {2, 3, 4}
-    assert obs.shape == next_obs.shape == (200, 2)
+    assert obs.shape == nxt.obs.shape == (200, 2)
     assert np.array_equal(obs, np.stack([actions, -actions], axis=1))
-    assert np.array_equal(rewards, actions / 2)
-    assert np.array_equal(next_obs[:, 0], actions + 1.0)
-    assert np.array_equal(terminals, actions % 2 == 0)
+    assert np.array_equal(nxt.reward, actions / 2)
+    assert np.array_equal(nxt.obs[:, 0], actions + 1.0)
+    assert np.array_equal(nxt.terminal, actions % 2 == 0)
+    # Replay keeps no diagnostics.
+    assert nxt.info == {}
     # A batch is a copy: later pushes leave it alone.
     kept = obs.copy()
     _push_numbered(memory, range(5, 8))
@@ -82,12 +91,27 @@ def test_replay_ring_overwrites_oldest():
 def test_replay_sampling_reproducible():
     memory = ReplayMemory(10)
     _push_numbered(memory, range(10))
-    a = memory.sample(np.random.default_rng(3), 6)
-    b = memory.sample(np.random.default_rng(3), 6)
+    a = _sampled_columns(memory.sample(np.random.default_rng(3), 6))
+    b = _sampled_columns(memory.sample(np.random.default_rng(3), 6))
     for col_a, col_b in zip(a, b, strict=True):
         assert np.array_equal(col_a, col_b)
     # Row v holds transition v, and rows are drawn as rng.integers(0, len, size).
     assert np.array_equal(a[1], np.random.default_rng(3).integers(0, 10, size=6))
+
+
+def test_replay_column_types_do_not_follow_the_first_push():
+    # An int first reward must not make an int column that truncates 0.5.
+    memory = ReplayMemory(4)
+    obs = np.array([1.0, 2.0])
+    memory.push(obs, 1, Step(obs, 0, False))
+    memory.push(obs, 2, Step(obs, 0.5, True))
+    _, actions, nxt = memory.sample(np.random.default_rng(0), 50)
+    assert set(nxt.reward.tolist()) == {0.0, 0.5}
+    assert np.array_equal(nxt.reward, np.where(nxt.terminal, 0.5, 0.0))
+    assert np.array_equal(nxt.terminal, actions == 2)
+    assert nxt.reward.dtype == np.float64
+    assert nxt.terminal.dtype == bool
+    assert actions.dtype == np.int64
 
 
 def test_replay_empty_sample_raises():
@@ -284,6 +308,22 @@ class OneShotTask:
 
     def step(self, action):
         return np.array([1.0, 0.0]), 0.7, True
+
+
+class ChainStepTask(ChainTask):
+    """ChainTask returning each step as a record, with diagnostics the
+    trainer must ignore."""
+
+    def step(self, action):
+        return Step(*super().step(action), info={"action": action})
+
+
+def test_tasks_may_return_tuples_or_step_records():
+    config = DqnConfig(hidden_sizes=(4,), lr=0.05, batch_size=8, grad_steps_per_episode=2)
+    net_a, curve_a = dqn_train_task(ChainTask(), config, episodes=40, seed=6)
+    net_b, curve_b = dqn_train_task(ChainStepTask(), config, episodes=40, seed=6)
+    assert np.array_equal(net_a.params_flat(), net_b.params_flat())
+    np.testing.assert_array_equal(np.array(_curve_rows(curve_a)), np.array(_curve_rows(curve_b)))
 
 
 def test_terminal_target_is_reward_only():
@@ -748,7 +788,7 @@ def _reference_collect(scenario, episodes, seed):
             transition = env.step(action)
             if transition.terminal:
                 break
-            corpus.append(transition.next_state)
+            corpus.append(transition.obs)
     return corpus
 
 
@@ -795,8 +835,9 @@ class _ReferenceTask:
         return self._observe(self.env.reset())
 
     def step(self, action):
+        # A plain (obs, reward, terminal) tuple, as toy tasks return.
         transition = self.env.step(action)
-        return self._observe(transition.next_state), transition.reward, transition.terminal
+        return self._observe(transition.obs), transition.reward, transition.terminal
 
 
 def _loaded_autoencoder_repr(path, scenario, encoder):
@@ -925,7 +966,8 @@ def test_memoized_observations_are_fresh_encodings_and_read_only(mode):
         returned.append(task.reset())
         terminal = False
         while not terminal:
-            obs, _, terminal = task.step(int(rng.integers(0, task.num_actions)))
+            step = task.step(int(rng.integers(0, task.num_actions)))
+            obs, terminal = step.obs, step.terminal
             returned.append(obs)
     memo = task._obs
     assert len(memo) > 5 and () in memo
@@ -973,7 +1015,8 @@ def _reference_dqn_train_task(task, config, episodes, seed):
                 action = int(rng.integers(0, task.num_actions))
             else:
                 action = int(np.argmax(net.forward(obs)))
-            next_obs, reward, terminal = task.step(action)
+            # The first three fields, whether the task returns a tuple or a Step.
+            next_obs, reward, terminal = task.step(action)[:3]
             item = (obs, action, reward, next_obs, terminal)
             if len(replay) < agents.REPLAY_CAPACITY:
                 replay.append(item)
@@ -1013,7 +1056,8 @@ def _reference_greedy(agent, scenario):
     steps = 0
     terminal = False
     while not terminal and steps < agents.MAX_EPISODE_STEPS:
-        obs, _, terminal = task.step(agent.greedy_action(obs))
+        step = task.step(agent.greedy_action(obs))
+        obs, terminal = step.obs, step.terminal
         steps += 1
     return task.env.order, task.env.metric
 

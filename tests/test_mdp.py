@@ -7,13 +7,17 @@ from aoiplan import (
     EpisodeFinishedError,
     ScheduleEnv,
     ScheduleError,
+    Step,
     build_state_matrix,
-    episode_return,
     lower_bound,
     solve_schedule,
 )
 from aoiplan.mdp import TERMINATE, initial_state
 from conftest import UNIT, build_scenario, nonconverged_at
+
+
+def episode_return(steps):
+    return float(sum(step.reward for step in steps))
 
 
 def test_initial_state_column():
@@ -100,7 +104,7 @@ def test_energy_bookkeeping():
     env = ScheduleEnv(scenario)
     env.step(1)
     transition = env.step(1)
-    state = transition.next_state
+    state = transition.obs
     state.validate(scenario)
     # Two updates hovering near the node each cost about one unit; hovering
     # exactly overhead is the cheapest possible, the ball caps the excess.
@@ -116,13 +120,14 @@ def test_infeasible_append_keeps_order():
     scenario = build_scenario([1])
     env = ScheduleEnv(scenario)
     env.step(1)
+    before = env.state
     transition = env.step(1)
     assert transition.terminal
     assert transition.reward == 0.0
     assert transition.info["rejected"] == (1, 1)
     assert "cannot afford" in transition.info["reason"]
     assert env.order == (1,)
-    assert np.array_equal(transition.next_state.columns, transition.state.columns)
+    assert np.array_equal(transition.obs.columns, before.columns)
 
 
 def test_infeasible_penalty_knob():
@@ -169,6 +174,16 @@ def test_shared_cache_skips_resolves():
     env_b.step(1)
     assert len(cache) == before
     assert env_b.metric == env_a.metric
+
+
+def test_step_info_defaults_to_an_empty_read_only_mapping():
+    step = Step(np.zeros(2), 0.5, False)
+    assert step.info == {}
+    with pytest.raises(TypeError):
+        step.info["reason"] = "set"
+    # The env's steps carry their own diagnostics.
+    info = ScheduleEnv(build_scenario([1])).step(1).info
+    assert info["order"] == (1,) and "rejected" not in info
 
 
 def test_state_validation_rejects_garbage():

@@ -757,7 +757,7 @@ def autoencoder_search(
     scenario: Scenario,
     corpus: list[StateMatrix],
     sizes: list[int],
-    config: AutoencoderConfig | None = None,
+    config: AutoencoderConfig,
     seed: int = 0,
 ) -> SearchResult:
     """Grid-search the compressed state size by held-out reconstruction MSE.
@@ -766,12 +766,11 @@ def autoencoder_search(
     one list of candidates covers both. Ties prefer the smaller size.
     """
     candidates = sorted(set(int(v) for v in sizes))
-    base = config or AutoencoderConfig()
     results: dict[int, float] = {}
     best: AutoencoderResult | None = None
     best_size = -1
     for size in candidates:
-        run = autoencoder_train(scenario, corpus, replace(base, state_size=size), seed)
+        run = autoencoder_train(scenario, corpus, replace(config, state_size=size), seed)
         results[size] = run.test_mse
         if best is None or run.test_mse < results[best_size]:
             best = run

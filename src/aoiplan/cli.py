@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -73,6 +73,13 @@ EXIT_BUDGET = 4
 
 SWEEP_AXES = ("nodes", "energy", "horizon", "speed")
 EVAL_POLICIES = ("enumerate", "weight", "dqn", "dqn-lstm")
+
+# The planner trains with Adam here, not DqnConfig's SGD at lr 0.01 and one
+# step per episode, on which criterion 8's reference values rest. The other
+# learning flags, except the epoch and corpus counts, default to config fields.
+_DQN = DqnConfig(lr=0.005, optimizer="adam", grad_steps_per_episode=4)
+_AE = AutoencoderConfig()
+_TRAIN_EPISODES = 300
 
 
 class _UsageError(Exception):
@@ -375,8 +382,9 @@ def _evaluate(
     cache: dict | None = None,
 ) -> tuple[dict[str, Any], float, int]:
     """Score one policy: (its document fields, its NWAoI, its unsettled solve count).
-    weight scores the mean of one rollout per seed; dqn rolls agent out greedily
-    through ``cache``, the solves its training made."""
+    weight scores the mean of one rollout per seed; dqn rolls agent out greedily.
+    Both solve through ``cache``: for dqn, the solves its training made."""
+    cache = {} if cache is None else cache
     if policy == "enumerate":
         result = enumerate_optimal(scenario, budget=budget, keep_rows=False)
         fields = {
@@ -388,7 +396,6 @@ def _evaluate(
         }
         return fields, result.objective, result.num_nonconverged
     if policy == "weight":
-        cache: dict = {}
         rollouts = [weight_based_rollout(scenario, s, solve_cache=cache)[:2] for s in seeds]
         metrics = np.asarray([metric for _, metric in rollouts])
         best_metric, best_order = min((metric, order) for order, metric in rollouts)
@@ -483,7 +490,7 @@ def _trained_agent(
             seed=seed,
         )
         encoder = ae.model.encoder
-    config = DqnConfig(lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
+    config = replace(_DQN, lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
     agent, _ = dqn_train(
         scenario, config, episodes=args.episodes, seed=seed, encoder=encoder, solve_cache=cache
     )
@@ -525,14 +532,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for policy in policies
         for seed in seeds
     ]
-    if args.workers is None:
-        try:
-            args.workers = _count(os.environ.get("AOIPLAN_WORKERS", "1"))
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"AOIPLAN_WORKERS: {exc}") from exc
-    workers = args.workers
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             raw = list(pool.map(_sweep_cell, cells))
     else:
         raw = [_sweep_cell(cell) for cell in cells]
@@ -564,7 +565,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-_OPTIMIZER = {"default": "adam", "choices": ["sgd", "adam"]}
+_OPTIMIZERS = ["sgd", "adam"]
 _Flags = tuple[tuple[str, dict[str, Any]], ...]
 
 # One entry per command: its help line, its handler and its flags, each a
@@ -598,16 +599,16 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], _Flags]] = 
     )),
     "train-dqn": ("train the action-value planner", cmd_train_dqn, (
         ("--scenario", {"required": True}),
-        ("--episodes", {"type": _count, "default": 300}),
+        ("--episodes", {"type": _count, "default": _TRAIN_EPISODES}),
         ("--seed", {"type": _seed, "default": 0}),
-        ("--hidden", {"default": "64"}),
-        ("--lr", {"type": _positive, "default": 0.005}),
-        ("--optimizer", _OPTIMIZER),
-        ("--epsilon-end", {"type": _fraction, "default": 0.02}),
-        ("--epsilon-decay-frac", {"type": _fraction, "default": 0.6}),
-        ("--batch-size", {"type": _count, "default": 32}),
-        ("--grad-steps", {"type": _count, "default": 4}),
-        ("--penalty", {"type": _nonnegative, "default": 0.0}),
+        ("--hidden", {"default": ",".join(map(str, _DQN.hidden_sizes))}),
+        ("--lr", {"type": _positive, "default": _DQN.lr}),
+        ("--optimizer", {"default": _DQN.optimizer, "choices": _OPTIMIZERS}),
+        ("--epsilon-end", {"type": _fraction, "default": _DQN.epsilon_end}),
+        ("--epsilon-decay-frac", {"type": _fraction, "default": _DQN.epsilon_decay_frac}),
+        ("--batch-size", {"type": _count, "default": _DQN.batch_size}),
+        ("--grad-steps", {"type": _count, "default": _DQN.grad_steps_per_episode}),
+        ("--penalty", {"type": _nonnegative, "default": _DQN.infeasible_penalty}),
         ("--state-mode", {"default": "last_column", "choices": ["last_column", "autoencoder"]}),
         ("--encoder", {"default": None, "help": "autoencoder checkpoint for --state-mode autoencoder"}),
         ("--out", {"required": True}),
@@ -618,9 +619,9 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], _Flags]] = 
         ("--seed", {"type": _seed, "default": 0}),
         ("--sizes", {"default": "4,8,16", "help": "candidate state sizes, comma list"}),
         ("--epochs", {"type": _count, "default": 40}),
-        ("--lr", {"type": _positive, "default": 0.01}),
-        ("--optimizer", _OPTIMIZER),
-        ("--batch", {"default": "stochastic", "choices": ["stochastic", "full"]}),
+        ("--lr", {"type": _positive, "default": _AE.lr}),
+        ("--optimizer", {"default": _AE.optimizer, "choices": _OPTIMIZERS}),
+        ("--batch", {"default": _AE.batch, "choices": ["stochastic", "full"]}),
         ("--out", {"required": True}),
     )),
     "eval": ("evaluate a planning policy on a scenario", cmd_eval, (
@@ -639,18 +640,14 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], _Flags]] = 
         ("--policies", {"default": "enumerate,weight"}),
         ("--seeds", {"default": "0"}),
         ("--budget", {"type": _count, "default": DEFAULT_BUDGET}),
-        ("--episodes", {"type": _count, "default": 300, "help": "training episodes per dqn cell"}),
-        ("--lr", {"type": _positive, "default": 0.005}),
-        ("--optimizer", _OPTIMIZER),
-        ("--grad-steps", {"type": _count, "default": 4}),
+        ("--episodes", {"type": _count, "default": _TRAIN_EPISODES, "help": "training episodes per dqn cell"}),
+        ("--lr", {"type": _positive, "default": _DQN.lr}),
+        ("--optimizer", {"default": _DQN.optimizer, "choices": _OPTIMIZERS}),
+        ("--grad-steps", {"type": _count, "default": _DQN.grad_steps_per_episode}),
         ("--corpus-episodes", {"type": _count, "default": 40}),
-        ("--state-size", {"type": _count, "default": 8}),
+        ("--state-size", {"type": _count, "default": _AE.state_size}),
         ("--ae-epochs", {"type": _count, "default": 30}),
-        ("--workers", {
-            "type": _count,
-            "default": None,
-            "help": "parallel cell evaluations (default from AOIPLAN_WORKERS, else 1)",
-        }),
+        ("--workers", {"type": _count, "default": 1, "help": "parallel cell evaluations"}),
         ("--out", {"required": True}),
     )),
 }

@@ -225,14 +225,16 @@ class SgdOptimizer:
         return params - self.lr * grads
 
 
-class AdamOptimizer:
-    """Adaptive moment estimation."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class AdamOptimizer:
+    """Adaptive moment estimation with decays ADAM_BETA1, ADAM_BETA2 and offset ADAM_EPS."""
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._t = 0
@@ -246,13 +248,13 @@ class AdamOptimizer:
         self._t += 1
         # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g,
         # evaluated in place in the same order.
-        self._m *= self.beta1
-        self._m += (1 - self.beta1) * grads
-        self._v *= self.beta2
-        self._v += (1 - self.beta2) * grads * grads
-        m_hat = self._m / (1 - self.beta1**self._t)
-        v_hat = self._v / (1 - self.beta2**self._t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m *= ADAM_BETA1
+        self._m += (1 - ADAM_BETA1) * grads
+        self._v *= ADAM_BETA2
+        self._v += (1 - ADAM_BETA2) * grads * grads
+        m_hat = self._m / (1 - ADAM_BETA1**self._t)
+        v_hat = self._v / (1 - ADAM_BETA2**self._t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def make_optimizer(name: str, lr: float):

@@ -290,13 +290,12 @@ def generate_scenario(
     num_nodes: int,
     seed: int,
     region: float | tuple[float, float] = DEFAULT_REGION,
-    channel: ChannelParams | None = None,
     altitude_m: float = 80.0,
     vmax: float = 25.0,
     horizon_s: float = 900.0,
 ) -> Scenario:
     """Draw a random instance: uniform node placement, batteries U[0.1, 1] J,
-    weights uniform then normalized, uniform random endpoints.
+    weights uniform then normalized, uniform random endpoints, default channel.
 
     A scalar region means a square of that side. The draw order below is
     fixed; the same (num_nodes, seed, region) always yields the same
@@ -334,7 +333,7 @@ def generate_scenario(
     ]
     scenario = Scenario(
         nodes=nodes,
-        channel=channel if channel is not None else ChannelParams(),
+        channel=ChannelParams(),
         uav=UavParams(
             initial=initial,
             final=final,

@@ -469,7 +469,7 @@ class AutoencoderConfig:
     state_size: int = 8
     lr: float = 0.01
     optimizer: str = "adam"
-    epochs: int = 50
+    epochs: int = 30
     batch: str = "stochastic"  # or "full"
 
 
@@ -758,7 +758,7 @@ def autoencoder_search(
     corpus: list[StateMatrix],
     sizes: list[int],
     config: AutoencoderConfig,
-    seed: int = 0,
+    seed: int,
 ) -> SearchResult:
     """Grid-search the compressed state size by held-out reconstruction MSE.
 

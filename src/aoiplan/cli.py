@@ -27,7 +27,6 @@ from .agents import (
     DqnConfig,
     QAgent,
     autoencoder_search,
-    autoencoder_train,
     collect_states,
     dqn_train,
     greedy_evaluate,
@@ -51,7 +50,9 @@ from .errors import (
 from .exhaustive import DEFAULT_BUDGET, enumerate_optimal
 from .physics import write_aoi_trace_csv
 from .scenario import (
+    DEFAULT_REGION,
     Scenario,
+    UavParams,
     from_document,
     generate_scenario,
     load_scenario,
@@ -75,11 +76,12 @@ SWEEP_AXES = ("nodes", "energy", "horizon", "speed")
 EVAL_POLICIES = ("enumerate", "weight", "dqn", "dqn-lstm")
 
 # The planner trains with Adam here, not DqnConfig's SGD at lr 0.01 and one
-# step per episode, on which criterion 8's reference values rest. The other
-# learning flags, except the epoch and corpus counts, default to config fields.
+# step per episode, on which criterion 8's reference values rest. Other
+# flags read config fields; train-* and sweep share the episode counts.
 _DQN = DqnConfig(lr=0.005, optimizer="adam", grad_steps_per_episode=4)
 _AE = AutoencoderConfig()
 _TRAIN_EPISODES = 300
+_CORPUS_EPISODES = 40
 
 
 class _UsageError(Exception):
@@ -478,18 +480,15 @@ def _trained_agent(
     scenario: Scenario, policy: str, seed: int, args: argparse.Namespace, cache: dict
 ) -> QAgent:
     """A sweep cell's agent, whose training keeps its solves in ``cache``: for
-    dqn-lstm an autoencoder is trained first, on a corpus whose solves go to
-    the same ``cache``, and its encoder gives the agent's state."""
+    dqn-lstm, the encoder that gives the agent's state is first trained as
+    train-autoencoder trains it, at the one size --state-size."""
     encoder = None
     if policy == "dqn-lstm":
         corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed, solve_cache=cache)
-        ae = autoencoder_train(
-            scenario,
-            corpus,
-            AutoencoderConfig(state_size=args.state_size, epochs=args.ae_epochs),
-            seed=seed,
+        search = autoencoder_search(
+            scenario, corpus, [args.state_size], config=replace(_AE, epochs=args.ae_epochs), seed=seed
         )
-        encoder = ae.model.encoder
+        encoder = search.best.model.encoder
     config = replace(_DQN, lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
     agent, _ = dqn_train(
         scenario, config, episodes=args.episodes, seed=seed, encoder=encoder, solve_cache=cache
@@ -574,10 +573,10 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], _Flags]] = 
     "generate": ("write a random scenario file", cmd_generate, (
         ("--nodes", {"type": _count, "required": True}),
         ("--seed", {"type": _seed, "default": 0}),
-        ("--region", {"type": _positive, "default": 1000.0}),
-        ("--altitude", {"type": _positive, "default": 80.0}),
-        ("--vmax", {"type": _positive, "default": 25.0}),
-        ("--horizon", {"type": _positive, "default": 900.0}),
+        ("--region", {"type": _positive, "default": DEFAULT_REGION[0]}),
+        ("--altitude", {"type": _positive, "default": UavParams.altitude_m}),
+        ("--vmax", {"type": _positive, "default": UavParams.vmax_x}),
+        ("--horizon", {"type": _positive, "default": UavParams.horizon_s}),
         ("--out", {"required": True}),
     )),
     "solve": ("solve the trajectory for a fixed visit order", cmd_solve, (
@@ -615,10 +614,10 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], _Flags]] = 
     )),
     "train-autoencoder": ("train the recurrent state encoder", cmd_train_autoencoder, (
         ("--scenario", {"required": True}),
-        ("--corpus-episodes", {"type": _count, "default": 50}),
+        ("--corpus-episodes", {"type": _count, "default": _CORPUS_EPISODES}),
         ("--seed", {"type": _seed, "default": 0}),
-        ("--sizes", {"default": "4,8,16", "help": "candidate state sizes, comma list"}),
-        ("--epochs", {"type": _count, "default": 40}),
+        ("--sizes", {"default": str(_AE.state_size), "help": "candidate state sizes, comma list"}),
+        ("--epochs", {"type": _count, "default": _AE.epochs}),
         ("--lr", {"type": _positive, "default": _AE.lr}),
         ("--optimizer", {"default": _AE.optimizer, "choices": _OPTIMIZERS}),
         ("--batch", {"default": _AE.batch, "choices": ["stochastic", "full"]}),
@@ -644,9 +643,9 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], _Flags]] = 
         ("--lr", {"type": _positive, "default": _DQN.lr}),
         ("--optimizer", {"default": _DQN.optimizer, "choices": _OPTIMIZERS}),
         ("--grad-steps", {"type": _count, "default": _DQN.grad_steps_per_episode}),
-        ("--corpus-episodes", {"type": _count, "default": 40}),
+        ("--corpus-episodes", {"type": _count, "default": _CORPUS_EPISODES}),
         ("--state-size", {"type": _count, "default": _AE.state_size}),
-        ("--ae-epochs", {"type": _count, "default": 30}),
+        ("--ae-epochs", {"type": _count, "default": _AE.epochs}),
         ("--workers", {"type": _count, "default": 1, "help": "parallel cell evaluations"}),
         ("--out", {"required": True}),
     )),

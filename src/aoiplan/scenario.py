@@ -290,9 +290,9 @@ def generate_scenario(
     num_nodes: int,
     seed: int,
     region: float | tuple[float, float] = DEFAULT_REGION,
-    altitude_m: float = 80.0,
-    vmax: float = 25.0,
-    horizon_s: float = 900.0,
+    altitude_m: float = UavParams.altitude_m,
+    vmax: float = UavParams.vmax_x,
+    horizon_s: float = UavParams.horizon_s,
 ) -> Scenario:
     """Draw a random instance: uniform node placement, batteries U[0.1, 1] J,
     weights uniform then normalized, uniform random endpoints, default channel.

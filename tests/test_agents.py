@@ -544,7 +544,7 @@ def test_search_singleton_range():
     scenario = build_scenario([1, 1])
     corpus = collect_states(scenario, episodes=2, seed=0)
     config = AutoencoderConfig(epochs=3)
-    result = autoencoder_search(scenario, corpus, [6], config=config)
+    result = autoencoder_search(scenario, corpus, [6], config=config, seed=0)
     assert result.best_size == 6
     assert set(result.results) == {6}
 

@@ -8,7 +8,15 @@ import pytest
 import yaml
 
 import aoiplan
-from aoiplan import cli, load_agent, load_autoencoder, load_scenario, lower_bound, save_scenario
+from aoiplan import (
+    cli,
+    generate_scenario,
+    load_agent,
+    load_autoencoder,
+    load_scenario,
+    lower_bound,
+    save_scenario,
+)
 from aoiplan.cli import main
 from aoiplan.nnet import save_checkpoint
 from conftest import build_scenario, nonconverged_at
@@ -44,6 +52,16 @@ def test_generate_writes_loadable_scenario(tmp_path, capsys):
     twin = tmp_path / "twin.yaml"
     main(["generate", "--nodes", "3", "--seed", "11", "--out", str(twin)])
     assert out.read_text() == twin.read_text()
+
+
+def test_generate_geometry_defaults_are_the_generators(tmp_path, capsys):
+    # With no geometry flag, generate draws what generate_scenario's own
+    # defaults draw.
+    out = tmp_path / "gen.yaml"
+    assert main(["generate", "--nodes", "3", "--seed", "11", "--out", str(out)]) == 0
+    capsys.readouterr()
+    save_scenario(generate_scenario(3, 11), tmp_path / "library.yaml")
+    assert out.read_bytes() == (tmp_path / "library.yaml").read_bytes()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -630,14 +648,21 @@ def test_sweep_learned_policies_over_horizon(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("counts", [[1, 1], [2, 2], [3, 3, 2]])
-def test_sweep_dqn_cell_trains_like_train_dqn(tmp_path, capsys, counts):
-    # train-dqn's flags and a sweep cell's agent start from the same learning
-    # defaults, so on one scenario, seed and episode count they find the same
-    # greedy order.
+@pytest.mark.parametrize("policy", ["dqn", "dqn-lstm"])
+def test_sweep_dqn_cell_trains_like_train_dqn(tmp_path, capsys, policy, counts):
+    # A sweep cell trains as the commands do at their default learning flags:
+    # a dqn cell as train-dqn, a dqn-lstm cell as train-autoencoder followed
+    # by train-dqn on its encoder. So on one scenario, seed and episode count
+    # they find the same greedy order.
     path = save(tmp_path, build_scenario(counts))
     common = ["--scenario", path, "--episodes", "20"]
-    assert main(["train-dqn", *common, "--seed", "3", "--out", str(tmp_path / "dqn")]) == 0
-    assert main(["sweep", *common, "--axis", "energy", "--values", "1", "--policies", "dqn",
+    state = []
+    if policy == "dqn-lstm":
+        ae_out = tmp_path / "ae"
+        assert main(["train-autoencoder", "--scenario", path, "--seed", "3", "--out", str(ae_out)]) == 0
+        state = ["--state-mode", "autoencoder", "--encoder", str(ae_out / "autoencoder.ckpt")]
+    assert main(["train-dqn", *common, *state, "--seed", "3", "--out", str(tmp_path / "dqn")]) == 0
+    assert main(["sweep", *common, "--axis", "energy", "--values", "1", "--policies", policy,
                  "--seeds", "3", "--out", str(tmp_path / "sweep")]) == 0
     capsys.readouterr()
     (cell,) = read_lines(tmp_path / "sweep" / "cells.csv")[1:]

@@ -32,7 +32,6 @@ from .nnet import (
 )
 from .nnet.layers import FlatModel, flatten, prefixed
 from .scenario import Scenario
-from .solver import TrajectorySolution
 
 # ---------------------------------------------------------------------------
 # Replay memory
@@ -241,7 +240,6 @@ class DqnConfig:
     epsilon_decay_frac: float = 0.6
     batch_size: int = 32
     grad_steps_per_episode: int = 1
-    infeasible_penalty: float = 0.0
 
 
 def epsilon_at(episode: int, episodes: int, config: DqnConfig) -> float:
@@ -384,36 +382,29 @@ def dqn_train_task(
 
 
 def dqn_train(
-    scenario: Scenario,
+    env: ScheduleEnv,
     config: DqnConfig,
     episodes: int,
     seed: int,
     encoder: LstmCell | None = None,
-    solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
 ) -> tuple[QAgent, list[EpisodeStats]]:
-    """Train an action-value planner on a scenario.
+    """Train an action-value planner on env's scenario.
 
     With a trained encoder the observations are the encoder's compressed
-    state instead of the raw last column. ``solve_cache`` keeps every
-    order's solve for a later rollout, as in `weight_based_rollout`.
+    state instead of the raw last column. A later rollout on the same env
+    re-solves no order training reached.
     """
-    repr_ = StateRepr(scenario, encoder)
-    env = ScheduleEnv(scenario, infeasible_penalty=config.infeasible_penalty, solve_cache=solve_cache)
+    repr_ = StateRepr(env.scenario, encoder)
     net, curve = dqn_train_task(ScheduleTask(env, repr_), config, episodes, seed)
     return QAgent(net=net, repr=repr_), curve
 
 
-def greedy_evaluate(
-    agent: QAgent,
-    scenario: Scenario,
-    solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
-) -> tuple[tuple[int, ...], float]:
-    """Roll the greedy policy out once, for at most MAX_EPISODE_STEPS steps;
-    returns (visit order, metric)."""
-    task = ScheduleTask(ScheduleEnv(scenario, solve_cache=solve_cache), agent.repr)
-    for _ in _episode(task, agent.greedy_action):
+def greedy_evaluate(agent: QAgent, env: ScheduleEnv) -> tuple[tuple[int, ...], float]:
+    """Roll the greedy policy out once on env, for at most MAX_EPISODE_STEPS
+    steps; returns (visit order, metric)."""
+    for _ in _episode(ScheduleTask(env, agent.repr), agent.greedy_action):
         pass
-    return task.env.order, task.env.metric
+    return env.order, env.metric
 
 
 def _weight_choice(scenario: Scenario, rng: np.random.Generator) -> Callable[[object], int]:
@@ -424,34 +415,22 @@ def _weight_choice(scenario: Scenario, rng: np.random.Generator) -> Callable[[ob
     return lambda obs: int(rng.choice(scenario.num_nodes, p=weights)) + 1
 
 
-def weight_based_rollout(
-    scenario: Scenario,
-    seed: int,
-    solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
-) -> tuple[tuple[int, ...], float, StateMatrix]:
+def weight_based_rollout(env: ScheduleEnv, seed: int) -> tuple[tuple[int, ...], float, StateMatrix]:
     """Baseline policy: sample nodes in proportion to their weights until an
     append fails, for at most MAX_EPISODE_STEPS steps; returns (visit order,
     metric, final state)."""
-    env = ScheduleEnv(scenario, solve_cache=solve_cache)
-    choose = _weight_choice(scenario, np.random.default_rng(seed))
-    for _ in _episode(env, choose):
+    for _ in _episode(env, _weight_choice(env.scenario, np.random.default_rng(seed))):
         pass
     return env.order, env.metric, env.state
 
 
-def collect_states(
-    scenario: Scenario,
-    episodes: int,
-    seed: int,
-    solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
-) -> list[StateMatrix]:
-    """Gather a state corpus from weight-proportional episodes.
+def collect_states(env: ScheduleEnv, episodes: int, seed: int) -> list[StateMatrix]:
+    """Gather a state corpus from weight-proportional episodes on env.
 
     Every state visited is kept, including each episode's initial state,
     so the encoder sees single-column matrices too.
     """
-    env = ScheduleEnv(scenario, solve_cache=solve_cache)
-    choose = _weight_choice(scenario, np.random.default_rng(seed))
+    choose = _weight_choice(env.scenario, np.random.default_rng(seed))
     corpus = []
     for _ in range(episodes):
         corpus.append(env.reset())
@@ -499,9 +478,6 @@ class Seq2SeqAutoencoder(FlatModel):
     @property
     def state_size(self) -> int:
         return self.encoder.hidden_size
-
-    def encode_columns(self, normalized: np.ndarray) -> np.ndarray:
-        return _final_state(self.encoder, normalized)
 
     def _reconstruct(self, normalized: np.ndarray) -> tuple:
         """Teacher-forced pass over the reversed columns: the encoder input,

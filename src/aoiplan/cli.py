@@ -48,6 +48,7 @@ from .errors import (
     ScheduleError,
 )
 from .exhaustive import DEFAULT_BUDGET, enumerate_optimal
+from .mdp import ScheduleEnv
 from .physics import write_aoi_trace_csv
 from .scenario import (
     DEFAULT_REGION,
@@ -295,7 +296,6 @@ def _dqn_config(args: argparse.Namespace) -> DqnConfig:
         epsilon_decay_frac=args.epsilon_decay_frac,
         batch_size=args.batch_size,
         grad_steps_per_episode=args.grad_steps,
-        infeasible_penalty=args.penalty,
     )
 
 
@@ -314,11 +314,9 @@ def cmd_train_dqn(args: argparse.Namespace) -> int:
         model, _ = load_autoencoder(args.encoder)
         encoder = model.encoder
     # The closing greedy rollout reads the solves training already made.
-    cache: dict = {}
-    agent, curve = dqn_train(
-        scenario, config, episodes=args.episodes, seed=args.seed, encoder=encoder, solve_cache=cache
-    )
-    order, metric = greedy_evaluate(agent, scenario, solve_cache=cache)
+    env = ScheduleEnv(scenario, infeasible_penalty=args.penalty)
+    agent, curve = dqn_train(env, config, episodes=args.episodes, seed=args.seed, encoder=encoder)
+    order, metric = greedy_evaluate(agent, env)
     out = _ensure_out(args.out)
     save_agent(out / "agent.ckpt", agent)
     write_learning_curve_csv(out / "learning_curve.csv", curve)
@@ -343,7 +341,7 @@ def cmd_train_autoencoder(args: argparse.Namespace) -> int:
     if not sizes:
         raise _UsageError("--sizes must list at least one state size")
     scenario = _load(args.scenario)
-    corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=args.seed)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=args.corpus_episodes, seed=args.seed)
     config = AutoencoderConfig(
         lr=args.lr, optimizer=args.optimizer, epochs=args.epochs, batch=args.batch
     )
@@ -380,15 +378,14 @@ def _stderr(values: np.ndarray) -> float:
 
 
 def _evaluate(
-    scenario: Scenario, policy: str, budget: int, seeds: list[int], agent: QAgent | None,
-    cache: dict | None = None,
+    env: ScheduleEnv, policy: str, budget: int, seeds: list[int], agent: QAgent | None
 ) -> tuple[dict[str, Any], float, int]:
-    """Score one policy: (its document fields, its NWAoI, its unsettled solve count).
-    weight scores the mean of one rollout per seed; dqn rolls agent out greedily.
-    Both solve through ``cache``: for dqn, the solves its training made."""
-    cache = {} if cache is None else cache
+    """Score one policy on env's scenario: (its document fields, its NWAoI,
+    its unsettled solve count). weight scores the mean of one rollout per
+    seed; dqn rolls agent out greedily. Both run on env, so a dqn rollout
+    reads the solves its training made there."""
     if policy == "enumerate":
-        result = enumerate_optimal(scenario, budget=budget, keep_rows=False)
+        result = enumerate_optimal(env.scenario, budget=budget, keep_rows=False)
         fields = {
             "order": list(result.best_order),
             "nwaoi": result.objective,
@@ -398,7 +395,7 @@ def _evaluate(
         }
         return fields, result.objective, result.num_nonconverged
     if policy == "weight":
-        rollouts = [weight_based_rollout(scenario, s, solve_cache=cache)[:2] for s in seeds]
+        rollouts = [weight_based_rollout(env, s)[:2] for s in seeds]
         metrics = np.asarray([metric for _, metric in rollouts])
         best_metric, best_order = min((metric, order) for order, metric in rollouts)
         fields = {
@@ -409,7 +406,7 @@ def _evaluate(
             "best_nwaoi": best_metric,
         }
         return fields, fields["mean_nwaoi"], 0
-    order, metric = greedy_evaluate(agent, scenario, solve_cache=cache)
+    order, metric = greedy_evaluate(agent, env)
     return {"order": list(order), "nwaoi": metric}, metric, 0
 
 
@@ -436,7 +433,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.policy == "weight":
         seeds = np.random.default_rng(args.seed).integers(0, 2**63 - 1, size=args.episodes).tolist()
     agent = _checkpoint_agent(args, scenario) if args.policy.startswith("dqn") else None
-    fields, _, unsettled = _evaluate(scenario, args.policy, args.budget, seeds, agent)
+    fields, _, unsettled = _evaluate(ScheduleEnv(scenario), args.policy, args.budget, seeds, agent)
     doc.update(fields)
     if args.out:
         out = _ensure_out(args.out)
@@ -476,36 +473,30 @@ def _apply_axis(doc: dict[str, Any], axis: str, value: float) -> Scenario:
     return from_document(doc)
 
 
-def _trained_agent(
-    scenario: Scenario, policy: str, seed: int, args: argparse.Namespace, cache: dict
-) -> QAgent:
-    """A sweep cell's agent, whose training keeps its solves in ``cache``: for
-    dqn-lstm, the encoder that gives the agent's state is first trained as
-    train-autoencoder trains it, at the one size --state-size."""
+def _trained_agent(env: ScheduleEnv, policy: str, seed: int, args: argparse.Namespace) -> QAgent:
+    """A sweep cell's agent, trained on env: for dqn-lstm, the encoder that
+    gives the agent's state is first trained as train-autoencoder trains
+    it, at the one size --state-size."""
     encoder = None
     if policy == "dqn-lstm":
-        corpus = collect_states(scenario, episodes=args.corpus_episodes, seed=seed, solve_cache=cache)
+        corpus = collect_states(env, episodes=args.corpus_episodes, seed=seed)
         search = autoencoder_search(
-            scenario, corpus, [args.state_size], config=replace(_AE, epochs=args.ae_epochs), seed=seed
+            env.scenario, corpus, [args.state_size], config=replace(_AE, epochs=args.ae_epochs), seed=seed
         )
         encoder = search.best.model.encoder
     config = replace(_DQN, lr=args.lr, optimizer=args.optimizer, grad_steps_per_episode=args.grad_steps)
-    agent, _ = dqn_train(
-        scenario, config, episodes=args.episodes, seed=seed, encoder=encoder, solve_cache=cache
-    )
+    agent, _ = dqn_train(env, config, episodes=args.episodes, seed=seed, encoder=encoder)
     return agent
 
 
 def _sweep_cell(payload: tuple) -> tuple[float, str, int, float, float, int]:
     doc, value, policy, seed, args = payload
     scenario = _apply_axis(doc, args.axis, value)
-    bound = lower_bound(scenario)
-    cache: dict = {}
-    agent = None
-    if policy.startswith("dqn"):
-        agent = _trained_agent(scenario, policy, seed, args, cache)
-    _, metric, unsettled = _evaluate(scenario, policy, args.budget, [seed], agent, cache)
-    return float(value), policy, seed, float(metric), bound, unsettled
+    # The cell's corpus, training and rollout all run on this env's memo.
+    env = ScheduleEnv(scenario)
+    agent = _trained_agent(env, policy, seed, args) if policy.startswith("dqn") else None
+    _, metric, unsettled = _evaluate(env, policy, args.budget, [seed], agent)
+    return float(value), policy, seed, float(metric), lower_bound(scenario), unsettled
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -607,7 +598,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], _Flags]] = 
         ("--epsilon-decay-frac", {"type": _fraction, "default": _DQN.epsilon_decay_frac}),
         ("--batch-size", {"type": _count, "default": _DQN.batch_size}),
         ("--grad-steps", {"type": _count, "default": _DQN.grad_steps_per_episode}),
-        ("--penalty", {"type": _nonnegative, "default": _DQN.infeasible_penalty}),
+        ("--penalty", {"type": _nonnegative, "default": ScheduleEnv.infeasible_penalty}),
         ("--state-mode", {"default": "last_column", "choices": ["last_column", "autoencoder"]}),
         ("--encoder", {"default": None, "help": "autoencoder checkpoint for --state-mode autoencoder"}),
         ("--out", {"required": True}),

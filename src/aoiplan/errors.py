@@ -10,14 +10,15 @@ class ScheduleError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the allotted solve budget.
+    """Raised when an enumeration has more candidate orders, pruned ones
+    included, than its budget allows.
 
     ``required`` is a lower bound: the candidate count reached when the
     guard stopped counting, the first one above ``budget``."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"enumeration needs at least {required} trajectory solves, budget is {budget}"
+            f"enumeration has at least {required} candidate orders, budget is {budget}"
         )
         self.required = required
         self.budget = budget

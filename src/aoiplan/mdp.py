@@ -7,8 +7,10 @@ initial full-battery column. Rewards are the stepwise drops of the age
 metric, so the return of an episode telescopes to 1 minus the metric of
 its final order.
 
-Each non-terminating action triggers a full trajectory re-solve for the
-extended order; the state never depends on how the order was reached.
+Each append re-solves the trajectory for the extended order. The solve
+and the state depend on the order alone, so an environment keeps both per
+order: the episodes of a pipeline (state corpus, training, greedy
+rollout) that run on one environment solve each order once.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class Step(NamedTuple):
 
 
 class ScheduleEnv:
-    """Builds a visit order step by step, re-solving the trajectory each time.
+    """Builds a visit order step by step, solving the trajectory of each order.
 
     Action 0 terminates the episode with zero reward; action m appends an
     update for node m. Appending an update whose solve is not optimal
@@ -105,26 +107,25 @@ class ScheduleEnv:
     ``infeasible_penalty`` (zero by default, so such an attempt simply
     wastes the step). Each step's observation is the state matrix, so the
     env is an episodic task of its own for action rules that do not read it.
+    Each order reached keeps its solve and read-only state matrix, shared
+    by every episode run on the env.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        infeasible_penalty: float = 0.0,
-        solve_cache: dict[tuple[int, ...], TrajectorySolution] | None = None,
-    ):
+    # Also the class's own attribute, so the CLI's --penalty default reads it.
+    infeasible_penalty = 0.0
+
+    def __init__(self, scenario: Scenario, infeasible_penalty: float = infeasible_penalty):
         scenario.validate()
         self.scenario = scenario
         self.infeasible_penalty = infeasible_penalty
-        self._cache = solve_cache if solve_cache is not None else {}
-        # Each order's state matrix, built once: it follows from the order's
-        # cached solve alone.
-        self._states = {(): initial_state(scenario)}
-        self._states[()].columns.flags.writeable = False
-        self._order: tuple[int, ...] = tuple()
-        self._state = self._states[()]
-        self._metric = 1.0
-        self._done = False
+        initial = initial_state(scenario)
+        initial.columns.flags.writeable = False
+        # order -> (solve, state matrix or None when the solve is not
+        # optimal); the empty order has no solve.
+        self._memo: dict[tuple[int, ...], tuple[TrajectorySolution | None, StateMatrix | None]] = {
+            (): (None, initial)
+        }
+        self.reset()
 
     @property
     def num_actions(self) -> int:
@@ -146,16 +147,9 @@ class ScheduleEnv:
     def state(self) -> StateMatrix:
         return self._state
 
-    def solve_order(self, order: tuple[int, ...]) -> TrajectorySolution:
-        cached = self._cache.get(order)
-        if cached is None:
-            cached = solve_schedule(self.scenario, order)
-            self._cache[order] = cached
-        return cached
-
     def reset(self) -> StateMatrix:
-        self._order = tuple()
-        self._state = self._states[()]
+        self._order: tuple[int, ...] = ()
+        self._state = self._memo[()][1]
         self._metric = 1.0
         self._done = False
         return self._state
@@ -172,18 +166,22 @@ class ScheduleEnv:
             self._done = True
         else:
             candidate = self._order + (action,)
-            solution = self.solve_order(candidate)
-            if solution.status != STATUS_OPTIMAL:
+            if candidate not in self._memo:
+                solution = solve_schedule(self.scenario, candidate)
+                state = None
+                if solution.status == STATUS_OPTIMAL:
+                    state = build_state_matrix(self.scenario, solution)
+                    state.columns.flags.writeable = False
+                self._memo[candidate] = solution, state
+            solution, state = self._memo[candidate]
+            if state is None:
                 self._done = True
                 reward = -self.infeasible_penalty
                 reason = f"{solution.status}: {solution.message}"
                 rejection = {"rejected": candidate, "reason": reason}
             else:
-                if candidate not in self._states:
-                    self._states[candidate] = build_state_matrix(self.scenario, solution)
-                    self._states[candidate].columns.flags.writeable = False
                 reward = self._metric - solution.objective
                 self._order, self._metric = candidate, solution.objective
-                self._state = self._states[candidate]
+                self._state = state
         info = {"metric": self._metric, "order": self._order, **rejection}
         return Step(self._state, reward, self._done, info)

@@ -198,14 +198,6 @@ class LstmCell(FlatModel):
             self.wg, xs, hs, cs, gates, dhs, dh_last, dc_last
         )
 
-    def step(
-        self, x: np.ndarray, h: np.ndarray, c: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        hs, cs, _ = kernels.lstm_seq_forward(
-            self.wg, self.bg, x[None, :], h, c
-        )
-        return hs[1], cs[1]
-
     def to_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [("wg", self.wg), ("bg", self.bg)]
 

@@ -474,15 +474,15 @@ def test_criterion_09_learning_beats_baseline():
         ("two nodes", build_scenario([2, 2])),
     ):
         optimum = enumerate_optimal(scenario, keep_rows=False).objective
-        cache = {}
+        env = ScheduleEnv(scenario)
         baseline = float(
             np.mean(
-                [weight_based_rollout(scenario, s, solve_cache=cache)[1] for s in range(300)]
+                [weight_based_rollout(env, s)[1] for s in range(300)]
             )
         )
         for seed in (0, 1, 2):
-            agent, _ = dqn_train(scenario, config, episodes=600, seed=seed)
-            _, metric = greedy_evaluate(agent, scenario)
+            agent, _ = dqn_train(ScheduleEnv(scenario), config, episodes=600, seed=seed)
+            _, metric = greedy_evaluate(agent, ScheduleEnv(scenario))
             if metric > baseline + 1e-12:
                 failures.append(f"{label} seed {seed}: {metric} above baseline {baseline}")
             if metric > 1.05 * optimum:
@@ -503,14 +503,14 @@ def test_criterion_09_learning_beats_baseline():
 def test_criterion_10_autoencoder_quality():
     failures = []
     scenario = build_scenario([1, 1])
-    singleton = [collect_states(scenario, episodes=1, seed=3)[-1]]
+    singleton = [collect_states(ScheduleEnv(scenario), episodes=1, seed=3)[-1]]
     config = AutoencoderConfig(state_size=8, lr=0.02, epochs=400, batch="stochastic")
     result = autoencoder_train(scenario, singleton, config, seed=0)
     if result.test_mse >= 1e-3:
         failures.append(f"singleton overfit MSE {result.test_mse:.3g} >= 1e-3")
 
     wide = build_scenario([1, 2])
-    corpus = collect_states(wide, episodes=160, seed=0)
+    corpus = collect_states(ScheduleEnv(wide), episodes=160, seed=0)
     if len(corpus) < 500:
         failures.append(f"corpus holds only {len(corpus)} states")
     search = autoencoder_search(

@@ -33,6 +33,7 @@ from aoiplan import (
 )
 from aoiplan import agents
 from aoiplan.agents import (
+    _final_state,
     denormalize_state_columns,
     epsilon_at,
     normalize_state_columns,
@@ -186,16 +187,16 @@ def test_autoencoder_representation_size():
 
 def test_weight_rollout_deterministic():
     scenario = build_scenario([1, 2], weights=[0.4, 0.6])
-    cache = {}
-    a = weight_based_rollout(scenario, seed=9, solve_cache=cache)
-    b = weight_based_rollout(scenario, seed=9, solve_cache=cache)
+    env = ScheduleEnv(scenario)
+    a = weight_based_rollout(env, seed=9)
+    b = weight_based_rollout(env, seed=9)
     assert a[0] == b[0]
     assert a[1] == b[1]
 
 
 def test_weight_rollout_zero_weight_node_skipped():
     scenario = build_scenario([2, 2], weights=[1.0, 0.0])
-    order, metric, state = weight_based_rollout(scenario, seed=1)
+    order, metric, state = weight_based_rollout(ScheduleEnv(scenario), seed=1)
     assert set(order) == {1}
     # The policy only stops when an append fails, so node 1 is drained.
     assert len(order) == 2
@@ -205,7 +206,7 @@ def test_weight_rollout_zero_weight_node_skipped():
 
 def test_weight_rollout_single_node_runs_out_budget():
     scenario = build_scenario([3])
-    order, metric, _ = weight_based_rollout(scenario, seed=2)
+    order, metric, _ = weight_based_rollout(ScheduleEnv(scenario), seed=2)
     assert order == (1, 1, 1)
     direct = solve_schedule(scenario, list(order)).objective
     assert metric == pytest.approx(direct, rel=1e-12)
@@ -213,11 +214,11 @@ def test_weight_rollout_single_node_runs_out_budget():
 
 def test_weight_rollout_first_action_frequency():
     scenario = build_scenario([1, 1], weights=[0.3, 0.7])
-    cache = {}
+    env = ScheduleEnv(scenario)
     draws = 10_000
     first = np.empty(draws, dtype=int)
     for seed in range(draws):
-        order, _, _ = weight_based_rollout(scenario, seed=seed, solve_cache=cache)
+        order, _, _ = weight_based_rollout(env, seed=seed)
         first[seed] = order[0]
     freq = float(np.mean(first == 1))
     sigma = np.sqrt(0.3 * 0.7 / draws)
@@ -226,7 +227,7 @@ def test_weight_rollout_first_action_frequency():
 
 def test_collect_states_keeps_initial_states():
     scenario = build_scenario([1, 1])
-    corpus = collect_states(scenario, episodes=4, seed=0)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=4, seed=0)
     assert len(corpus) >= 4
     single = [s for s in corpus if s.num_events == 0]
     assert len(single) == 4
@@ -246,9 +247,9 @@ def test_weight_episodes_encode_no_observation(monkeypatch):
 
     monkeypatch.setattr(StateRepr, "encode", counted)
     scenario = build_scenario([2, 1], weights=[0.4, 0.6])
-    order, _, _ = weight_based_rollout(scenario, seed=3)
+    order, _, _ = weight_based_rollout(ScheduleEnv(scenario), seed=3)
     assert len(order) > 0
-    assert len(collect_states(scenario, episodes=3, seed=0)) > 3
+    assert len(collect_states(ScheduleEnv(scenario), episodes=3, seed=0)) > 3
     assert calls == []
 
 
@@ -337,8 +338,8 @@ def test_terminal_target_is_reward_only():
 def test_dqn_training_reproducible():
     scenario = build_scenario([1, 1])
     config = DqnConfig(hidden_sizes=(8,), lr=0.02, batch_size=8)
-    agent_a, curve_a = dqn_train(scenario, config, episodes=25, seed=4)
-    agent_b, curve_b = dqn_train(scenario, config, episodes=25, seed=4)
+    agent_a, curve_a = dqn_train(ScheduleEnv(scenario), config, episodes=25, seed=4)
+    agent_b, curve_b = dqn_train(ScheduleEnv(scenario), config, episodes=25, seed=4)
     assert np.array_equal(agent_a.net.params_flat(), agent_b.net.params_flat())
     assert [s.episode_return for s in curve_a] == [s.episode_return for s in curve_b]
 
@@ -347,7 +348,7 @@ def test_dqn_divergence_guard():
     scenario = build_scenario([1, 1])
     config = DqnConfig(hidden_sizes=(8,), lr=1e8, grad_steps_per_episode=3)
     with pytest.raises(DivergenceError):
-        dqn_train(scenario, config, episodes=40, seed=0)
+        dqn_train(ScheduleEnv(scenario), config, episodes=40, seed=0)
 
 
 def test_zero_net_terminates_immediately():
@@ -356,10 +357,11 @@ def test_zero_net_terminates_immediately():
     net = DenseNet.init([3, 3], ["identity"], np.random.default_rng(0))
     net.set_flat(np.zeros(net.params_flat().size))
     agent = QAgent(net=net, repr=repr_)
-    order, metric = greedy_evaluate(agent, scenario)
+    env = ScheduleEnv(scenario)
+    order, metric = greedy_evaluate(agent, env)
     assert order == ()
     assert metric == 1.0
-    again = greedy_evaluate(agent, scenario)
+    again = greedy_evaluate(agent, env)
     assert again == (order, metric)
 
 
@@ -375,14 +377,14 @@ def test_greedy_episode_stops_at_training_step_cap(monkeypatch):
             return 1
 
     monkeypatch.setattr(agents, "MAX_EPISODE_STEPS", 2)
-    assert greedy_evaluate(AppendNodeOne(), scenario)[0] == (1, 1)
+    assert greedy_evaluate(AppendNodeOne(), ScheduleEnv(scenario))[0] == (1, 1)
 
 
 def test_greedy_metric_matches_physics():
     scenario = build_scenario([1, 1])
     config = DqnConfig(hidden_sizes=(8,), lr=0.02)
-    agent, _ = dqn_train(scenario, config, episodes=30, seed=2)
-    order, metric = greedy_evaluate(agent, scenario)
+    agent, _ = dqn_train(ScheduleEnv(scenario), config, episodes=30, seed=2)
+    order, metric = greedy_evaluate(agent, ScheduleEnv(scenario))
     solution = solve_schedule(scenario, list(order))
     recomputed = nwaoi(scenario, solution.update_times(scenario.num_nodes))
     assert metric == pytest.approx(recomputed, rel=1e-12)
@@ -391,11 +393,6 @@ def test_greedy_metric_matches_physics():
 def test_greedy_rollout_reads_the_training_cache(monkeypatch):
     scenario = build_scenario([2, 1])
     config = DqnConfig(hidden_sizes=(8,), lr=0.02)
-    cache = {}
-    agent, curve = dqn_train(scenario, config, episodes=30, seed=2, solve_cache=cache)
-    assert curve == dqn_train(scenario, config, episodes=30, seed=2)[1]
-    fresh = greedy_evaluate(agent, scenario)
-    cached = set(cache)
     solved = []
 
     def record(scenario, order, **kwargs):
@@ -403,8 +400,14 @@ def test_greedy_rollout_reads_the_training_cache(monkeypatch):
         return solve_schedule(scenario, order, **kwargs)
 
     monkeypatch.setattr("aoiplan.mdp.solve_schedule", record)
-    assert greedy_evaluate(agent, scenario, solve_cache=cache) == fresh
-    assert fresh[0] in cached and not cached & set(solved)
+    env = ScheduleEnv(scenario)
+    agent, curve = dqn_train(env, config, episodes=30, seed=2)
+    trained = set(solved)
+    assert curve == dqn_train(ScheduleEnv(scenario), config, episodes=30, seed=2)[1]
+    fresh = greedy_evaluate(agent, ScheduleEnv(scenario))
+    solved.clear()
+    assert greedy_evaluate(agent, env) == fresh
+    assert fresh[0] in trained and not trained & set(solved)
 
 
 def test_full_exploration_is_uniform_policy():
@@ -418,7 +421,7 @@ def test_full_exploration_is_uniform_policy():
         epsilon_end=1.0,
         batch_size=4,
     )
-    _, curve = dqn_train(scenario, config, episodes=episodes, seed=7)
+    _, curve = dqn_train(ScheduleEnv(scenario), config, episodes=episodes, seed=7)
     trained = np.array([s.episode_return for s in curve])
 
     rng = np.random.default_rng(123)
@@ -436,7 +439,7 @@ def test_full_exploration_is_uniform_policy():
 
 def test_learning_curve_csv_layout(tmp_path):
     scenario = build_scenario([1, 1])
-    _, curve = dqn_train(scenario, DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0)
+    _, curve = dqn_train(ScheduleEnv(scenario), DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0)
     path = tmp_path / "curve.csv"
     write_learning_curve_csv(path, curve)
     with open(path, newline="") as fh:
@@ -452,7 +455,7 @@ def test_learning_curve_csv_layout(tmp_path):
 
 
 def sample_sequences(scenario, episodes=3, seed=0):
-    corpus = collect_states(scenario, episodes=episodes, seed=seed)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=episodes, seed=seed)
     return corpus, [normalize_state_columns(scenario, s) for s in corpus]
 
 
@@ -479,12 +482,12 @@ def test_autoencoder_single_column_state():
     # A fresh mission state is one column; the compressed vector is then a
     # fixed function of that column alone.
     scenario = build_scenario([1, 1])
-    corpus = collect_states(scenario, episodes=1, seed=0)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=1, seed=0)
     single = [s for s in corpus if s.num_events == 0][0]
     model = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(0))
-    encoded = model.encode_columns(normalize_state_columns(scenario, single))
+    encoded = _final_state(model.encoder, normalize_state_columns(scenario, single))
     assert encoded.shape == (8,)
-    again = model.encode_columns(normalize_state_columns(scenario, single))
+    again = _final_state(model.encoder, normalize_state_columns(scenario, single))
     assert np.array_equal(encoded, again)
 
 
@@ -501,7 +504,7 @@ def test_autoencoder_full_batch_descends():
 
 def test_autoencoder_overfits_singleton():
     scenario = build_scenario([1, 1])
-    corpus = collect_states(scenario, episodes=1, seed=3)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=1, seed=3)
     config = AutoencoderConfig(state_size=8, lr=0.02, epochs=400, batch="stochastic")
     result = autoencoder_train(scenario, [corpus[-1]], config, seed=0)
     assert result.num_train == 1 and result.num_test == 1
@@ -534,7 +537,7 @@ def test_autoencoder_empty_corpus_rejected():
 def test_autoencoder_divergence_guard(batch):
     # Both batch modes stop on the rule and message the value trainer uses.
     scenario = build_scenario([1, 1])
-    corpus = collect_states(scenario, episodes=2, seed=0)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=2, seed=0)
     config = AutoencoderConfig(state_size=2, lr=1e8, optimizer="sgd", epochs=5, batch=batch)
     with pytest.raises(DivergenceError, match="training loss .* exceeded limit"):
         autoencoder_train(scenario, corpus, config, seed=0)
@@ -542,7 +545,7 @@ def test_autoencoder_divergence_guard(batch):
 
 def test_search_singleton_range():
     scenario = build_scenario([1, 1])
-    corpus = collect_states(scenario, episodes=2, seed=0)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=2, seed=0)
     config = AutoencoderConfig(epochs=3)
     result = autoencoder_search(scenario, corpus, [6], config=config, seed=0)
     assert result.best_size == 6
@@ -551,7 +554,7 @@ def test_search_singleton_range():
 
 def test_search_picks_min_test_mse():
     scenario = build_scenario([1, 1])
-    corpus = collect_states(scenario, episodes=5, seed=1)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=5, seed=1)
     config = AutoencoderConfig(epochs=8, lr=0.02)
     result = autoencoder_search(scenario, corpus, [2, 4, 8], config=config, seed=0)
     best = min(result.results.items(), key=lambda kv: (kv[1], kv[0]))
@@ -568,20 +571,20 @@ def test_search_picks_min_test_mse():
 
 def test_agent_checkpoint_round_trip(tmp_path):
     scenario = build_scenario([1, 1])
-    agent, _ = dqn_train(scenario, DqnConfig(hidden_sizes=(6,)), episodes=15, seed=0)
+    agent, _ = dqn_train(ScheduleEnv(scenario), DqnConfig(hidden_sizes=(6,)), episodes=15, seed=0)
     path = tmp_path / "agent.ckpt"
     save_agent(path, agent)
     loaded = load_agent(path, scenario)
     assert np.array_equal(loaded.net.params_flat(), agent.net.params_flat())
     assert loaded.repr.mode == "last_column"
-    assert greedy_evaluate(loaded, scenario) == greedy_evaluate(agent, scenario)
+    assert greedy_evaluate(loaded, ScheduleEnv(scenario)) == greedy_evaluate(agent, ScheduleEnv(scenario))
 
 
 def test_dqn_train_with_encoder_is_autoencoder_mode(tmp_path):
     scenario = build_scenario([1, 1])
     encoder = LstmCell.init(3, 4, np.random.default_rng(0))
     config = DqnConfig(hidden_sizes=(4,))
-    agent, _ = dqn_train(scenario, config, episodes=5, seed=0, encoder=encoder)
+    agent, _ = dqn_train(ScheduleEnv(scenario), config, episodes=5, seed=0, encoder=encoder)
     assert agent.repr.mode == "autoencoder"
     assert agent.net.sizes[0] == 8
     path = tmp_path / "agent.ckpt"
@@ -590,7 +593,7 @@ def test_dqn_train_with_encoder_is_autoencoder_mode(tmp_path):
     assert loaded.repr.mode == "autoencoder"
     assert np.array_equal(loaded.repr.encoder.params_flat(), encoder.params_flat())
     assert np.array_equal(loaded.net.params_flat(), agent.net.params_flat())
-    assert greedy_evaluate(loaded, scenario) == greedy_evaluate(agent, scenario)
+    assert greedy_evaluate(loaded, ScheduleEnv(scenario)) == greedy_evaluate(agent, ScheduleEnv(scenario))
 
 
 def _assert_views(model):
@@ -602,7 +605,8 @@ def _assert_views(model):
 def test_agent_checkpoint_loads_into_views(tmp_path, encoder_size):
     scenario = build_scenario([1, 1])
     encoder = None if encoder_size is None else LstmCell.init(3, encoder_size, np.random.default_rng(1))
-    agent, _ = dqn_train(scenario, DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0, encoder=encoder)
+    config = DqnConfig(hidden_sizes=(4,))
+    agent, _ = dqn_train(ScheduleEnv(scenario), config, episodes=5, seed=0, encoder=encoder)
     save_agent(tmp_path / "agent.ckpt", agent)
     loaded = load_agent(tmp_path / "agent.ckpt", scenario)
     _assert_views(loaded.net)
@@ -630,7 +634,7 @@ def test_autoencoder_checkpoint_loads_into_views(tmp_path):
 
 def test_agent_checkpoint_node_count_guard(tmp_path):
     scenario = build_scenario([1, 1])
-    agent, _ = dqn_train(scenario, DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0)
+    agent, _ = dqn_train(ScheduleEnv(scenario), DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0)
     path = tmp_path / "agent.ckpt"
     save_agent(path, agent)
     with pytest.raises(CheckpointError, match="nodes"):
@@ -639,7 +643,7 @@ def test_agent_checkpoint_node_count_guard(tmp_path):
 
 def test_autoencoder_checkpoint_round_trip(tmp_path):
     scenario = build_scenario([1, 1])
-    corpus = collect_states(scenario, episodes=2, seed=0)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=2, seed=0)
     result = autoencoder_train(
         scenario, corpus, AutoencoderConfig(state_size=4, epochs=5), seed=0
     )
@@ -653,7 +657,7 @@ def test_autoencoder_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_kind_mismatch(tmp_path):
     scenario = build_scenario([1, 1])
-    corpus = collect_states(scenario, episodes=2, seed=0)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=2, seed=0)
     result = autoencoder_train(
         scenario, corpus, AutoencoderConfig(state_size=4, epochs=2), seed=0
     )
@@ -661,7 +665,7 @@ def test_checkpoint_kind_mismatch(tmp_path):
     save_autoencoder(auto_path, result.model)
     with pytest.raises(CheckpointError, match="qnet"):
         load_agent(auto_path, scenario)
-    agent, _ = dqn_train(scenario, DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0)
+    agent, _ = dqn_train(ScheduleEnv(scenario), DqnConfig(hidden_sizes=(4,)), episodes=5, seed=0)
     agent_path = tmp_path / "agent.ckpt"
     save_agent(agent_path, agent)
     with pytest.raises(CheckpointError, match="autoencoder"):
@@ -864,13 +868,13 @@ def _loaded_autoencoder_repr(path, scenario, encoder):
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_weight_episodes_match_reference_loop(seed):
     scenario = build_scenario([2, 2, 1], weights=[0.5, 0.3, 0.2])
-    cache = {}
+    env = ScheduleEnv(scenario)
     for s in range(seed, seed + 4):
-        order, metric, state = weight_based_rollout(scenario, s, solve_cache=cache)
+        order, metric, state = weight_based_rollout(env, s)
         want_order, want_metric, want_state = _reference_rollout(scenario, s)
         assert (order, metric) == (want_order, want_metric)
         assert np.array_equal(state.columns, want_state.columns)
-    corpus = collect_states(scenario, episodes=6, seed=seed)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=6, seed=seed)
     want = _reference_collect(scenario, 6, seed)
     assert len(corpus) == len(want)
     for got, ref in zip(corpus, want):
@@ -885,7 +889,7 @@ def test_encoder_forward_matches_reference(tmp_path, seed):
     repr_ = _loaded_autoencoder_repr(tmp_path / "agent.ckpt", scenario, model.encoder)
     for state, seq in zip(corpus, sequences):
         want = _reference_encode(model.encoder, seq)
-        assert np.array_equal(model.encode_columns(seq), want)
+        assert np.array_equal(_final_state(model.encoder, seq), want)
         assert np.array_equal(repr_.encode(state), want)
         mse = _reference_reconstruction_mse(model, seq)
         assert model.reconstruction_mse(seq) == mse
@@ -931,7 +935,7 @@ def test_train_dqn_matches_reference_task(tmp_path, capsys, mode):
     obs, terminal = task.reset(), False
     while not terminal:
         obs, _, terminal = task.step(int(np.argmax(net.forward(obs))))
-    assert greedy_evaluate(agent, scenario) == (task.env.order, task.env.metric)
+    assert greedy_evaluate(agent, ScheduleEnv(scenario)) == (task.env.order, task.env.metric)
 
 
 def _curve_rows(curve):
@@ -945,7 +949,7 @@ def test_observation_memo_trains_like_encoding_every_step(mode):
     if mode == "autoencoder":
         encoder = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(9)).encoder
     config = DqnConfig(hidden_sizes=(6,), grad_steps_per_episode=2)
-    agent, curve = dqn_train(scenario, config, episodes=60, seed=3, encoder=encoder)
+    agent, curve = dqn_train(ScheduleEnv(scenario), config, episodes=60, seed=3, encoder=encoder)
     net, want = dqn_train_task(_ReferenceTask(scenario, encoder), config, 60, 3)
     assert _curve_rows(curve) == _curve_rows(want)
     for (name, got), (_, ref) in zip(agent.net.to_arrays(), net.to_arrays()):
@@ -981,7 +985,7 @@ def test_memoized_observations_are_fresh_encodings_and_read_only(mode):
         assert not obs.flags.writeable
         with pytest.raises(ValueError):
             obs[0] = 0.0
-        kept = task.env._states[order].columns
+        kept = task.env._memo[order][1].columns
         assert np.array_equal(kept, state.columns) and not kept.flags.writeable
 
 
@@ -1118,7 +1122,7 @@ def test_dqn_training_matches_reference_loop(task_kind, optimizer, seed):
     np.testing.assert_array_equal(np.array(_curve_rows(curve)), np.array(want_curve))
     if task_kind != "chain":
         agent = QAgent(net=net, repr=tasks[0].repr)
-        assert greedy_evaluate(agent, scenario) == _reference_greedy(agent, scenario)
+        assert greedy_evaluate(agent, ScheduleEnv(scenario)) == _reference_greedy(agent, scenario)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1126,7 +1130,7 @@ def test_dqn_training_matches_reference_loop(task_kind, optimizer, seed):
 @pytest.mark.parametrize("batch", ["stochastic", "full"])
 def test_autoencoder_training_matches_reference_loops(batch, optimizer, seed):
     scenario = build_scenario([2, 1])
-    corpus = collect_states(scenario, episodes=2, seed=seed)
+    corpus = collect_states(ScheduleEnv(scenario), episodes=2, seed=seed)
     config = AutoencoderConfig(state_size=3, lr=0.02, optimizer=optimizer, epochs=3, batch=batch)
     result = autoencoder_train(scenario, corpus, config, seed)
     model, history, test_mse = _reference_autoencoder_train(scenario, corpus, config, seed)

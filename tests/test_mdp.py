@@ -164,16 +164,22 @@ def test_return_bounded_by_floor():
         assert episode_return(transitions) <= bound + 1e-9
 
 
-def test_shared_cache_skips_resolves():
-    scenario = build_scenario([1, 1])
-    cache = {}
-    env_a = ScheduleEnv(scenario, solve_cache=cache)
-    env_a.step(1)
-    before = len(cache)
-    env_b = ScheduleEnv(scenario, solve_cache=cache)
-    env_b.step(1)
-    assert len(cache) == before
-    assert env_b.metric == env_a.metric
+def test_shared_cache_skips_resolves(monkeypatch):
+    solved = []
+
+    def record(scenario, order, **kwargs):
+        solved.append(tuple(order))
+        return solve_schedule(scenario, order, **kwargs)
+
+    monkeypatch.setattr("aoiplan.mdp.solve_schedule", record)
+    env = ScheduleEnv(build_scenario([1, 1]))
+    env.step(1)
+    metric = env.metric
+    assert solved == [(1,)]
+    env.reset()
+    env.step(1)
+    assert solved == [(1,)]
+    assert env.metric == metric
 
 
 def test_step_info_defaults_to_an_empty_read_only_mapping():

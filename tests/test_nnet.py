@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aoiplan import CheckpointError, NonFiniteGradientError, Seq2SeqAutoencoder
+from aoiplan.agents import _final_state
 from aoiplan.nnet import (
     AdamOptimizer,
     DenseNet,
@@ -140,7 +141,7 @@ def _output(model, xs):
         return model.forward(xs)
     if isinstance(model, LstmCell):
         return model.seq_forward(xs)[0]
-    return model.encode_columns(xs)
+    return _final_state(model.encoder, xs)
 
 
 @pytest.mark.parametrize("kind", ["dense", "lstm", "autoencoder"])
@@ -245,7 +246,8 @@ def test_step_matches_seq_forward():
     h = np.zeros(4)
     c = np.zeros(4)
     for t in range(5):
-        h, c = cell.step(xs[t], h, c)
+        step_hs, step_cs, _ = cell.seq_forward(xs[t : t + 1], h, c)
+        h, c = step_hs[1], step_cs[1]
         assert np.allclose(h, hs[t + 1], atol=1e-12)
         assert np.allclose(c, cs[t + 1], atol=1e-12)
 

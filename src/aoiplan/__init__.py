@@ -57,7 +57,7 @@ from .exhaustive import (
     schedule_count,
     total_candidates,
 )
-from .mdp import ScheduleEnv, StateMatrix, Step, build_state_matrix
+from .mdp import ScheduleEnv, Step, build_state_matrix
 from .physics import (
     UpdateTimes,
     aoi_trace,

@@ -2,11 +2,12 @@
 
 Three planners live here: a weight-proportional random baseline, an
 action-value network trained on replayed transitions, and the same
-trainer fed by a recurrent state autoencoder instead of the raw last
-state column. The autoencoder compresses the whole variable-length state
-matrix into a fixed vector (final cell and hidden state of a recurrent
-encoder), which is what makes the value network's input size independent
-of how many updates an episode has accumulated.
+trainer fed by a recurrent state autoencoder instead of the last state
+row. The autoencoder compresses the whole variable-length state, one row
+of battery and horizon fractions per update event, into a fixed vector
+(final cell and hidden state of a recurrent encoder), which is what makes
+the value network's input size independent of how many updates an
+episode has accumulated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Callable, Iterator, Protocol
 import numpy as np
 
 from .errors import CheckpointError, DivergenceError
-from .mdp import ScheduleEnv, StateMatrix, Step
+from .mdp import ScheduleEnv, Step
 from .nnet import (
     ACTIVATIONS,
     DenseNet,
@@ -96,41 +97,20 @@ class ReplayMemory:
 # ---------------------------------------------------------------------------
 
 
-def normalize_state_columns(scenario: Scenario, state: StateMatrix) -> np.ndarray:
-    """Scale a state matrix into [0, 1]: energies by each node's battery,
-    times by the horizon. Columns come out as rows (time-major)."""
-    m = scenario.num_nodes
-    cols = state.columns
-    out = np.empty((cols.shape[1], m + 1))
-    batteries = scenario.batteries()
-    out[:, :m] = (cols[:m, :] / batteries[:, None]).T
-    out[:, m] = cols[m, :] / scenario.uav.horizon_s
-    return out
-
-
-def denormalize_state_columns(scenario: Scenario, normalized: np.ndarray) -> np.ndarray:
-    """Inverse of normalize_state_columns, back to the matrix layout."""
-    m = scenario.num_nodes
-    cols = np.empty((m + 1, normalized.shape[0]))
-    batteries = scenario.batteries()
-    cols[:m, :] = (normalized[:, :m] * batteries[None, :]).T
-    cols[m, :] = normalized[:, m] * scenario.uav.horizon_s
-    return cols
-
-
-def _final_state(encoder: LstmCell, normalized: np.ndarray) -> np.ndarray:
-    """Run the encoder over normalized columns in reverse order and
-    concatenate its final cell and hidden state."""
-    hs, cs, _ = encoder.seq_forward(normalized[::-1].copy())
+def _final_state(encoder: LstmCell, state: np.ndarray) -> np.ndarray:
+    """Run the encoder over a state's rows of battery and horizon fractions
+    in reverse order and concatenate its final cell and hidden state."""
+    hs, cs, _ = encoder.seq_forward(state[::-1].copy())
     return np.concatenate([cs[-1], hs[-1]])
 
 
 @dataclass
 class StateRepr:
-    """Turns a state matrix into the fixed-size vector the value net sees.
+    """Turns a state into the fixed-size vector the value net sees.
 
-    Without an encoder it is the normalized most recent column; with a
-    trained encoder it is the encoder's final state over all columns.
+    A state is one row of battery and horizon fractions per update event.
+    Without an encoder the vector is the most recent row; with a trained
+    encoder it is the encoder's final state over all rows.
     """
 
     scenario: Scenario
@@ -140,7 +120,7 @@ class StateRepr:
         width = self.scenario.num_nodes + 1
         if self.encoder is not None and self.encoder.input_size != width:
             raise CheckpointError(
-                f"encoder reads {self.encoder.input_size} entries per column, "
+                f"encoder reads {self.encoder.input_size} entries per row, "
                 f"a {self.scenario.num_nodes}-node scenario gives {width}"
             )
 
@@ -154,11 +134,10 @@ class StateRepr:
             return self.scenario.num_nodes + 1
         return 2 * self.encoder.hidden_size
 
-    def encode(self, state: StateMatrix) -> np.ndarray:
-        normalized = normalize_state_columns(self.scenario, state)
+    def encode(self, state: np.ndarray) -> np.ndarray:
         if self.encoder is None:
-            return normalized[-1].copy()
-        return _final_state(self.encoder, normalized)
+            return state[-1]
+        return _final_state(self.encoder, state)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +171,7 @@ class ScheduleTask:
         self.repr = repr_
         self._obs: dict[tuple[int, ...], np.ndarray] = {}
 
-    def _observe(self, state: StateMatrix) -> np.ndarray:
+    def _observe(self, state: np.ndarray) -> np.ndarray:
         obs = self._obs.get(self.env.order)
         if obs is None:
             obs = self._obs[self.env.order] = self.repr.encode(state)
@@ -391,7 +370,7 @@ def dqn_train(
     """Train an action-value planner on env's scenario.
 
     With a trained encoder the observations are the encoder's compressed
-    state instead of the raw last column. A later rollout on the same env
+    state instead of the last state row. A later rollout on the same env
     re-solves no order training reached.
     """
     repr_ = StateRepr(env.scenario, encoder)
@@ -415,7 +394,7 @@ def _weight_choice(scenario: Scenario, rng: np.random.Generator) -> Callable[[ob
     return lambda obs: int(rng.choice(scenario.num_nodes, p=weights)) + 1
 
 
-def weight_based_rollout(env: ScheduleEnv, seed: int) -> tuple[tuple[int, ...], float, StateMatrix]:
+def weight_based_rollout(env: ScheduleEnv, seed: int) -> tuple[tuple[int, ...], float, np.ndarray]:
     """Baseline policy: sample nodes in proportion to their weights until an
     append fails, for at most MAX_EPISODE_STEPS steps; returns (visit order,
     metric, final state)."""
@@ -424,11 +403,11 @@ def weight_based_rollout(env: ScheduleEnv, seed: int) -> tuple[tuple[int, ...], 
     return env.order, env.metric, env.state
 
 
-def collect_states(env: ScheduleEnv, episodes: int, seed: int) -> list[StateMatrix]:
+def collect_states(env: ScheduleEnv, episodes: int, seed: int) -> list[np.ndarray]:
     """Gather a state corpus from weight-proportional episodes on env.
 
     Every state visited is kept, including each episode's initial state,
-    so the encoder sees single-column matrices too.
+    so the encoder sees the one-row state of the mission start too.
     """
     choose = _weight_choice(env.scenario, np.random.default_rng(seed))
     corpus = []
@@ -454,13 +433,14 @@ class AutoencoderConfig:
 
 @dataclass
 class Seq2SeqAutoencoder(FlatModel):
-    """Sequence autoencoder over normalized state-matrix columns.
+    """Sequence autoencoder over a state's rows of battery and horizon
+    fractions.
 
-    The encoder consumes the columns in reverse order, so its final input
-    is always the fixed initial column; the compressed state is the
-    concatenated final (cell, hidden) pair. The decoder, initialized from
-    that pair, reproduces the same reversed sequence under teacher
-    forcing, with a linear head mapping hidden states back to columns.
+    The encoder consumes the rows in reverse order, so its final input is
+    always the fixed initial row; the compressed state is the concatenated
+    final (cell, hidden) pair. The decoder, initialized from that pair,
+    reproduces the same reversed sequence under teacher forcing, with a
+    linear head mapping hidden states back to rows.
     """
 
     encoder: LstmCell
@@ -479,11 +459,11 @@ class Seq2SeqAutoencoder(FlatModel):
     def state_size(self) -> int:
         return self.encoder.hidden_size
 
-    def _reconstruct(self, normalized: np.ndarray) -> tuple:
-        """Teacher-forced pass over the reversed columns: the encoder input,
+    def _reconstruct(self, state: np.ndarray) -> tuple:
+        """Teacher-forced pass over the reversed rows: the encoder input,
         the decoder input, both recurrent traces (hs, cs, gates), the head's
         cache and the reconstruction error."""
-        xs = normalized[::-1].copy()
+        xs = state[::-1].copy()
         enc = self.encoder.seq_forward(xs)
         hs_e, cs_e, _ = enc
         dec_in = np.zeros_like(xs)
@@ -492,9 +472,9 @@ class Seq2SeqAutoencoder(FlatModel):
         out, head_cache = self.head.forward_cached(dec[0][1:])
         return xs, dec_in, enc, dec, head_cache, out - xs
 
-    def loss_and_grad(self, normalized: np.ndarray) -> tuple[float, np.ndarray]:
+    def loss_and_grad(self, state: np.ndarray) -> tuple[float, np.ndarray]:
         """Reconstruction MSE on one sequence and the full parameter gradient."""
-        xs, dec_in, enc, dec, head_cache, err = self._reconstruct(normalized)
+        xs, dec_in, enc, dec, head_cache, err = self._reconstruct(state)
         k = self.state_size
         dws, dbs, dhidden = self.head.backward(head_cache, 2.0 * err / err.size)
         dwg_d, dbg_d, dh0_d, dc0_d, _ = self.decoder.seq_backward(
@@ -504,8 +484,8 @@ class Seq2SeqAutoencoder(FlatModel):
         grad = flatten([dwg_e, dbg_e, dwg_d, dbg_d, self.head.grads_flat(dws, dbs)])
         return float(np.mean(err * err)), grad
 
-    def reconstruction_mse(self, normalized: np.ndarray) -> float:
-        err = self._reconstruct(normalized)[-1]
+    def reconstruction_mse(self, state: np.ndarray) -> float:
+        err = self._reconstruct(state)[-1]
         return float(np.mean(err * err))
 
     def _bind(self, flat: np.ndarray) -> None:
@@ -540,7 +520,7 @@ class AutoencoderResult:
 
 def autoencoder_train(
     scenario: Scenario,
-    corpus: list[StateMatrix],
+    corpus: list[np.ndarray],
     config: AutoencoderConfig,
     seed: int,
 ) -> AutoencoderResult:
@@ -554,15 +534,14 @@ def autoencoder_train(
     if not corpus:
         raise ValueError("corpus must contain at least one state")
     rng = np.random.default_rng(seed)
-    sequences = [normalize_state_columns(scenario, state) for state in corpus]
-    if len(sequences) == 1:
+    if len(corpus) == 1:
         # Overfitting a singleton: train and test on the same sequence.
-        train = test = sequences
+        train = test = corpus
     else:
-        perm = rng.permutation(len(sequences))
-        n_train = max(1, int(round(0.7 * len(sequences))))
-        train = [sequences[i] for i in perm[:n_train]]
-        test = [sequences[i] for i in perm[n_train:]]
+        perm = rng.permutation(len(corpus))
+        n_train = max(1, int(round(0.7 * len(corpus))))
+        train = [corpus[i] for i in perm[:n_train]]
+        test = [corpus[i] for i in perm[n_train:]]
 
     model = Seq2SeqAutoencoder.init(scenario.num_nodes + 1, config.state_size, rng)
     optimizer = make_optimizer(config.optimizer, config.lr)
@@ -731,7 +710,7 @@ def load_autoencoder(path: str | Path) -> tuple[Seq2SeqAutoencoder, dict[str, An
 
 def autoencoder_search(
     scenario: Scenario,
-    corpus: list[StateMatrix],
+    corpus: list[np.ndarray],
     sizes: list[int],
     config: AutoencoderConfig,
     seed: int,

@@ -1,11 +1,12 @@
 """Episodic decision process over visit orders.
 
 An episode builds a visit order one update at a time. The state after n
-appended updates is a compact matrix: one column per update event holding
-every node's remaining battery and the event's time, preceded by the
-initial full-battery column. Rewards are the stepwise drops of the age
-metric, so the return of an episode telescopes to 1 minus the metric of
-its final order.
+appended updates is an (n + 1) x (nodes + 1) array, one row per update
+event: each node's remaining battery as a fraction of its battery, then
+the event's time as a fraction of the horizon. Row 0 is the mission start
+(ones, then 0), and learners read these rows as they are. Rewards are the
+stepwise drops of the age metric, so the return of an episode telescopes
+to 1 minus the metric of its final order.
 
 Each append re-solves the trajectory for the extended order. The solve
 and the state depend on the order alone, so an environment keeps both per
@@ -15,7 +16,6 @@ rollout) that run on one environment solve each order once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
@@ -29,60 +29,27 @@ from .solver import STATUS_OPTIMAL, TrajectorySolution, solve_schedule
 TERMINATE = 0
 
 
-@dataclass
-class StateMatrix:
-    """Remaining energies and event times after each scheduled update.
-
-    ``columns`` has one row per node plus a final time row; column j is the
-    state right after the j-th update event (column 0 is the mission start).
-    """
-
-    columns: np.ndarray
-
-    def validate(self, scenario: Scenario) -> None:
-        m = scenario.num_nodes
-        if self.columns.ndim != 2 or self.columns.shape[0] != m + 1:
-            raise ScheduleError("state matrix must have one row per node plus a time row")
-        batteries = scenario.batteries()
-        first = self.columns[:, 0]
-        if not np.allclose(first[:m], batteries, rtol=0, atol=1e-12):
-            raise ScheduleError("first column must hold full batteries")
-        if abs(first[m]) > 1e-12:
-            raise ScheduleError("first column time must be zero")
-        energies = self.columns[:m, :]
-        if np.any(np.diff(energies, axis=1) > 1e-9):
-            raise ScheduleError("remaining energies must be nonincreasing")
-        times = self.columns[m, :]
-        if np.any(np.diff(times) < -1e-9):
-            raise ScheduleError("event times must be nondecreasing")
-
-    @property
-    def num_events(self) -> int:
-        return self.columns.shape[1] - 1
-
-
-def build_state_matrix(scenario: Scenario, solution: TrajectorySolution) -> StateMatrix:
-    """State matrix for a solved order: batteries drained event by event."""
+def build_state_matrix(scenario: Scenario, solution: TrajectorySolution) -> np.ndarray:
+    """State of a solved order: row j holds each node's remaining battery over
+    its battery after the j-th update, then that update's time over the
+    horizon; row 0 is the mission start."""
     m = scenario.num_nodes
-    n = solution.times_s.size
-    cols = np.zeros((m + 1, n + 1))
-    cols[:m, 0] = scenario.batteries()
-    remaining = scenario.batteries().copy()
-    for i in range(n):
-        node = solution.order[i] - 1
-        spent = update_energy(
-            scenario, node, (solution.waypoints_xy[i, 0], solution.waypoints_xy[i, 1])
-        )
-        remaining[node] -= spent
-        cols[:m, i + 1] = remaining
-        cols[m, i + 1] = solution.times_s[i]
-    return StateMatrix(columns=cols)
+    batteries = scenario.batteries()
+    remaining = batteries.copy()
+    state = initial_state(scenario).repeat(solution.times_s.size + 1, axis=0)
+    for i, node in enumerate(solution.order):
+        xy = (solution.waypoints_xy[i, 0], solution.waypoints_xy[i, 1])
+        remaining[node - 1] -= update_energy(scenario, node - 1, xy)
+        state[i + 1, :m] = remaining / batteries
+    state[1:, m] = solution.times_s / scenario.uav.horizon_s
+    return state
 
 
-def initial_state(scenario: Scenario) -> StateMatrix:
-    cols = np.zeros((scenario.num_nodes + 1, 1))
-    cols[: scenario.num_nodes, 0] = scenario.batteries()
-    return StateMatrix(columns=cols)
+def initial_state(scenario: Scenario) -> np.ndarray:
+    """The one-row state of the mission start: full batteries at time 0."""
+    state = np.ones((1, scenario.num_nodes + 1))
+    state[0, -1] = 0.0
+    return state
 
 
 class Step(NamedTuple):
@@ -105,10 +72,10 @@ class ScheduleEnv:
     (the energy budget or geometry cannot support it, or the solver did not
     converge) ends the episode, keeps the previous order, and pays
     ``infeasible_penalty`` (zero by default, so such an attempt simply
-    wastes the step). Each step's observation is the state matrix, so the
-    env is an episodic task of its own for action rules that do not read it.
-    Each order reached keeps its solve and read-only state matrix, shared
-    by every episode run on the env.
+    wastes the step). Each step's observation is the state, the rows of
+    battery and horizon fractions, so the env is an episodic task of its
+    own for action rules that do not read it. Each order reached keeps its
+    solve and read-only state, shared by every episode run on the env.
     """
 
     # Also the class's own attribute, so the CLI's --penalty default reads it.
@@ -119,10 +86,10 @@ class ScheduleEnv:
         self.scenario = scenario
         self.infeasible_penalty = infeasible_penalty
         initial = initial_state(scenario)
-        initial.columns.flags.writeable = False
-        # order -> (solve, state matrix or None when the solve is not
-        # optimal); the empty order has no solve.
-        self._memo: dict[tuple[int, ...], tuple[TrajectorySolution | None, StateMatrix | None]] = {
+        initial.flags.writeable = False
+        # order -> (solve, state or None when the solve is not optimal); the
+        # empty order has no solve.
+        self._memo: dict[tuple[int, ...], tuple[TrajectorySolution | None, np.ndarray | None]] = {
             (): (None, initial)
         }
         self.reset()
@@ -144,10 +111,10 @@ class ScheduleEnv:
         return self._metric
 
     @property
-    def state(self) -> StateMatrix:
+    def state(self) -> np.ndarray:
         return self._state
 
-    def reset(self) -> StateMatrix:
+    def reset(self) -> np.ndarray:
         self._order: tuple[int, ...] = ()
         self._state = self._memo[()][1]
         self._metric = 1.0
@@ -171,7 +138,7 @@ class ScheduleEnv:
                 state = None
                 if solution.status == STATUS_OPTIMAL:
                     state = build_state_matrix(self.scenario, solution)
-                    state.columns.flags.writeable = False
+                    state.flags.writeable = False
                 self._memo[candidate] = solution, state
             solution, state = self._memo[candidate]
             if state is None:

@@ -32,13 +32,7 @@ from aoiplan import (
     weight_based_rollout,
 )
 from aoiplan import agents
-from aoiplan.agents import (
-    _final_state,
-    denormalize_state_columns,
-    epsilon_at,
-    normalize_state_columns,
-    write_learning_curve_csv,
-)
+from aoiplan.agents import _final_state, epsilon_at, write_learning_curve_csv
 from aoiplan.cli import main
 from aoiplan.mdp import build_state_matrix, initial_state
 from aoiplan.nnet import (
@@ -49,7 +43,7 @@ from aoiplan.nnet import (
     make_optimizer,
     save_checkpoint,
 )
-from conftest import build_scenario
+from conftest import build_scenario, check_state
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +136,6 @@ def test_epsilon_schedule_endpoints():
 # ---------------------------------------------------------------------------
 
 
-def test_normalization_round_trip():
-    scenario = build_scenario([1, 2], weights=[0.4, 0.6])
-    env = ScheduleEnv(scenario)
-    env.step(2)
-    env.step(1)
-    state = env.state
-    normalized = normalize_state_columns(scenario, state)
-    assert normalized.shape == (3, 3)
-    assert np.all(normalized >= -1e-12) and np.all(normalized <= 1.0 + 1e-12)
-    back = denormalize_state_columns(scenario, normalized)
-    assert np.allclose(back, state.columns, rtol=0, atol=1e-12)
-
-
 def test_last_column_representation():
     scenario = build_scenario([1, 1])
     repr_ = StateRepr(scenario=scenario)
@@ -164,7 +145,7 @@ def test_last_column_representation():
     env.step(1)
     obs = repr_.encode(env.state)
     assert obs.shape == (3,)
-    expected = normalize_state_columns(scenario, env.state)[-1]
+    expected = env.state[-1]
     assert np.array_equal(obs, expected)
 
 
@@ -201,7 +182,7 @@ def test_weight_rollout_zero_weight_node_skipped():
     # The policy only stops when an append fails, so node 1 is drained.
     assert len(order) == 2
     assert metric < 1.0
-    assert state.num_events == len(order)
+    assert len(state) - 1 == len(order)
 
 
 def test_weight_rollout_single_node_runs_out_budget():
@@ -229,10 +210,10 @@ def test_collect_states_keeps_initial_states():
     scenario = build_scenario([1, 1])
     corpus = collect_states(ScheduleEnv(scenario), episodes=4, seed=0)
     assert len(corpus) >= 4
-    single = [s for s in corpus if s.num_events == 0]
+    single = [s for s in corpus if len(s) - 1 == 0]
     assert len(single) == 4
     for state in corpus:
-        state.validate(scenario)
+        check_state(scenario, state)
 
 
 def test_weight_episodes_encode_no_observation(monkeypatch):
@@ -455,13 +436,12 @@ def test_learning_curve_csv_layout(tmp_path):
 
 
 def sample_sequences(scenario, episodes=3, seed=0):
-    corpus = collect_states(ScheduleEnv(scenario), episodes=episodes, seed=seed)
-    return corpus, [normalize_state_columns(scenario, s) for s in corpus]
+    return collect_states(ScheduleEnv(scenario), episodes=episodes, seed=seed)
 
 
 def test_autoencoder_gradient_check():
     scenario = build_scenario([1, 2])
-    _, sequences = sample_sequences(scenario)
+    sequences = sample_sequences(scenario)
     model = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(3))
     rng = np.random.default_rng(5)
     for seq in (sequences[0], sequences[-1]):
@@ -483,17 +463,17 @@ def test_autoencoder_single_column_state():
     # fixed function of that column alone.
     scenario = build_scenario([1, 1])
     corpus = collect_states(ScheduleEnv(scenario), episodes=1, seed=0)
-    single = [s for s in corpus if s.num_events == 0][0]
+    single = [s for s in corpus if len(s) - 1 == 0][0]
     model = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(0))
-    encoded = _final_state(model.encoder, normalize_state_columns(scenario, single))
+    encoded = _final_state(model.encoder, single)
     assert encoded.shape == (8,)
-    again = _final_state(model.encoder, normalize_state_columns(scenario, single))
+    again = _final_state(model.encoder, single)
     assert np.array_equal(encoded, again)
 
 
 def test_autoencoder_full_batch_descends():
     scenario = build_scenario([1, 1])
-    corpus, _ = sample_sequences(scenario, episodes=4, seed=1)
+    corpus = sample_sequences(scenario, episodes=4, seed=1)
     config = AutoencoderConfig(
         state_size=4, lr=0.05, optimizer="sgd", epochs=40, batch="full"
     )
@@ -513,7 +493,7 @@ def test_autoencoder_overfits_singleton():
 
 def test_autoencoder_split_sizes():
     scenario = build_scenario([1, 1])
-    corpus, _ = sample_sequences(scenario, episodes=6, seed=2)
+    corpus = sample_sequences(scenario, episodes=6, seed=2)
     corpus = corpus[:10]
     result = autoencoder_train(
         scenario, corpus, AutoencoderConfig(state_size=2, epochs=1), seed=0
@@ -651,7 +631,7 @@ def test_autoencoder_checkpoint_round_trip(tmp_path):
     save_autoencoder(path, result.model, {"note": "test"})
     loaded, meta = load_autoencoder(path)
     assert meta["state_size"] == 4 and meta["note"] == "test"
-    seq = normalize_state_columns(scenario, corpus[0])
+    seq = corpus[0]
     assert loaded.reconstruction_mse(seq) == result.model.reconstruction_mse(seq)
 
 
@@ -796,14 +776,14 @@ def _reference_collect(scenario, episodes, seed):
     return corpus
 
 
-def _reference_encode(encoder, normalized):
-    flipped = normalized[::-1].copy()
+def _reference_encode(encoder, state):
+    flipped = state[::-1].copy()
     hs, cs, _ = encoder.seq_forward(flipped)
     return np.concatenate([cs[-1], hs[-1]])
 
 
-def _reference_reconstruction_mse(model, normalized):
-    xs = normalized[::-1].copy()
+def _reference_reconstruction_mse(model, state):
+    xs = state[::-1].copy()
     hs_e, cs_e, _ = model.encoder.seq_forward(xs)
     dec_in = np.zeros_like(xs)
     dec_in[1:] = xs[:-1]
@@ -830,10 +810,9 @@ class _ReferenceTask:
         return self.env.metric
 
     def _observe(self, state):
-        normalized = normalize_state_columns(self.scenario, state)
         if self.encoder is None:
-            return normalized[-1].copy()
-        return _reference_encode(self.encoder, normalized)
+            return state[-1].copy()
+        return _reference_encode(self.encoder, state)
 
     def reset(self):
         return self._observe(self.env.reset())
@@ -873,27 +852,27 @@ def test_weight_episodes_match_reference_loop(seed):
         order, metric, state = weight_based_rollout(env, s)
         want_order, want_metric, want_state = _reference_rollout(scenario, s)
         assert (order, metric) == (want_order, want_metric)
-        assert np.array_equal(state.columns, want_state.columns)
+        assert np.array_equal(state, want_state)
     corpus = collect_states(ScheduleEnv(scenario), episodes=6, seed=seed)
     want = _reference_collect(scenario, 6, seed)
     assert len(corpus) == len(want)
     for got, ref in zip(corpus, want):
-        assert np.array_equal(got.columns, ref.columns)
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_encoder_forward_matches_reference(tmp_path, seed):
     scenario = build_scenario([2, 1])
-    corpus, sequences = sample_sequences(scenario, episodes=3, seed=seed)
+    corpus = sample_sequences(scenario, episodes=3, seed=seed)
     model = Seq2SeqAutoencoder.init(3, 4, np.random.default_rng(seed))
     repr_ = _loaded_autoencoder_repr(tmp_path / "agent.ckpt", scenario, model.encoder)
-    for state, seq in zip(corpus, sequences):
-        want = _reference_encode(model.encoder, seq)
-        assert np.array_equal(_final_state(model.encoder, seq), want)
+    for state in corpus:
+        want = _reference_encode(model.encoder, state)
+        assert np.array_equal(_final_state(model.encoder, state), want)
         assert np.array_equal(repr_.encode(state), want)
-        mse = _reference_reconstruction_mse(model, seq)
-        assert model.reconstruction_mse(seq) == mse
-        assert model.loss_and_grad(seq)[0] == mse
+        mse = _reference_reconstruction_mse(model, state)
+        assert model.reconstruction_mse(state) == mse
+        assert model.loss_and_grad(state)[0] == mse
 
 
 @pytest.mark.parametrize("mode", ["last_column", "autoencoder"])
@@ -985,8 +964,8 @@ def test_memoized_observations_are_fresh_encodings_and_read_only(mode):
         assert not obs.flags.writeable
         with pytest.raises(ValueError):
             obs[0] = 0.0
-        kept = task.env._memo[order][1].columns
-        assert np.array_equal(kept, state.columns) and not kept.flags.writeable
+        kept = task.env._memo[order][1]
+        assert np.array_equal(kept, state) and not kept.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -1068,13 +1047,12 @@ def _reference_greedy(agent, scenario):
 
 def _reference_autoencoder_train(scenario, corpus, config, seed):
     rng = np.random.default_rng(seed)
-    sequences = [normalize_state_columns(scenario, state) for state in corpus]
-    perm = rng.permutation(len(sequences))
-    n_train = max(1, int(round(0.7 * len(sequences))))
-    if n_train == len(sequences):
+    perm = rng.permutation(len(corpus))
+    n_train = max(1, int(round(0.7 * len(corpus))))
+    if n_train == len(corpus):
         n_train -= 1
-    train = [sequences[i] for i in perm[:n_train]]
-    test = [sequences[i] for i in perm[n_train:]]
+    train = [corpus[i] for i in perm[:n_train]]
+    test = [corpus[i] for i in perm[n_train:]]
     model = Seq2SeqAutoencoder.init(scenario.num_nodes + 1, config.state_size, rng)
     optimizer = make_optimizer(config.optimizer, config.lr)
     history = []

@@ -564,7 +564,7 @@ def test_train_dqn_encoder_width_exit_3(tmp_path, capsys):
         "--encoder", str(ae_out / "autoencoder.ckpt"), "--out", str(tmp_path / "dqn"),
     ])
     assert code == 3
-    assert "encoder reads 3 entries per column" in capsys.readouterr().err
+    assert "encoder reads 3 entries per row" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from aoiplan import (
     build_state_matrix,
     lower_bound,
     solve_schedule,
+    update_energy,
 )
 from aoiplan.mdp import TERMINATE, initial_state
-from conftest import UNIT, build_scenario, nonconverged_at
+from conftest import UNIT, build_scenario, check_state, nonconverged_at
 
 
 def episode_return(steps):
@@ -23,18 +24,18 @@ def episode_return(steps):
 def test_initial_state_column():
     scenario = build_scenario([1, 2])
     state = initial_state(scenario)
-    assert state.columns.shape == (3, 1)
-    assert np.allclose(state.columns[:2, 0], scenario.batteries())
-    assert state.columns[2, 0] == 0.0
-    assert state.num_events == 0
-    state.validate(scenario)
+    assert state.shape == (1, 3)
+    assert np.array_equal(state[0, :2], np.ones(2))
+    assert state[0, 2] == 0.0
+    assert len(state) - 1 == 0
+    check_state(scenario, state)
 
 
 def test_reset_is_idempotent():
     env = ScheduleEnv(build_scenario([1, 1]))
-    first = env.reset().columns
+    first = env.reset()
     env.step(1)
-    second = env.reset().columns
+    second = env.reset()
     assert np.array_equal(first, second)
     assert env.order == ()
     assert env.metric == 1.0
@@ -94,9 +95,45 @@ def test_state_is_path_independent():
     env = ScheduleEnv(scenario)
     env.step(1)
     env.step(2)
-    stepped = env.state.columns
-    rebuilt = build_state_matrix(scenario, solve_schedule(scenario, [1, 2])).columns
-    assert np.allclose(stepped, rebuilt, atol=1e-12)
+    stepped = env.state
+    rebuilt = build_state_matrix(scenario, solve_schedule(scenario, [1, 2]))
+    assert np.array_equal(stepped, rebuilt)
+
+
+def _rebuilt_rows(scenario, solution):
+    """The state of a solve written out row by row: a node's battery minus
+    what its updates up to the row's event drew at the solve's waypoints,
+    over the battery, then the event time over the horizon."""
+    order = list(solution.order)
+    rows = [[1.0] * scenario.num_nodes + [0.0]]
+    for event in range(1, len(order) + 1):
+        row = []
+        for k, node in enumerate(scenario.nodes):
+            remaining = node.battery_j
+            for i in range(event):
+                if order[i] == k + 1:
+                    xy = tuple(solution.waypoints_xy[i])
+                    remaining -= update_energy(scenario, k, xy)
+            row.append(remaining / node.battery_j)
+        rows.append(row + [solution.times_s[event - 1] / scenario.uav.horizon_s])
+    return np.array(rows)
+
+
+def test_state_rows_rebuild_from_the_solve():
+    scenario = build_scenario([1, 2])
+    order = (2, 1, 2)
+    env = ScheduleEnv(scenario)
+    start = env.reset()
+    assert np.array_equal(start, [[1.0, 1.0, 0.0]]) and not start.flags.writeable
+    for n in range(1, len(order) + 1):
+        solution = solve_schedule(scenario, order[:n])
+        want = _rebuilt_rows(scenario, solution)
+        assert np.array_equal(build_state_matrix(scenario, solution), want)
+        step = env.step(order[n - 1])
+        assert env.order == order[:n]
+        assert step.obs is env.state
+        assert np.array_equal(step.obs, want)
+        assert not step.obs.flags.writeable
 
 
 def test_energy_bookkeeping():
@@ -105,14 +142,14 @@ def test_energy_bookkeeping():
     env.step(1)
     transition = env.step(1)
     state = transition.obs
-    state.validate(scenario)
+    check_state(scenario, state)
     # Two updates hovering near the node each cost about one unit; hovering
     # exactly overhead is the cheapest possible, the ball caps the excess.
-    spent = scenario.batteries()[0] - state.columns[0, -1]
+    spent = (1.0 - state[-1, 0]) * scenario.batteries()[0]
     assert spent >= 2.0 * UNIT - 1e-15
     assert spent == pytest.approx(2.0 * UNIT, rel=5e-2)
     assert spent <= scenario.batteries()[0]
-    times = state.columns[1, 1:]
+    times = state[1:, 1]
     assert np.all(np.diff(times) > 0.0)
 
 
@@ -127,7 +164,7 @@ def test_infeasible_append_keeps_order():
     assert transition.info["rejected"] == (1, 1)
     assert "cannot afford" in transition.info["reason"]
     assert env.order == (1,)
-    assert np.array_equal(transition.obs.columns, before.columns)
+    assert np.array_equal(transition.obs, before)
 
 
 def test_infeasible_penalty_knob():
@@ -194,8 +231,7 @@ def test_step_info_defaults_to_an_empty_read_only_mapping():
 
 def test_state_validation_rejects_garbage():
     scenario = build_scenario([1, 1])
-    state = initial_state(scenario)
-    bad = state.columns.copy()
+    bad = initial_state(scenario)
     bad[0, 0] = 0.0
-    with pytest.raises(ScheduleError, match="full batteries"):
-        type(state)(columns=bad).validate(scenario)
+    with pytest.raises(AssertionError, match="full batteries"):
+        check_state(scenario, bad)
